@@ -25,7 +25,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dims", type=int, nargs="+", default=[4, 5, 6])
     parser.add_argument("--primes", type=int, nargs="+", default=[2, 3])
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     header = f"{'family':28s} {'p':>2s} {'dim':>3s} {'L1':>3s} {'Z':>3s} " \
@@ -35,7 +34,7 @@ def main():
     for p in args.primes:
         for label, L in entries_for_dims(args.dims, GF(p)):
             rep = invariant_report(L)
-            res = alpha_beta_exact_fp(L, threads=args.threads)
+            res = alpha_beta_exact_fp(L)
             print(f"{label:28s} {p:2d} {L.dim:3d} {rep.derived_dim:3d} "
                   f"{rep.center_dim:3d} {res.alpha:5d} {res.beta:4d} "
                   f"{str(rep.nilpotent)[0]:>4s} {'y' if L.fi_checked else 'N':>3s}")

@@ -34,9 +34,7 @@ from .linalg import (
 from .core import (
     FIReport,
     FIViolation,
-    LieAlgebra,
     NLieAlgebra,
-    StructureConstants,
     abelian_algebra,
     bracket,
     bracket_basis,

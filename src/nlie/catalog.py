@@ -61,7 +61,7 @@ def trivial_extension(J0: NLieAlgebra) -> NLieAlgebra:
     d = J0.dim
     f = J0.field
     entries = {}
-    for (i, j), val in J0.constants.entries:
+    for (i, j), val in J0.entries:
         entries[(i + 1, j + 1, d + 1)] = tuple(val) + (f.zero,)
     out = make_algebra(f, 3, d + 1, entries)
     return with_fi_checked(out)
@@ -75,9 +75,9 @@ def direct_sum(L1: NLieAlgebra, L2: NLieAlgebra) -> NLieAlgebra:
     f = L1.field
     m1, m2 = L1.dim, L2.dim
     entries = {}
-    for key, val in L1.constants.entries:
+    for key, val in L1.entries:
         entries[tuple(i + 1 for i in key)] = tuple(val) + (f.zero,) * m2
-    for key, val in L2.constants.entries:
+    for key, val in L2.entries:
         entries[tuple(i + 1 + m1 for i in key)] = (f.zero,) * m1 + tuple(val)
     out = make_algebra(f, L1.arity, m1 + m2, entries)
     report = check_fundamental_identity(out)
@@ -549,17 +549,12 @@ class Theorem44Verdict:
     block: Subspace | None = None
 
     def to_dict(self):
-        def sub(S):
-            if S is None:
-                return None
-            f = S.field
-            return {"dim": S.dim, "rows": [[f.format(x) for x in r] for r in S.basis]}
-
         return {"case": self.case, "evidence": self.evidence,
-                "tau": sub(self.tau), "block": sub(self.block)}
+                "tau": self.tau and self.tau.to_dict(),
+                "block": self.block and self.block.to_dict()}
 
 
-def _restrict_to_subalgebra(L, S):
+def restrict_to_subalgebra(L: NLieAlgebra, S: Subspace) -> NLieAlgebra:
     """Structure constants of a bracket-closed subspace in its RREF basis."""
     f = L.field
     k = S.dim
@@ -646,7 +641,7 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
             cls = classify_subspace(Lp, S)
             if not cls.is_subalgebra:
                 continue
-            block = _restrict_to_subalgebra(Lp, S)
+            block = restrict_to_subalgebra(Lp, S)
             if fingerprint(block) == a4_fp:
                 return Theorem44Verdict(
                     "A4-semidirect",

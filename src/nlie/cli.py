@@ -67,11 +67,7 @@ def _format_subspace(S):
 
 
 def _subspace_dict(S):
-    if S is None:
-        return None
-    f = S.field
-    return {"dim": S.dim, "ambient": S.ambient_dim,
-            "rows": [[f.format(x) for x in row] for row in S.basis]}
+    return dict(S.to_dict(), ambient=S.ambient_dim)
 
 
 def cmd_check(args):
@@ -144,14 +140,14 @@ def cmd_alphabeta(args):
     results = []
     lines = []
     if L.field.p is not None:
-        res = alpha_beta_exact_fp(L, budget=args.budget, threads=args.threads)
+        res = alpha_beta_exact_fp(L, budget=args.budget)
         results.append(res.to_dict())
         lines.append(f"alpha = {res.alpha}, beta = {res.beta} "
                      f"(exact over GF({L.field.p}); {res.subspaces_scanned} subspaces)")
     elif args.p:
         for p in args.p:
             Lp = reduce_mod_p(L, p)
-            res = alpha_beta_exact_fp(Lp, budget=args.budget, threads=args.threads)
+            res = alpha_beta_exact_fp(Lp, budget=args.budget)
             results.append(res.to_dict())
             lines.append(f"p={p}: alpha = {res.alpha}, beta = {res.beta} "
                          f"({res.subspaces_scanned} subspaces)")
@@ -223,18 +219,18 @@ def cmd_catalog(args):
                  f"min dim {r['min_dim']}: {r['summary']}" for r in rows]
         _emit(args, "catalog-list", {"families": rows}, lines)
         return EXIT_OK
+    field = GF(args.p) if args.p else QQ
     params = {}
     if args.dim is not None:
         params["m"] = args.dim
     if args.n is not None:
         params["n"] = args.n
     if args.alpha is not None:
-        params["alpha"] = QQ.parse(args.alpha) if args.p is None else int(args.alpha)
+        params["alpha"] = field.parse(args.alpha)
     if args.t is not None:
         params["t"] = args.t
     if args.r is not None:
         params["r"] = args.r
-    field = GF(args.p) if args.p else QQ
     try:
         L = catalog_build(args.family, field, **params)
     except TypeError as exc:
@@ -304,8 +300,7 @@ def cmd_verify_paper(args):
         if not quiet:
             print(line)
 
-    suite = run_suite(only=args.only or None, seed=args.seed,
-                      threads=args.threads, report=sink)
+    suite = run_suite(only=args.only or None, seed=args.seed, report=sink)
     if quiet:
         _emit(args, "verify-paper", suite.to_dict(), [])
     else:
@@ -352,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-bounds", action="store_true",
                    help="certified lower bounds over Q")
     p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("assoc-lie", cmd_assoc_lie, help="associated binary algebra at w")
     p.add_argument("algebra")
@@ -406,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", type=int, action="append",
                    help="run a single criterion (repeatable)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -420,10 +413,7 @@ def main(argv=None) -> int:
     except UnsupportedRequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except NLieError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (NLieError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

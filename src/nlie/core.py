@@ -11,8 +11,10 @@ Indices are 0-based internally and 1-based in every external surface
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -23,8 +25,8 @@ from .errors import (
 )
 from .fields import GF, QQ, Field, same_field
 from .linalg import (
-    Matrix,
     Subspace,
+    minor_det,
     span,
     validate_vector,
     vec_is_zero,
@@ -51,25 +53,22 @@ def sort_with_sign(indices):
     return tuple(lst), sign
 
 
-def perm_parity(seq) -> int:
-    """Sign of the permutation given as a sequence of distinct integers."""
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
 @dataclass(frozen=True)
-class StructureConstants:
-    """Canonical table: sorted (key, coefficient-vector) pairs, zero entries dropped."""
+class NLieAlgebra:
+    """An n-Lie algebra candidate given by its canonical table.
+
+    ``entries`` holds sorted (increasing 0-based index tuple, value tuple)
+    pairs with zero values dropped.  ``fi_checked`` records a verified
+    identity; it and ``labels`` take no part in equality, so two algebras
+    are equal exactly when their tables are.
+    """
 
     field: Field
     arity: int
     dim: int
-    entries: tuple  # tuple of (increasing 0-based index tuple, value tuple)
+    entries: tuple
+    fi_checked: bool = dataclasses.field(default=False, compare=False)
+    labels: tuple | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
         if self.arity < 2:
@@ -77,42 +76,9 @@ class StructureConstants:
         if self.dim < 1:
             raise InvalidParameterError(f"dimension must be >= 1, got {self.dim}")
 
-    def lookup(self) -> dict:
-        return dict(self.entries)
-
-
-@dataclass(frozen=True)
-class NLieAlgebra:
-    """An n-Lie algebra candidate; ``fi_checked`` records a verified identity."""
-
-    constants: StructureConstants
-    fi_checked: bool = False
-    labels: tuple | None = None
-
-    @property
-    def field(self) -> Field:
-        return self.constants.field
-
-    @property
-    def arity(self) -> int:
-        return self.constants.arity
-
-    @property
-    def dim(self) -> int:
-        return self.constants.dim
-
-    @property
+    @cached_property
     def table(self) -> dict:
-        tab = self.__dict__.get("_table")
-        if tab is None:
-            tab = self.constants.lookup()
-            object.__setattr__(self, "_table", tab)
-        return tab
-
-
-# ``LieAlgebra`` is the arity-2 case; the Jacobi identity is the n = 2
-# instance of the fundamental identity, so no separate machinery is needed.
-LieAlgebra = NLieAlgebra
+        return dict(self.entries)
 
 
 def require_arity(L: NLieAlgebra, n: int, what: str = "operation") -> None:
@@ -150,34 +116,12 @@ def make_algebra(field: Field, arity: int, dim: int, entries, labels=None) -> NL
             vec = validate_vector(field, dim, value)
         if not vec_is_zero(field, vec):
             table[key0] = vec
-    consts = StructureConstants(field, arity, dim,
-                                tuple(sorted(table.items())))
     lab = tuple(labels) if labels is not None else None
-    return NLieAlgebra(consts, fi_checked=False, labels=lab)
+    return NLieAlgebra(field, arity, dim, tuple(sorted(table.items())), labels=lab)
 
 
 def abelian_algebra(field: Field, arity: int, dim: int) -> NLieAlgebra:
-    return NLieAlgebra(StructureConstants(field, arity, dim, ()), fi_checked=True)
-
-
-def _minor_det(field, vectors, cols):
-    """Determinant of the minor [vectors[i][cols[j]]]."""
-    n = len(cols)
-    p = field.p
-    if n == 2:
-        a, b = vectors[0][cols[0]], vectors[0][cols[1]]
-        c, d = vectors[1][cols[0]], vectors[1][cols[1]]
-        det = a * d - b * c
-        return det % p if p is not None else det
-    if n == 3:
-        c0, c1, c2 = cols
-        a, b, c = vectors[0][c0], vectors[0][c1], vectors[0][c2]
-        d, e, f = vectors[1][c0], vectors[1][c1], vectors[1][c2]
-        g, h, i = vectors[2][c0], vectors[2][c1], vectors[2][c2]
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        return det % p if p is not None else det
-    sub = Matrix.from_rows(field, [[v[c] for c in cols] for v in vectors])
-    return sub.det()
+    return NLieAlgebra(field, arity, dim, (), fi_checked=True)
 
 
 def bracket_basis(L: NLieAlgebra, indices) -> tuple:
@@ -202,8 +146,8 @@ def bracket(L: NLieAlgebra, vectors) -> tuple:
         raise DimensionMismatchError(f"bracket needs {n} arguments, got {len(vectors)}")
     vecs = [validate_vector(f, L.dim, v) for v in vectors]
     out = list(zero_vector(f, L.dim))
-    for cols, val in L.constants.entries:
-        d = _minor_det(f, vecs, cols)
+    for cols, val in L.entries:
+        d = minor_det(vecs, cols, f.p)
         if d != f.zero:
             for i, c in enumerate(val):
                 if c != f.zero:
@@ -430,7 +374,7 @@ def algebra_from_dict(doc) -> NLieAlgebra:
     entries = tuple(sorted(
         (k, v) for k, v in table.items() if not vec_is_zero(fld, v)
     ))
-    return NLieAlgebra(StructureConstants(fld, arity, dim, entries), labels=labels)
+    return NLieAlgebra(fld, arity, dim, entries, labels=labels)
 
 
 def algebra_to_dict(L: NLieAlgebra) -> dict:
@@ -449,7 +393,7 @@ def algebra_to_dict(L: NLieAlgebra) -> dict:
             "val": {str(t + 1): f.format(c)
                     for t, c in enumerate(val) if c != f.zero},
         }
-        for key, val in L.constants.entries
+        for key, val in L.entries
     ]
     return doc
 

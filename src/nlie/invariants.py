@@ -26,7 +26,7 @@ def full_space(L: NLieAlgebra) -> Subspace:
 
 def derived_algebra(L: NLieAlgebra) -> Subspace:
     """Span of all basis brackets; L is abelian iff this is zero."""
-    vectors = [val for _, val in L.constants.entries]
+    vectors = [val for _, val in L.entries]
     return span(L.field, L.dim, vectors)
 
 

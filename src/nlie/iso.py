@@ -16,64 +16,46 @@ deliberately left undecided.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 from itertools import combinations, product
 
 from .core import NLieAlgebra, bracket, bracket_basis, make_algebra
 from .errors import InvalidParameterError
 from .fields import QQ, Field
 from .invariants import (
+    InvariantReport,
     center,
-    derived_algebra,
     full_space,
+    invariant_report,
     lower_central_series,
     s_derived_series,
 )
-from .linalg import Matrix, vec_is_zero
+from .linalg import Matrix, reduce_vector
 
 _AB_AUTO_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(InvariantReport):
     """Invariant summary; every component is stable under change of basis."""
 
-    arity: int
-    dim: int
-    derived_dim: int
-    center_dim: int
-    derived_series: tuple      # ((s, dims), ...)
-    lower_central: tuple
-    nilpotent: bool
-    solvable: tuple            # ((s, flag), ...)
     alpha_beta: tuple | None   # (alpha, beta) for prime fields, else None
 
     def to_dict(self):
-        return {
-            "arity": self.arity,
-            "dim": self.dim,
-            "derived_dim": self.derived_dim,
-            "center_dim": self.center_dim,
-            "derived_series": {str(s): list(d) for s, d in self.derived_series},
-            "lower_central": list(self.lower_central),
-            "nilpotent": self.nilpotent,
-            "solvable": {str(s): f for s, f in self.solvable},
-            "alpha_beta": list(self.alpha_beta) if self.alpha_beta else None,
-        }
+        return dict(super().to_dict(),
+                    alpha_beta=list(self.alpha_beta) if self.alpha_beta else None)
 
     def differs_from(self, other: "Fingerprint") -> str | None:
         """Name of the first component separating the two, or None."""
-        for name in ("arity", "dim", "derived_dim", "center_dim",
-                     "derived_series", "lower_central", "nilpotent",
-                     "solvable", "alpha_beta"):
-            if getattr(self, name) != getattr(other, name):
-                return name
+        for f in fields(self):
+            if getattr(self, f.name) != getattr(other, f.name):
+                return f.name
         return None
 
 
 def fingerprint(L: NLieAlgebra, *, alpha_beta: str | bool = "auto",
                 budget: int = _AB_AUTO_LIMIT) -> Fingerprint:
-    """Deterministic basis-invariant of L.
+    """Deterministic basis-invariant of L: its invariant report plus alpha/beta.
 
     alpha/beta are included for prime fields when the full scan fits the
     budget (decided from (dim, p) only, so comparable inputs agree on
@@ -82,14 +64,6 @@ def fingerprint(L: NLieAlgebra, *, alpha_beta: str | bool = "auto",
     """
     from .search import alpha_beta_exact_fp, gaussian_binomial
 
-    full = full_space(L)
-    series = []
-    solvable = []
-    for s in range(2, L.arity + 1):
-        rep = s_derived_series(L, full, s)
-        series.append((s, rep.dims))
-        solvable.append((s, rep.terminated_at_zero))
-    lower = lower_central_series(L, full)
     ab = None
     if L.field.p is not None:
         include = alpha_beta is True
@@ -101,17 +75,7 @@ def fingerprint(L: NLieAlgebra, *, alpha_beta: str | bool = "auto",
             res = alpha_beta_exact_fp(L, budget=budget)
             if res.alpha_exact and res.beta_exact:
                 ab = (res.alpha, res.beta)
-    return Fingerprint(
-        arity=L.arity,
-        dim=L.dim,
-        derived_dim=derived_algebra(L).dim,
-        center_dim=center(L).dim,
-        derived_series=tuple(series),
-        lower_central=lower.dims,
-        nilpotent=lower.terminated_at_zero,
-        solvable=tuple(solvable),
-        alpha_beta=ab,
-    )
+    return Fingerprint(**vars(invariant_report(L)), alpha_beta=ab)
 
 
 def change_basis(L: NLieAlgebra, P: Matrix) -> NLieAlgebra:
@@ -240,7 +204,7 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
     m = L1.dim
     f = L1.field
 
-    if L1.constants.entries == L2.constants.entries:
+    if L1.entries == L2.entries:
         return IsoResult("yes", Matrix.identity(f, m), "identical tables", 0)
 
     fp1, fp2 = fingerprint(L1), fingerprint(L2)
@@ -252,7 +216,7 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
 
     # most-constrained first: high bracket degree, then small image pool
     degree = {i: 0 for i in range(m)}
-    for cols, _ in L1.constants.entries:
+    for cols, _ in L1.entries:
         for i in cols:
             degree[i] += 1
     pool_dim = {}
@@ -308,7 +272,8 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
                 return False
         return True
 
-    def extend(depth, rref_state):
+    def extend(depth, rows, pivots):
+        """Assign order[depth..]; rows/pivots: echelon form of the columns so far."""
         nonlocal nodes, budget_hit
         if depth == m:
             return True
@@ -318,13 +283,15 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
             if nodes > budget:
                 budget_hit = True
                 return False
-            residual = _reduce_against(f, rref_state, cand)
-            if vec_is_zero(f, residual):
+            residual = reduce_vector(rows, pivots, cand, f.p)
+            if not any(residual):
                 continue
             assigned_cols[i] = cand
             if check_constraints(assigned_cols, i):
-                new_state = rref_state + [_normalize_row(f, residual)]
-                if extend(depth + 1, new_state):
+                piv = next(j for j, x in enumerate(residual) if x)
+                inv = f.inv(residual[piv])
+                row = tuple(f.mul(inv, x) for x in residual)
+                if extend(depth + 1, rows + [row], pivots + [piv]):
                     return True
                 if budget_hit:
                     del assigned_cols[i]
@@ -332,7 +299,7 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
             del assigned_cols[i]
         return False
 
-    found = extend(0, [])
+    found = extend(0, [], [])
     if found:
         P = Matrix.from_rows(f, [[assigned_cols[j][r] for j in range(m)]
                                  for r in range(m)])
@@ -345,20 +312,3 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
         return IsoResult("no", None, "search exhausted over the prime field", nodes)
     return IsoResult("unknown", None,
                      "no witness among small-entry candidates over Q", nodes)
-
-
-def _reduce_against(f, rref_state, v):
-    v = list(v)
-    for row, piv in rref_state:
-        c = v[piv]
-        if c != f.zero:
-            for j in range(len(v)):
-                if row[j] != f.zero:
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-    return tuple(v)
-
-
-def _normalize_row(f, residual):
-    piv = next(j for j, x in enumerate(residual) if x != f.zero)
-    inv = f.inv(residual[piv])
-    return tuple(f.mul(inv, x) for x in residual), piv

@@ -45,6 +45,69 @@ def vec_is_zero(field, v):
     return all(x == z for x in v)
 
 
+def minor_det(rows, cols, p=None):
+    """Determinant of the square minor [rows[i][cols[j]]] of raw scalars.
+
+    With a prime ``p`` the entries are ints in [0, p) and the result is
+    reduced mod p; with ``p=None`` the entries are Fractions (a zero result
+    may be int 0).
+    """
+    n = len(cols)
+    if n == 2:
+        c0, c1 = cols
+        det = rows[0][c0] * rows[1][c1] - rows[0][c1] * rows[1][c0]
+    elif n == 3:
+        c0, c1, c2 = cols
+        a, b, c = rows[0][c0], rows[0][c1], rows[0][c2]
+        d, e, f = rows[1][c0], rows[1][c1], rows[1][c2]
+        g, h, i = rows[2][c0], rows[2][c1], rows[2][c2]
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    else:
+        mat = [[row[c] for c in cols] for row in rows]
+        det = 1
+        for c in range(n):
+            for pr in range(c, n):
+                if mat[pr][c]:
+                    break
+            else:
+                return 0
+            if pr != c:
+                mat[c], mat[pr] = mat[pr], mat[c]
+                det = -det
+            lead = mat[c]
+            det *= lead[c]
+            inv = 1 / lead[c] if p is None else pow(lead[c], p - 2, p)
+            for i in range(c + 1, n):
+                if mat[i][c]:
+                    factor = inv * mat[i][c]
+                    if p is None:
+                        mat[i] = [x - factor * y for x, y in zip(mat[i], lead)]
+                    else:
+                        mat[i] = [(x - factor * y) % p for x, y in zip(mat[i], lead)]
+    return det if p is None else det % p
+
+
+def reduce_vector(rows, pivots, v, p=None):
+    """Residual list of raw vector ``v`` after elimination against echelon rows.
+
+    Each row has a 1 at its pivot column and zeros at the pivots of the rows
+    before it.  With a prime ``p`` the arithmetic is mod p, else over Fractions.
+    """
+    w = list(v)
+    for row, pc in zip(rows, pivots):
+        c = w[pc]
+        if c:
+            if p is None:
+                for j, x in enumerate(row):
+                    if x:
+                        w[j] -= c * x
+            else:
+                for j, x in enumerate(row):
+                    if x:
+                        w[j] = (w[j] - c * x) % p
+    return w
+
+
 def _rref_inplace(field, rows, ncols):
     """Reduce a list of row lists to RREF; returns the pivot column list."""
     zero = field.zero
@@ -170,28 +233,7 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise DimensionMismatchError("determinant of a non-square matrix")
-        f = self.field
-        n = self.nrows
-        rows = [list(r) for r in self.rows]
-        det = f.one
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if rows[i][c] != f.zero:
-                    pr = i
-                    break
-            if pr is None:
-                return f.zero
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = f.neg(det)
-            det = f.mul(det, rows[c][c])
-            inv = f.inv(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c] != f.zero:
-                    factor = f.mul(inv, rows[i][c])
-                    rows[i] = [f.sub(rows[i][j], f.mul(factor, rows[c][j])) for j in range(n)]
-        return det
+        return self.field.validate(minor_det(self.rows, range(self.ncols), self.field.p))
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -239,15 +281,8 @@ class Subspace:
 
     def reduce(self, v) -> tuple:
         """Residual of v after elimination against the basis rows."""
-        f = self.field
-        v = list(validate_vector(f, self.ambient_dim, v))
-        for row, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            if c != f.zero:
-                for j in range(self.ambient_dim):
-                    if row[j] != f.zero:
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return tuple(v)
+        v = validate_vector(self.field, self.ambient_dim, v)
+        return tuple(reduce_vector(self.basis, self.pivots, v, self.field.p))
 
     def contains_vector(self, v) -> bool:
         return vec_is_zero(self.field, self.reduce(v))
@@ -274,6 +309,10 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return subspace_intersect(self, other)
+
+    def to_dict(self) -> dict:
+        f = self.field
+        return {"dim": self.dim, "rows": [[f.format(x) for x in r] for r in self.basis]}
 
 
 def _check_ambient(u: Subspace, w: Subspace) -> None:

@@ -14,18 +14,11 @@ slow path that the tests check these kernels against.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import (
-    NLieAlgebra,
-    StructureConstants,
-    algebra_from_dict,
-    algebra_to_dict,
-    perm_parity,
-)
+from .core import NLieAlgebra, sort_with_sign
 from .errors import InvalidParameterError, UnsupportedRequestError
 from .fields import GF, QQ, is_prime
 from .invariants import center, classify_subspace
@@ -34,13 +27,14 @@ from .linalg import (
     Subspace,
     coordinate_subspace,
     full_subspace,
+    minor_det,
+    reduce_vector,
     span,
     subspace_from_rref_rows,
     zero_subspace,
 )
 
 DEFAULT_BUDGET = 10_000_000
-_CHUNK = 64  # profiles per work unit; fixed so counts match across thread counts
 
 
 def gaussian_binomial(m: int, k: int, p: int) -> int:
@@ -128,7 +122,7 @@ class _FpPrep:
         self.n = L.arity
         self.m = L.dim
         keys = []
-        for cols, val in L.constants.entries:
+        for cols, val in L.entries:
             sparse = tuple((t, c) for t, c in enumerate(val) if c)
             keys.append((cols, sparse))
         self.keys = tuple(keys)
@@ -137,53 +131,16 @@ class _FpPrep:
         for cols, sparse in keys:
             for t in cols:
                 rest = tuple(c for c in cols if c != t)
-                sign = perm_parity((cols.index(t),) + tuple(
-                    i for i in range(len(cols)) if cols[i] != t))
+                sign = sort_with_sign((t,) + rest)[1]
                 sv = tuple((tt, (sign * c) % p) for tt, c in sparse)
                 one.setdefault(rest, []).append((t, sv))
             for pair in combinations(cols, 2):
                 rest = tuple(c for c in cols if c not in pair)
-                order = (cols.index(pair[0]), cols.index(pair[1])) + tuple(
-                    i for i in range(len(cols)) if cols[i] not in pair)
-                sign = perm_parity(order)
+                sign = sort_with_sign(pair + rest)[1]
                 sv = tuple((tt, (sign * c) % p) for tt, c in sparse)
                 two.setdefault(rest, []).append((pair[0], pair[1], sv))
         self.one_maps = {y: tuple(v) for y, v in one.items()}
         self.two_maps = {y: tuple(v) for y, v in two.items()}
-
-
-def _fp_minor_det(rows, cols, p):
-    n = len(cols)
-    if n == 2:
-        c0, c1 = cols
-        return (rows[0][c0] * rows[1][c1] - rows[0][c1] * rows[1][c0]) % p
-    if n == 3:
-        c0, c1, c2 = cols
-        a, b, c = rows[0][c0], rows[0][c1], rows[0][c2]
-        d, e, f = rows[1][c0], rows[1][c1], rows[1][c2]
-        g, h, i = rows[2][c0], rows[2][c1], rows[2][c2]
-        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-    # generic elimination mod p
-    mat = [[row[c] % p for c in cols] for row in rows]
-    det = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return 0
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            det = -det
-        det = (det * mat[c][c]) % p
-        inv = pow(mat[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                factor = (inv * mat[i][c]) % p
-                mat[i] = [(mat[i][j] - factor * mat[c][j]) % p for j in range(n)]
-    return det % p
 
 
 def _fp_bracket_rows(prep, rows):
@@ -191,24 +148,13 @@ def _fp_bracket_rows(prep, rows):
     p = prep.p
     out = None
     for cols, sparse in prep.keys:
-        d = _fp_minor_det(rows, cols, p)
+        d = minor_det(rows, cols, p)
         if d:
             if out is None:
                 out = [0] * prep.m
             for t, c in sparse:
                 out[t] = (out[t] + d * c) % p
     return out
-
-
-def _fp_in_span(basis_rows, pivots, w, p):
-    w = list(w)
-    for row, pc in zip(basis_rows, pivots):
-        c = w[pc]
-        if c:
-            for j in range(len(w)):
-                if row[j]:
-                    w[j] = (w[j] - c * row[j]) % p
-    return not any(w)
 
 
 def _fp_is_abelian_subalgebra(prep, rows):
@@ -234,7 +180,7 @@ def _fp_is_ideal(prep, rows, pivots):
                         w = [0] * m
                     for tt, cc in sparse:
                         w[tt] = (w[tt] + c * cc) % p
-            if w is not None and any(w) and not _fp_in_span(rows, pivots, w, p):
+            if w is not None and any(w) and any(reduce_vector(rows, pivots, w, p)):
                 return False
     return True
 
@@ -287,61 +233,6 @@ def _scan_profiles(prep, k, profiles, mode):
     return None, scanned
 
 
-_WORKER_PREP = None
-
-
-def _pool_init(doc):
-    global _WORKER_PREP
-    _WORKER_PREP = _FpPrep(algebra_from_dict(doc))
-
-
-def _pool_scan(args):
-    k, profiles, mode = args
-    return _scan_profiles(_WORKER_PREP, k, profiles, mode)
-
-
-class _LevelScanner:
-    """Runs per-dimension scans serially or over a fork pool.
-
-    Chunking is fixed so values, witnesses and scan counts are identical for
-    every thread count.
-    """
-
-    def __init__(self, L, prep, threads=1):
-        self.prep = prep
-        self.threads = max(1, int(threads))
-        self._pool = None
-        self._doc = algebra_to_dict(L) if self.threads > 1 else None
-
-    def __enter__(self):
-        if self.threads > 1:
-            ctx = multiprocessing.get_context("fork")
-            self._pool = ctx.Pool(self.threads, initializer=_pool_init,
-                                  initargs=(self._doc,))
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-
-    def scan(self, k, mode):
-        m = self.prep.m
-        profiles = list(combinations(range(m), k))
-        if self._pool is None or len(profiles) <= _CHUNK:
-            return _scan_profiles(self.prep, k, profiles, mode)
-        chunks = [profiles[i:i + _CHUNK] for i in range(0, len(profiles), _CHUNK)]
-        scanned = 0
-        result = None
-        it = self._pool.imap(_pool_scan, [(k, ch, mode) for ch in chunks])
-        for hit, cnt in it:
-            scanned += cnt
-            if hit is not None:
-                result = hit
-                break
-        return result, scanned
-
-
 @dataclass(frozen=True)
 class AlphaBetaResult:
     """Maximal abelian subalgebra/ideal dimensions with canonical witnesses."""
@@ -364,17 +255,11 @@ class AlphaBetaResult:
         return self.alpha_exact and self.beta_exact
 
     def to_dict(self) -> dict:
-        def sub(S):
-            if S is None:
-                return None
-            f = S.field
-            return {"dim": S.dim, "rows": [[f.format(x) for x in r] for r in S.basis]}
-
         return {
             "alpha": self.alpha,
             "beta": self.beta,
-            "alpha_witness": sub(self.alpha_witness),
-            "beta_witness": sub(self.beta_witness),
+            "alpha_witness": self.alpha_witness and self.alpha_witness.to_dict(),
+            "beta_witness": self.beta_witness and self.beta_witness.to_dict(),
             "mode": self.mode,
             "p": self.p,
             "subspaces_scanned": self.subspaces_scanned,
@@ -387,7 +272,7 @@ class AlphaBetaResult:
 
 
 def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
-                        threads: int = 1, compute: str = "both") -> AlphaBetaResult:
+                        compute: str = "both") -> AlphaBetaResult:
     """Exact alpha/beta over GF(p) by downward exhaustive scans.
 
     The witness is the canonically first subspace of maximal dimension.  The
@@ -404,7 +289,7 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
     m = L.dim
     fld = L.field
     prep = _FpPrep(L)
-    abelian = not L.constants.entries
+    abelian = not L.entries
     if abelian:
         fullspace = full_subspace(fld, m)
         return AlphaBetaResult(m, m, fullspace, fullspace, f"exact-fp({p})", p, 0,
@@ -416,46 +301,47 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
     alpha_exact = beta_exact = True
     notes = []
 
-    with _LevelScanner(L, prep, threads) as scanner:
-        if compute in ("both", "alpha"):
-            for k in range(m, -1, -1):
-                level = gaussian_binomial(m, k, p)
-                if scanned + level > budget:
-                    alpha_exact = False
-                    notes.append(f"alpha scan stopped before dimension {k}: budget")
-                    break
-                hit, cnt = scanner.scan(k, "abelian-subalgebra")
-                scanned += cnt
-                if hit is not None:
-                    rows, profile = hit
-                    alpha = k
-                    alpha_w = (subspace_from_rref_rows(fld, m, rows, profile)
-                               if k > 0 else None)
-                    break
-            else:
-                alpha = 0
+    if compute in ("both", "alpha"):
+        for k in range(m, -1, -1):
+            level = gaussian_binomial(m, k, p)
+            if scanned + level > budget:
+                alpha_exact = False
+                notes.append(f"alpha scan stopped before dimension {k}: budget")
+                break
+            hit, cnt = _scan_profiles(prep, k, combinations(range(m), k),
+                                      "abelian-subalgebra")
+            scanned += cnt
+            if hit is not None:
+                rows, profile = hit
+                alpha = k
+                alpha_w = (subspace_from_rref_rows(fld, m, rows, profile)
+                           if k > 0 else None)
+                break
         else:
-            alpha_exact = False
+            alpha = 0
+    else:
+        alpha_exact = False
 
-        if compute in ("both", "beta"):
-            for k in range(m - 1, -1, -1):
-                level = gaussian_binomial(m, k, p)
-                if scanned + level > budget:
-                    beta_exact = False
-                    notes.append(f"beta scan stopped before dimension {k}: budget")
-                    break
-                hit, cnt = scanner.scan(k, "abelian-ideal")
-                scanned += cnt
-                if hit is not None:
-                    rows, profile = hit
-                    beta = k
-                    beta_w = (subspace_from_rref_rows(fld, m, rows, profile)
-                              if k > 0 else None)
-                    break
-            else:
-                beta = 0
+    if compute in ("both", "beta"):
+        for k in range(m - 1, -1, -1):
+            level = gaussian_binomial(m, k, p)
+            if scanned + level > budget:
+                beta_exact = False
+                notes.append(f"beta scan stopped before dimension {k}: budget")
+                break
+            hit, cnt = _scan_profiles(prep, k, combinations(range(m), k),
+                                      "abelian-ideal")
+            scanned += cnt
+            if hit is not None:
+                rows, profile = hit
+                beta = k
+                beta_w = (subspace_from_rref_rows(fld, m, rows, profile)
+                          if k > 0 else None)
+                break
         else:
-            beta_exact = False
+            beta = 0
+    else:
+        beta_exact = False
 
     return AlphaBetaResult(alpha, beta, alpha_w, beta_w, f"exact-fp({p})", p,
                            scanned, alpha_exact and alpha is not None,
@@ -516,7 +402,7 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
         raise UnsupportedRequestError("lower-bound search is the Q mode")
     f = L.field
     m = L.dim
-    abelian = not L.constants.entries
+    abelian = not L.entries
     z = center(L)
     seeds = [z]
     seeds += [coordinate_subspace(f, m, (i,)) for i in range(m)]
@@ -567,7 +453,7 @@ def reduce_mod_p(L: NLieAlgebra, p: int) -> NLieAlgebra:
         raise InvalidParameterError("algebra is already over a prime field")
     fld = GF(p)
     entries = []
-    for key, val in L.constants.entries:
+    for key, val in L.entries:
         vec = []
         for c in val:
             c = Fraction(c)
@@ -577,10 +463,10 @@ def reduce_mod_p(L: NLieAlgebra, p: int) -> NLieAlgebra:
             vec.append((c.numerator * pow(c.denominator, p - 2, p)) % p)
         if any(vec):
             entries.append((key, tuple(vec)))
-    consts = StructureConstants(fld, L.arity, L.dim, tuple(sorted(entries)))
     # reduction preserves the identity: every instance is an integer polynomial
     # relation among the constants
-    return NLieAlgebra(consts, fi_checked=L.fi_checked, labels=L.labels)
+    return NLieAlgebra(fld, L.arity, L.dim, tuple(sorted(entries)),
+                       fi_checked=L.fi_checked, labels=L.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +515,7 @@ class ClaimsReport:
 
 
 def verify_claims(L: NLieAlgebra, claims: Claims, *, primes=(2, 3),
-                  budget: int = DEFAULT_BUDGET, threads: int = 1) -> ClaimsReport:
+                  budget: int = DEFAULT_BUDGET) -> ClaimsReport:
     """Check expected invariants with the strongest method available.
 
     Structural dimensions and flags are exact over the algebra's own field.
@@ -669,7 +555,7 @@ def verify_claims(L: NLieAlgebra, claims: Claims, *, primes=(2, 3),
 
     if claims.alpha is not None or claims.beta is not None:
         if L.field.p is not None:
-            res = alpha_beta_exact_fp(L, budget=budget, threads=threads)
+            res = alpha_beta_exact_fp(L, budget=budget)
             for name, expected, got, exact in (
                     ("alpha", claims.alpha, res.alpha, res.alpha_exact),
                     ("beta", claims.beta, res.beta, res.beta_exact)):
@@ -691,7 +577,7 @@ def verify_claims(L: NLieAlgebra, claims: Claims, *, primes=(2, 3),
                     Lp = reduce_mod_p(L, p)
                 except InvalidParameterError:
                     continue
-                res = alpha_beta_exact_fp(Lp, budget=budget, threads=threads)
+                res = alpha_beta_exact_fp(Lp, budget=budget)
                 if res.alpha_exact and res.beta_exact:
                     modular[p] = (res.alpha, res.beta)
                     used.append(p)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .catalog import (
     associated_lie,
@@ -27,6 +27,7 @@ from .catalog import (
     entries_for_dims,
     lie_catalog_build,
     representative_entries,
+    restrict_to_subalgebra,
     trivial_extension,
 )
 from .core import (
@@ -46,6 +47,7 @@ from .invariants import (
 )
 from .iso import are_isomorphic, fingerprint, random_basis_change
 from .linalg import coordinate_subspace, subspace_intersect
+from .oracle import naive_fi_residual
 from .search import (
     alpha_beta_exact_fp,
     enumerate_subspaces,
@@ -88,68 +90,6 @@ class SuiteResult:
     def to_dict(self):
         return {"passed": self.passed,
                 "results": [r.to_dict() for r in self.results]}
-
-
-# ---------------------------------------------------------------------------
-# independent low-tech oracle used by criterion 1
-
-
-def _oracle_full_table(L):
-    """All-orderings bracket table built from raw permutation signs."""
-    full = {}
-    for key, val in L.constants.entries:
-        for perm in permutations(range(len(key))):
-            sign = 1
-            p = list(perm)
-            for i in range(len(p)):
-                for j in range(i + 1, len(p)):
-                    if p[i] > p[j]:
-                        sign = -sign
-            full[tuple(key[i] for i in perm)] = (sign, val)
-    return full
-
-
-def _oracle_bracket(L, full_table, vectors):
-    f = L.field
-    m = L.dim
-    n = L.arity
-    out = [f.zero] * m
-    supports = [[t for t, x in enumerate(v) if x != f.zero] for v in vectors]
-
-    def rec(slot, idx, coeff):
-        if slot == n:
-            hit = full_table.get(tuple(idx))
-            if hit is not None:
-                sign, val = hit
-                c = coeff if sign == 1 else f.neg(coeff)
-                for t, x in enumerate(val):
-                    if x != f.zero:
-                        out[t] = f.add(out[t], f.mul(c, x))
-            return
-        for t in supports[slot]:
-            rec(slot + 1, idx + [t], f.mul(coeff, vectors[slot][t]))
-
-    rec(0, [], f.one)
-    return tuple(out)
-
-
-def _oracle_fi_instance(L, x_indices, y_indices):
-    """Residual of one identity instance computed via the all-orderings table."""
-    f = L.field
-    m = L.dim
-    full = _oracle_full_table(L)
-    unit = [tuple(f.one if t == i else f.zero for t in range(m)) for i in range(m)]
-    inner = _oracle_bracket(L, full, [unit[i] for i in x_indices])
-    lhs = _oracle_bracket(L, full, [inner] + [unit[j] for j in y_indices])
-    rhs = [f.zero] * m
-    for i in range(len(x_indices)):
-        w = _oracle_bracket(L, full, [unit[x_indices[i]]] + [unit[j] for j in y_indices])
-        args = [unit[t] for t in x_indices]
-        args[i] = w
-        term = _oracle_bracket(L, full, args)
-        for t, c in enumerate(term):
-            rhs[t] = f.add(rhs[t], c)
-    return tuple(f.sub(a, b) for a, b in zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +165,7 @@ def criterion_1() -> CheckResult:
         # so the expected violation cannot exist
         sample = [((0, 1, 2), (0, 1)), ((0, 1, 2), (2, 3)), ((1, 2, 3), (0, 3))]
         oracle_zero = all(
-            all(x == QQ.zero for x in _oracle_fi_instance(mutated, xs, ys))
+            all(x == QQ.zero for x in naive_fi_residual(mutated, xs, ys))
             for xs, ys in sample)
         failures.append(
             "sign-flip mutation passes the identity (independent expander "
@@ -233,7 +173,7 @@ def criterion_1() -> CheckResult:
             "rescalings of the simple table are identity-preserving")
     else:
         v = report.violations[0]
-        residual = _oracle_fi_instance(
+        residual = naive_fi_residual(
             mutated, tuple(i - 1 for i in v.x_indices),
             tuple(j - 1 for j in v.y_indices))
         checks += 1
@@ -255,7 +195,7 @@ _AB_EXPECTED = (
 )
 
 
-def criterion_2(threads: int = 1) -> CheckResult:
+def criterion_2() -> CheckResult:
     """Exhaustive alpha/beta values at p in {2, 3}, with cross-prime agreement."""
     failures = []
     checks = 0
@@ -263,7 +203,7 @@ def criterion_2(threads: int = 1) -> CheckResult:
         got = {}
         for p in (2, 3):
             L = catalog_build(fid, GF(p), **params)
-            res = alpha_beta_exact_fp(L, threads=threads)
+            res = alpha_beta_exact_fp(L)
             got[p] = (res.alpha, res.beta)
             checks += 1
             if got[p] != expected:
@@ -275,14 +215,14 @@ def criterion_2(threads: int = 1) -> CheckResult:
                        not failures, checks, tuple(failures))
 
 
-def criterion_3(threads: int = 1) -> CheckResult:
+def criterion_3() -> CheckResult:
     """beta <= dim-2 for every non-abelian catalog algebra (m <= 6, GF(2)),
     and no abelian ideal of codimension 1 exists."""
     failures = []
     checks = 0
     for label, L in entries_for_dims((4, 5, 6), GF(2)):
         m = L.dim
-        res = alpha_beta_exact_fp(L, compute="beta", threads=threads)
+        res = alpha_beta_exact_fp(L, compute="beta")
         checks += 1
         if res.beta is None or res.beta > m - 2:
             failures.append(f"{label}: beta={res.beta} exceeds dim-2={m - 2}")
@@ -392,7 +332,7 @@ def _criterion6_inputs():
             ("heisenberg(3)+abelian(1)", direct_sum(heis, ab1))]
 
 
-def criterion_6(threads: int = 1) -> CheckResult:
+def criterion_6() -> CheckResult:
     """Trivial extensions of 2-step solvable Lie algebras with a codim-1
     abelian ideal: identity holds, second derived term vanishes, beta equals
     dim-2 over GF(2) and GF(3), and the embedded copy is hypo-abelian."""
@@ -421,8 +361,7 @@ def criterion_6(threads: int = 1) -> CheckResult:
         if not is_2step_s_solvable(L, 2):
             failures.append(f"ext({label}): second derived term nonzero")
         for p in (2, 3):
-            res = alpha_beta_exact_fp(reduce_mod_p(L, p), compute="beta",
-                                      threads=threads)
+            res = alpha_beta_exact_fp(reduce_mod_p(L, p), compute="beta")
             checks += 1
             if res.beta != L.dim - 2:
                 failures.append(f"ext({label}) mod {p}: beta={res.beta} != {L.dim - 2}")
@@ -435,7 +374,7 @@ def criterion_6(threads: int = 1) -> CheckResult:
                        checks, tuple(failures))
 
 
-def criterion_7(threads: int = 1) -> CheckResult:
+def criterion_7() -> CheckResult:
     """Associated binary algebras: Jacobi at every basis vector for every
     catalog algebra (m <= 6), plus the two quantitative examples."""
     failures = []
@@ -466,7 +405,7 @@ def criterion_7(threads: int = 1) -> CheckResult:
 
     ex42 = catalog_build("EX42", QQ, m=6)
     L0 = associated_lie(ex42, (1, 0, 0, 0, 0, 0))
-    res = alpha_beta_exact_fp(reduce_mod_p(L0, 2), threads=threads)
+    res = alpha_beta_exact_fp(reduce_mod_p(L0, 2))
     checks += 1
     if (res.alpha, res.beta) != (5, 5):
         failures.append(f"assoc(EX42 m=6, x1): alpha/beta {(res.alpha, res.beta)} != (5, 5)")
@@ -474,7 +413,7 @@ def criterion_7(threads: int = 1) -> CheckResult:
                        not failures, checks, tuple(failures))
 
 
-def criterion_8(threads: int = 1) -> CheckResult:
+def criterion_8() -> CheckResult:
     """Trichotomy checks and the strong-semisimplicity corroboration."""
     failures = []
     checks = 0
@@ -506,25 +445,13 @@ def criterion_8(threads: int = 1) -> CheckResult:
                 or v.block.dim + v.tau.dim != sd.dim:
             failures.append("reported block is not complementary to tau")
         else:
-            from .catalog import _restrict_to_subalgebra
-            from .search import _FpPrep, _fp_is_ideal
-            block = _restrict_to_subalgebra(sd2, v.block)
-            prep = _FpPrep(block)
-            proper = None
-            for k in range(1, block.dim):
-                for S in enumerate_subspaces(block.dim, k, 2):
-                    if _fp_is_ideal(prep, S.basis, S.pivots):
-                        proper = S
-                        break
-                if proper:
-                    break
+            block = restrict_to_subalgebra(sd2, v.block)
             checks += 1
-            if proper is not None or derived_algebra(block).dim != block.dim:
+            if classify_theorem44(block).case != "simple-A4":
                 failures.append("reported block is not simple")
 
     a4a4 = direct_sum(a4, a4)
-    res = alpha_beta_exact_fp(reduce_mod_p(a4a4, 2), compute="beta",
-                              threads=threads)
+    res = alpha_beta_exact_fp(reduce_mod_p(a4a4, 2), compute="beta")
     checks += 1
     if res.beta != 0:
         failures.append(f"beta(A4+A4) over GF(2) = {res.beta} != 0")
@@ -532,7 +459,7 @@ def criterion_8(threads: int = 1) -> CheckResult:
                        not failures, checks, tuple(failures))
 
 
-def criterion_9(seed: int = DEFAULT_SEED, threads: int = 1) -> CheckResult:
+def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
     """Standalone property suites: randomized multilinearity/antisymmetry,
     fingerprint invariance under basis change, and subspace enumeration counts."""
     failures = []
@@ -609,27 +536,26 @@ def criterion_9(seed: int = DEFAULT_SEED, threads: int = 1) -> CheckResult:
 
 
 _CRITERIA = {
-    1: lambda seed, threads: criterion_1(),
-    2: lambda seed, threads: criterion_2(threads),
-    3: lambda seed, threads: criterion_3(threads),
-    4: lambda seed, threads: criterion_4(),
-    5: lambda seed, threads: criterion_5(),
-    6: lambda seed, threads: criterion_6(threads),
-    7: lambda seed, threads: criterion_7(threads),
-    8: lambda seed, threads: criterion_8(threads),
-    9: lambda seed, threads: criterion_9(seed, threads),
+    1: lambda seed: criterion_1(),
+    2: lambda seed: criterion_2(),
+    3: lambda seed: criterion_3(),
+    4: lambda seed: criterion_4(),
+    5: lambda seed: criterion_5(),
+    6: lambda seed: criterion_6(),
+    7: lambda seed: criterion_7(),
+    8: lambda seed: criterion_8(),
+    9: criterion_9,
 }
 
 
-def run_suite(only=None, seed: int = DEFAULT_SEED, threads: int = 1,
-              report=print) -> SuiteResult:
+def run_suite(only=None, seed: int = DEFAULT_SEED, report=print) -> SuiteResult:
     """Run the verification criteria (all by default) and report one line each."""
     selected = sorted(set(only)) if only else sorted(_CRITERIA)
     results = []
     for cid in selected:
         if cid not in _CRITERIA:
             raise ValueError(f"unknown criterion: {cid}")
-        res = _CRITERIA[cid](seed, threads)
+        res = _CRITERIA[cid](seed)
         results.append(res)
         if report is not None:
             report(res.summary())

@@ -1,73 +1,16 @@
 """Independent brute-force oracles for the test suite.
 
 These deliberately avoid the library's evaluation paths: the bracket oracle
-expands through an explicitly antisymmetrized all-orderings table, membership
-oracles enumerate whole vector spaces over GF(p), and the counting oracle is
-the q-Pascal recurrence rather than the product formula.
+(shipped as ``nlie.oracle``, which criterion 1 also uses) expands through an
+explicitly antisymmetrized all-orderings table, membership oracles enumerate
+whole vector spaces over GF(p), and the counting oracle is the q-Pascal
+recurrence rather than the product formula.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
-
-def perm_sign(perm):
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
-def full_table(L):
-    """All-orderings signed table {index tuple: coefficient vector}."""
-    full = {}
-    for key, val in L.constants.entries:
-        for perm in permutations(range(len(key))):
-            sign = perm_sign(perm)
-            vec = val if sign == 1 else tuple(L.field.neg(x) for x in val)
-            full[tuple(key[i] for i in perm)] = vec
-    return full
-
-
-def naive_bracket(L, vectors):
-    """Sum of signed table entries over all index combinations."""
-    f = L.field
-    m = L.dim
-    table = full_table(L)
-    out = [f.zero] * m
-    for idx in product(range(m), repeat=L.arity):
-        vec = table.get(idx)
-        if vec is None:
-            continue
-        coeff = f.one
-        for slot, t in enumerate(idx):
-            coeff = f.mul(coeff, vectors[slot][t])
-        if coeff == f.zero:
-            continue
-        for t, x in enumerate(vec):
-            if x != f.zero:
-                out[t] = f.add(out[t], f.mul(coeff, x))
-    return tuple(out)
-
-
-def naive_fi_residual(L, x_indices, y_indices):
-    """Residual of one fundamental-identity instance on basis vectors."""
-    f = L.field
-    m = L.dim
-    unit = [tuple(f.one if t == i else f.zero for t in range(m)) for i in range(m)]
-    inner = naive_bracket(L, [unit[i] for i in x_indices])
-    lhs = naive_bracket(L, [inner] + [unit[j] for j in y_indices])
-    rhs = [f.zero] * m
-    for i in range(len(x_indices)):
-        w = naive_bracket(L, [unit[x_indices[i]]] + [unit[j] for j in y_indices])
-        args = [unit[t] for t in x_indices]
-        args[i] = w
-        term = naive_bracket(L, args)
-        for t, c in enumerate(term):
-            rhs[t] = f.add(rhs[t], c)
-    return tuple(f.sub(a, b) for a, b in zip(lhs, rhs))
+from nlie.oracle import naive_bracket, naive_fi_residual, perm_sign  # noqa: F401
 
 
 def all_vectors_fp(m, p):

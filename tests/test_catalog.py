@@ -36,7 +36,7 @@ from nlie.search import alpha_beta_exact_fp, reduce_mod_p
 def entries_1based(L):
     f = L.field
     return {tuple(i + 1 for i in key): {t + 1: c for t, c in enumerate(val) if c != f.zero}
-            for key, val in L.constants.entries}
+            for key, val in L.entries}
 
 
 def test_t34_a2_exact_table():
@@ -64,7 +64,7 @@ def test_a_n_equals_l21_d_full():
     for n in (3, 4):
         a = catalog_build("A(n)", QQ, n=n)
         d = catalog_build("L21-d(r)", QQ, n=n, r=n + 1)
-        assert a.constants == d.constants
+        assert a == d
 
 
 def test_catalog_ids_complete():
@@ -136,7 +136,7 @@ def test_alpha_zero_mod_p_rejected():
 
 def test_default_t_is_maximal():
     L = catalog_build("T43-c3", QQ, m=8)
-    assert len(L.constants.entries) == 3  # pairs (2,3),(4,5),(6,7)
+    assert len(L.entries) == 3  # pairs (2,3),(4,5),(6,7)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def test_associated_lie_ex32_1_table():
 def test_associated_lie_at_central_vector_is_abelian():
     L = catalog_build("EX33", QQ)
     L0 = associated_lie(L, (0, 0, 0, 1))  # x4 is central
-    assert L0.constants.entries == ()
+    assert L0.entries == ()
 
 
 def test_associated_lie_ex42_at_x1():
@@ -175,18 +175,18 @@ def test_trivial_extension_of_heisenberg_is_ex33_relabeled():
     # swapping x3 and x4 recovers the EX33 table exactly
     perm = Matrix.from_rows(QQ, [[1, 0, 0, 0], [0, 1, 0, 0],
                                  [0, 0, 0, 1], [0, 0, 1, 0]])
-    assert change_basis(L, perm).constants == catalog_build("EX33", QQ).constants
+    assert change_basis(L, perm) == catalog_build("EX33", QQ)
 
 
 def test_trivial_extension_of_abelian_is_abelian():
     L = trivial_extension(abelian_algebra(QQ, 2, 3))
-    assert L.constants.entries == ()
+    assert L.entries == ()
     assert L.dim == 4
 
 
 def test_trivial_extension_of_simple3_is_ex32_1():
     L = trivial_extension(lie_catalog_build("simple3", QQ))
-    assert L.constants == catalog_build("EX32-1", QQ).constants
+    assert L == catalog_build("EX32-1", QQ)
 
 
 def test_trivial_extension_rejects_non_lie_input():
@@ -261,7 +261,7 @@ def test_direct_sum_requires_same_arity():
 def test_semidirect_zero_action_is_direct_sum():
     sd = semidirect_A4(QQ, 6)
     ds = direct_sum(catalog_build("A(n)", QQ, n=3), abelian_algebra(QQ, 3, 2))
-    assert sd.constants == ds.constants
+    assert sd == ds
     tau = coordinate_subspace(QQ, 6, (4, 5))
     assert classify_subspace(sd, tau).is_abelian_ideal
     assert classify_subspace(sd, coordinate_subspace(QQ, 6, range(4))).is_subalgebra

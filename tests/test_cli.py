@@ -203,6 +203,34 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+def test_directory_argument_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "check", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_non_utf8_document_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"format": "nlie-v1", "labels": ["\xe9"]}')
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_catalog_build_alpha_parsed_in_target_field(capsys):
+    code, _, err = run(capsys, "catalog", "build", "T35-b6", "--dim", "5",
+                       "--alpha", "1/2", "--p", "3")
+    assert code == 2
+    assert "GF(3)" in err
+
+
+@pytest.mark.parametrize("verb", [["alphabeta", "D"], ["verify-paper"]])
+def test_threads_option_is_gone(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main(verb + ["--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_malformed_document_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from nlie.catalog import catalog_build, lie_catalog_build
 from nlie.core import (
     abelian_algebra,
     bracket,
@@ -67,6 +69,29 @@ def test_bracket_matches_naive_oracle_on_dense_vectors():
     vecs = [tuple(Fraction(x) for x in row)
             for row in ((1, 2, 0, -1), (0, 1, 1, 1), (2, 0, 1, 3))]
     assert bracket(L, vecs) == naive_bracket(L, vecs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_bracket_matches_naive_oracle_at_arity_2_4_5(field):
+    rng = random.Random(3)
+    algebras = [lie_catalog_build("simple3", field),
+                lie_catalog_build("upper", field, n=3)]
+    for n in (4, 5):
+        algebras += [catalog_build("A(n)", field, n=n),
+                     catalog_build("L21-c2", field, n=n, alpha=2),
+                     catalog_build("L21-d(r)", field, n=n, r=3)]
+
+    def dense(m):
+        if field.p is None:
+            return tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                  rng.choice((1, 2, 3))) for _ in range(m))
+        return tuple(rng.randrange(1, field.p) for _ in range(m))
+
+    assert {L.arity for L in algebras} == {2, 4, 5}
+    for L in algebras:
+        for _ in range(3):
+            vecs = [dense(L.dim) for _ in range(L.arity)]
+            assert bracket(L, vecs) == naive_bracket(L, vecs)
 
 
 def test_bracket_sign_under_swap():
@@ -186,14 +211,14 @@ EX33_DOC = {
 def test_parse_ex33_document():
     L = parse_algebra(json.dumps(EX33_DOC))
     assert L.arity == 3 and L.dim == 4 and L.field == QQ
-    assert L.constants.entries == (((0, 1, 2), (Fraction(0), Fraction(0),
+    assert L.entries == (((0, 1, 2), (Fraction(0), Fraction(0),
                                                 Fraction(0), Fraction(1))),)
 
 
 def test_parse_empty_bracket_list_is_abelian():
     doc = {"format": "nlie-v1", "arity": 3, "dim": 5, "field": "Q", "brackets": []}
     L = parse_algebra(json.dumps(doc))
-    assert L.constants.entries == ()
+    assert L.entries == ()
     assert check_fundamental_identity(L).holds
 
 
@@ -229,7 +254,7 @@ def test_round_trip_is_identity_on_canonical_documents():
                                 (2, 3, 4): {5: 7}}, labels=list("abcde"))
     text = serialize_algebra(L)
     back = parse_algebra(text)
-    assert back.constants == L.constants
+    assert back == L
     assert back.labels == L.labels
     assert serialize_algebra(back) == text
 
@@ -237,7 +262,7 @@ def test_round_trip_is_identity_on_canonical_documents():
 def test_round_trip_gf_p():
     L = make_algebra(GF(7), 3, 4, {(1, 2, 3): {4: 6}, (1, 2, 4): {3: 3}})
     back = parse_algebra(serialize_algebra(L))
-    assert back.constants == L.constants
+    assert back == L
 
 
 def test_serialize_normalizes_scalar_text():
@@ -260,7 +285,7 @@ def test_make_algebra_validation():
 
 def test_abelian_algebra_has_no_entries():
     L = abelian_algebra(QQ, 3, 5)
-    assert L.constants.entries == ()
+    assert L.entries == ()
     assert L.fi_checked
 
 

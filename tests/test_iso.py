@@ -60,7 +60,7 @@ def test_random_invertible_matrix_is_invertible():
 
 def test_change_basis_identity_keeps_table():
     L = catalog_build("EX33", QQ)
-    assert change_basis(L, Matrix.identity(QQ, 4)).constants == L.constants
+    assert change_basis(L, Matrix.identity(QQ, 4)) == L
 
 
 def test_change_basis_requires_invertible():
@@ -83,8 +83,7 @@ def test_iso_yes_on_conjugated_algebra_with_verified_witness():
     assert res.verdict == "yes"
     # the witness reproduces the target table entry for entry
     P = res.witness
-    assert change_basis(Lc, P.inverse()).constants == L.constants or \
-        change_basis(Lc, P).constants == L.constants or True
+    assert change_basis(Lc, P) == L
     # direct check: bracket_{Lc}(P ei, P ej, P ek) = P [ei,ej,ek]_L
     f = GF(3)
     cols = [P.column(j) for j in range(4)]

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -14,7 +16,7 @@ from nlie.linalg import (
     zero_subspace,
 )
 
-from oracles import rref_fractions, span_members_fp
+from oracles import perm_sign, rref_fractions, span_members_fp
 
 
 def test_rref_identity_fixed():
@@ -154,6 +156,26 @@ def test_matrix_inverse_roundtrip():
     M = Matrix.from_rows(QQ, [[2, 1], [1, 1]])
     assert (M @ M.inverse()) == Matrix.identity(QQ, 2)
     assert M.det() == Fraction(1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_det_matches_leibniz_sum(field):
+    rng = random.Random(7)
+    for n in range(1, 6):
+        for trial in range(8):
+            rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+            if trial == 1:
+                rows[0][0] = 0  # forces a row swap
+            if trial == 2 and n > 1:
+                rows[-1] = list(rows[0])  # singular
+            M = Matrix.from_rows(field, rows)
+            leibniz = field.zero
+            for perm in permutations(range(n)):
+                term = field.from_int(perm_sign(perm))
+                for i in range(n):
+                    term = field.mul(term, M.rows[i][perm[i]])
+                leibniz = field.add(leibniz, term)
+            assert M.det() == leibniz, (n, rows)
 
 
 def test_singular_inverse_raises():

@@ -1,15 +1,21 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from nlie.catalog import catalog_build, direct_sum
+from nlie.catalog import catalog_build, direct_sum, entries_for_dims
 from nlie.core import abelian_algebra, check_fundamental_identity, make_algebra
 from nlie.errors import InvalidParameterError, UnsupportedRequestError
 from nlie.fields import GF, QQ
 from nlie.invariants import classify_subspace
-from nlie.linalg import coordinate_subspace, full_subspace
+from nlie.iso import random_basis_change
+from nlie.linalg import coordinate_subspace, full_subspace, unit_vector
 from nlie.search import (
     Claims,
+    _FpPrep,
+    _fp_is_abelian_ideal,
+    _fp_is_abelian_subalgebra,
+    _fp_is_ideal,
     abelian_bounds_q,
     alpha_beta_exact_fp,
     enumerate_subspaces,
@@ -18,7 +24,7 @@ from nlie.search import (
     verify_claims,
 )
 
-from oracles import gauss_count_recursive
+from oracles import gauss_count_recursive, naive_bracket, span_members_fp
 
 
 def test_gaussian_binomial_product_vs_recurrence():
@@ -63,6 +69,49 @@ def test_enumeration_rejects_bad_arguments():
         list(enumerate_subspaces(3, 4, 2))
     with pytest.raises(InvalidParameterError):
         list(enumerate_subspaces(3, 1, 4))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fast_predicates_match_classifier_and_brute_force(p):
+    """Raw-int scan predicates, classify_subspace flags and brute-force
+    membership agree on every subspace of every catalog family at m = 4, as
+    published and after a dense basis change (which exposes sign errors)."""
+    m = 4
+    zero = (0,) * m
+    algebras = []
+    for label, L in entries_for_dims((m,), GF(p)):
+        algebras += [(label, L), (label + " conj", random_basis_change(L, 1))]
+    for label, L in algebras:
+        n = L.arity
+        prep = _FpPrep(L)
+        units = [unit_vector(L.field, m, i) for i in range(m)]
+        memo = {}
+
+        def nb(vectors):
+            if vectors not in memo:
+                memo[vectors] = naive_bracket(L, vectors)
+            return memo[vectors]
+
+        for k in range(m + 1):
+            for S in enumerate_subspaces(m, k, p):
+                rows, pivots = S.basis, S.pivots
+                fast = (_fp_is_abelian_subalgebra(prep, rows),
+                        _fp_is_ideal(prep, rows, pivots),
+                        _fp_is_abelian_ideal(prep, rows, pivots))
+                cls = classify_subspace(L, S)
+                generic = (cls.is_abelian_subalgebra, cls.is_ideal,
+                           cls.is_abelian_ideal)
+                members = span_members_fp(rows, m, p)
+                ideal = all(nb((v,) + ys) in members
+                            for v in rows for ys in combinations(units, n - 1))
+                brute = (
+                    all(nb(xs) == zero for xs in combinations(rows, n)),
+                    ideal,
+                    ideal and all(nb(uv + ys) == zero
+                                  for uv in combinations(rows, 2)
+                                  for ys in combinations(units, n - 2)),
+                )
+                assert fast == generic == brute, (label, rows)
 
 
 def test_enumerated_bases_are_rref():
@@ -126,18 +175,7 @@ def test_alpha_beta_deterministic_witness():
     assert r1 == r2
 
 
-def test_parallel_matches_serial():
-    L = catalog_build("EX42", GF(3), m=6)
-    serial = alpha_beta_exact_fp(L)
-    parallel = alpha_beta_exact_fp(L, threads=2)
-    assert (serial.alpha, serial.beta) == (parallel.alpha, parallel.beta)
-    assert serial.alpha_witness == parallel.alpha_witness
-    assert serial.beta_witness == parallel.beta_witness
-    assert serial.subspaces_scanned == parallel.subspaces_scanned
-
-
 def test_alpha_beta_invariant_under_basis_change():
-    from nlie.iso import random_basis_change
     L = catalog_build("EX33", GF(3))
     base = alpha_beta_exact_fp(L)
     for seed in range(3):
