@@ -581,8 +581,8 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     integral tables).  ``unknown`` is returned when the budget is exhausted.
     """
     from .iso import fingerprint
-    from .search import _FpPrep, _fp_is_abelian_ideal, _fp_is_ideal, \
-        alpha_beta_exact_fp, enumerate_subspaces, gaussian_binomial, reduce_mod_p
+    from .search import PREDICATES, enumerate_subspaces, gaussian_binomial, \
+        reduce_mod_p, scan_profiles
 
     require_arity(L, 3, "trichotomy classification")
     m = L.dim
@@ -597,7 +597,6 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     else:
         p_used = p if p is not None else 2
         Lp = reduce_mod_p(L, p_used)
-    prep = _FpPrep(Lp)
 
     if m == 4 and derived_algebra(L).dim == 4:
         scanned = 0
@@ -605,11 +604,8 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
         for k in range(1, 4):
             if scanned + gaussian_binomial(4, k, p_used) > budget:
                 return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
-            for S in enumerate_subspaces(4, k, p_used):
-                scanned += 1
-                if _fp_is_ideal(prep, S.basis, S.pivots):
-                    proper_ideal = S
-                    break
+            proper_ideal, cnt = scan_profiles(Lp, k, combinations(range(4), k), "ideal")
+            scanned += cnt
             if proper_ideal is not None:
                 break
         if proper_ideal is None:
@@ -630,7 +626,7 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
         return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
     for tau in enumerate_subspaces(m, k_tau, p_used):
         scanned += 1
-        if k_tau and not _fp_is_abelian_ideal(prep, tau.basis, tau.pivots):
+        if k_tau and not PREDICATES["abelian-ideal"](Lp, tau.basis, tau.pivots):
             continue
         if scanned + gaussian_binomial(m, 4, p_used) > budget:
             return Theorem44Verdict("unknown", {"reason": "budget exceeded"})

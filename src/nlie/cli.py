@@ -219,7 +219,7 @@ def cmd_catalog(args):
                  f"min dim {r['min_dim']}: {r['summary']}" for r in rows]
         _emit(args, "catalog-list", {"families": rows}, lines)
         return EXIT_OK
-    field = GF(args.p) if args.p else QQ
+    field = QQ if args.p is None else GF(args.p)
     params = {}
     if args.dim is not None:
         params["m"] = args.dim
@@ -244,7 +244,7 @@ def cmd_lie_catalog(args):
         params["dim"] = args.dim
     if args.n is not None:
         params["n"] = args.n
-    field = GF(args.p) if args.p else QQ
+    field = QQ if args.p is None else GF(args.p)
     try:
         L = lie_catalog_build(args.family, field, **params)
     except TypeError as exc:
@@ -264,7 +264,7 @@ def cmd_fingerprint(args):
 def cmd_iso(args):
     L1 = load_algebra(args.algebra1)
     L2 = load_algebra(args.algebra2)
-    if args.p:
+    if args.p is not None:
         L1 = reduce_mod_p(L1, args.p) if L1.field.p is None else L1
         L2 = reduce_mod_p(L2, args.p) if L2.field.p is None else L2
     res = are_isomorphic(L1, L2, budget=args.budget)

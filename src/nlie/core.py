@@ -15,7 +15,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (
     DimensionMismatchError,
@@ -80,6 +80,40 @@ class NLieAlgebra:
     def table(self) -> dict:
         return dict(self.entries)
 
+    @cached_property
+    def maps(self) -> "CompiledTable":
+        return CompiledTable(self.field, self.entries)
+
+
+class CompiledTable(dict):
+    """The table of one algebra compiled for evaluation, for Q and GF(p).
+
+    ``maps[k][y]`` lists ``(cols, ((t, c), ...))`` for an increasing
+    (n-k)-tuple y, such that ``[v_1..v_k, e_y] = sum det_k(v; cols) c e_t``
+    over the listed items; signs are folded into the coefficients, and y
+    without a nonzero bracket is absent.  ``maps[n][()]`` is the table.
+    Each k is compiled on first use: all of them together hold 2^n items
+    per stored tuple.
+    """
+
+    def __init__(self, field: Field, entries: tuple):
+        super().__init__()
+        self.field = field
+        self.entries = entries
+
+    def __missing__(self, k):
+        f = self.field
+        by_y = {}
+        for key, val in self.entries:
+            sparse = tuple((t, c) for t, c in enumerate(val) if c != f.zero)
+            negated = tuple((t, f.neg(c)) for t, c in sparse)
+            for cols in combinations(key, k):
+                y = tuple(i for i in key if i not in cols)
+                sign = sort_with_sign(cols + y)[1]
+                by_y.setdefault(y, []).append((cols, sparse if sign == 1 else negated))
+        self[k] = {y: tuple(items) for y, items in by_y.items()}
+        return self[k]
+
 
 def require_arity(L: NLieAlgebra, n: int, what: str = "operation") -> None:
     if L.arity != n:
@@ -138,48 +172,47 @@ def bracket_basis(L: NLieAlgebra, indices) -> tuple:
     return tuple(f.neg(x) for x in val)
 
 
+def bracket_rows(L: NLieAlgebra, rows, y=()):
+    """``[rows..., e_y]`` for trusted raw rows and an increasing index tuple y.
+
+    The sum is exact and reduced mod p once at the end; returns a list of
+    scalars, or None when the bracket is zero.
+    """
+    f = L.field
+    out = None
+    for cols, sparse in L.maps[len(rows)].get(y, ()):
+        d = minor_det(rows, cols, f.p)
+        if d:
+            if out is None:
+                out = [f.zero] * L.dim
+            for t, c in sparse:
+                out[t] += d * c
+    if out is None:
+        return None
+    if f.p is not None:
+        out = [x % f.p for x in out]
+    return out if any(out) else None
+
+
 def bracket(L: NLieAlgebra, vectors) -> tuple:
     """Multilinear totally antisymmetric bracket of ``arity`` vectors."""
     f = L.field
     n = L.arity
     if len(vectors) != n:
         raise DimensionMismatchError(f"bracket needs {n} arguments, got {len(vectors)}")
-    vecs = [validate_vector(f, L.dim, v) for v in vectors]
-    out = list(zero_vector(f, L.dim))
-    for cols, val in L.entries:
-        d = minor_det(vecs, cols, f.p)
-        if d != f.zero:
-            for i, c in enumerate(val):
-                if c != f.zero:
-                    out[i] = f.add(out[i], f.mul(d, c))
-    return tuple(out)
-
-
-def _bracket_with_vector_slot(L, base_indices, slot, vec):
-    """Bracket of basis vectors with ``vec`` substituted at one slot."""
-    f = L.field
-    out = list(zero_vector(f, L.dim))
-    idx = list(base_indices)
-    for t, c in enumerate(vec):
-        if c == f.zero:
-            continue
-        idx[slot] = t
-        bv = bracket_basis(L, idx)
-        for i, x in enumerate(bv):
-            if x != f.zero:
-                out[i] = f.add(out[i], f.mul(c, x))
-    return tuple(out)
+    w = bracket_rows(L, [validate_vector(f, L.dim, v) for v in vectors])
+    return zero_vector(f, L.dim) if w is None else tuple(w)
 
 
 def bracket_subspaces(L: NLieAlgebra, subspaces) -> Subspace:
     """Span of brackets over all basis tuples of the given subspaces.
 
-    Arguments equal as subspaces are grouped: by antisymmetry each unordered
-    choice of distinct basis vectors within a group contributes one generator
-    (up to sign), so combinations replace full products there.
+    Whole-space arguments contribute the basis tuples y of ``L.maps``, so
+    only the proper subspaces are enumerated.  Proper arguments equal as
+    subspaces are grouped: by antisymmetry each unordered choice of distinct
+    basis vectors within a group contributes one generator (up to sign), so
+    combinations replace full products there.
     """
-    from itertools import product
-
     f = L.field
     n = L.arity
     if len(subspaces) != n:
@@ -191,20 +224,17 @@ def bracket_subspaces(L: NLieAlgebra, subspaces) -> Subspace:
     if any(s.is_zero for s in subspaces):
         return span(f, L.dim, [])
     counts: dict = {}
-    order = []
     for s in subspaces:
-        if s in counts:
-            counts[s] += 1
-        else:
-            counts[s] = 1
-            order.append(s)
-    pools = [list(combinations(s.basis, counts[s])) for s in order]
+        if s.dim < L.dim:
+            counts[s] = counts.get(s, 0) + 1
+    by_y = L.maps[sum(counts.values())]
     vectors = []
-    for picks in product(*pools):
-        chosen = [row for pick in picks for row in pick]
-        w = bracket(L, chosen)
-        if not vec_is_zero(f, w):
-            vectors.append(w)
+    for picks in product(*(combinations(s.basis, c) for s, c in counts.items())):
+        rows = [row for pick in picks for row in pick]
+        for y in by_y:
+            w = bracket_rows(L, rows, y)
+            if w is not None:
+                vectors.append(w)
     return span(f, L.dim, vectors)
 
 
@@ -251,27 +281,29 @@ def check_fundamental_identity(L: NLieAlgebra, max_violations: int | None = None
     violations = []
     count = 0
     for x in combinations(range(m), n):
-        bx = bracket_basis(L, x)
-        bx_zero = vec_is_zero(f, bx)
+        bx = L.table.get(x)
         for y in combinations(range(m), n - 1):
             count += 1
-            # lhs = [ [x...], y2..yn ]
-            if bx_zero:
-                lhs = zero_vector(f, m)
-            else:
-                lhs = _bracket_with_vector_slot(L, (0,) + y, 0, bx)
-            # rhs = sum_i [ x1, .., [xi, y2..yn], .., xn ]
-            rhs = list(zero_vector(f, m))
-            for i in range(n):
-                inner = bracket_basis(L, (x[i],) + y)
-                if vec_is_zero(f, inner):
+            # lhs = [[x...], y...]; rhs term i = [x_1, .., [x_i, y...], .., x_n]
+            # = (-1)^i [[x_i, y...], x without x_i]; maps[1][y] lists the
+            # nonzero [e_t, y...]
+            acc = bx and bracket_rows(L, [bx], y)
+            for (t,), sparse in L.maps[1].get(y, ()):
+                if t not in x:
                     continue
-                term = _bracket_with_vector_slot(L, x, i, inner)
-                for t, c in enumerate(term):
-                    if c != f.zero:
-                        rhs[t] = f.add(rhs[t], c)
-            residual = tuple(f.sub(a, b) for a, b in zip(lhs, rhs))
-            if not vec_is_zero(f, residual):
+                i = x.index(t)
+                inner = [f.zero] * m
+                for r, c in sparse:
+                    inner[r] = c
+                term = bracket_rows(L, [inner], x[:i] + x[i + 1:])
+                if term:
+                    acc = acc or [f.zero] * m
+                    for r, c in enumerate(term):
+                        acc[r] += c if i % 2 else -c
+            if not acc:
+                continue
+            residual = tuple(acc) if f.p is None else tuple(c % f.p for c in acc)
+            if any(residual):
                 violations.append(FIViolation(
                     tuple(i + 1 for i in x), tuple(j + 1 for j in y), residual))
                 if max_violations is not None and len(violations) >= max_violations:

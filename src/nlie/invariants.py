@@ -10,9 +10,8 @@ conditions, stable under field extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import NLieAlgebra, bracket_basis, bracket_subspaces
+from .core import NLieAlgebra, bracket_subspaces
 from .errors import DimensionMismatchError, InvalidParameterError, NotAnIdealError
 from .fields import same_field
 from .linalg import Matrix, Subspace, full_subspace, span
@@ -34,13 +33,14 @@ def center(L: NLieAlgebra) -> Subspace:
     """Kernel of x -> (all brackets of x against basis (n-1)-tuples)."""
     f = L.field
     m = L.dim
-    n = L.arity
     rows = []
-    for y in combinations(range(m), n - 1):
-        block = [bracket_basis(L, (t,) + y) for t in range(m)]
-        # block[t] is the image of e_t; transpose into m coordinate rows
-        for r in range(m):
-            rows.append([block[t][r] for t in range(m)])
+    for contribs in L.maps[1].values():
+        # contribs give [e_t, e_y] per t; transpose into coordinate rows
+        block = {}
+        for (t,), sparse in contribs:
+            for r, c in sparse:
+                block.setdefault(r, [f.zero] * m)[t] = c
+        rows += block.values()
     if not rows:
         return full_space(L)
     return Matrix.from_rows(f, rows, m).kernel()

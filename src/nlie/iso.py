@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, fields, replace as dc_replace
 from itertools import combinations, product
 
-from .core import NLieAlgebra, bracket, bracket_basis, make_algebra
+from .core import NLieAlgebra, bracket, bracket_basis, bracket_rows, make_algebra
 from .errors import InvalidParameterError
 from .fields import QQ, Field
 from .invariants import (
@@ -260,7 +260,7 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
                 continue
             if not constraint_ready(key, support, assigned):
                 continue
-            lhs = bracket(L2, [assigned[i] for i in key])
+            lhs = bracket_rows(L2, [assigned[i] for i in key])
             rhs = [f.zero] * m
             for t in support:
                 coeff = c[t]
@@ -268,7 +268,7 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
                 for r in range(m):
                     if col[r] != f.zero:
                         rhs[r] = f.add(rhs[r], f.mul(coeff, col[r]))
-            if lhs != tuple(rhs):
+            if (lhs or [f.zero] * m) != rhs:
                 return False
         return True
 

@@ -62,6 +62,8 @@ def minor_det(rows, cols, p=None):
         d, e, f = rows[1][c0], rows[1][c1], rows[1][c2]
         g, h, i = rows[2][c0], rows[2][c1], rows[2][c2]
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    elif n == 1:
+        det = rows[0][cols[0]]
     else:
         mat = [[row[c] for c in cols] for row in rows]
         det = 1

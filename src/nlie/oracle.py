@@ -7,7 +7,8 @@ scalar operations are shared.  Criterion 1 of the verification suite and the
 test suite check the fast kernels against it.
 """
 
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import permutations
 
 
 def perm_sign(perm):
@@ -20,8 +21,10 @@ def perm_sign(perm):
     return sign
 
 
+@lru_cache(maxsize=32)
 def full_table(L):
-    """All-orderings signed table {index tuple: coefficient vector}."""
+    """All-orderings signed table {index tuple: coefficient vector}; cached,
+    so callers must not mutate it."""
     full = {}
     for key, val in L.entries:
         for perm in permutations(range(len(key))):
@@ -32,23 +35,21 @@ def full_table(L):
 
 
 def naive_bracket(L, vectors):
-    """Sum of signed table entries over all index combinations."""
+    """Sum over every entry of the all-orderings table of its vector times
+    the product of the matching vector coordinates."""
     f = L.field
     m = L.dim
-    table = full_table(L)
     out = [f.zero] * m
-    for idx in product(range(m), repeat=L.arity):
-        vec = table.get(idx)
-        if vec is None:
-            continue
+    for idx, vec in full_table(L).items():
         coeff = f.one
         for slot, t in enumerate(idx):
             coeff = f.mul(coeff, vectors[slot][t])
-        if coeff == f.zero:
-            continue
-        for t, x in enumerate(vec):
-            if x != f.zero:
-                out[t] = f.add(out[t], f.mul(coeff, x))
+            if coeff == f.zero:
+                break
+        else:
+            for t, x in enumerate(vec):
+                if x != f.zero:
+                    out[t] = f.add(out[t], f.mul(coeff, x))
     return tuple(out)
 
 

@@ -7,9 +7,12 @@ early exit.  Over Q only certified lower bounds are produced, plus the
 universal upper bounds (dim for abelian algebras, dim-1 for alpha and dim-2
 for beta otherwise).
 
-The scan loops run on raw int tuples with inline modular arithmetic; the
-generic exact machinery in ``core``/``invariants`` serves as the independent
-slow path that the tests check these kernels against.
+The scan predicates read the compiled table ``L.maps`` like every other
+layer, but keep their own raw-int loops with the reduction mod p at every
+step: sent through the field-generic ``core.bracket_rows`` instead, a scan
+took 1.6-2.7x as long.  The tested reference for them is
+``invariants.classify_subspace``, which works on ``bracket_subspaces`` spans;
+the tests check both against a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import NLieAlgebra, sort_with_sign
+from .core import NLieAlgebra, bracket_rows
 from .errors import InvalidParameterError, UnsupportedRequestError
 from .fields import GF, QQ, is_prime
 from .invariants import center, classify_subspace
@@ -32,6 +35,7 @@ from .linalg import (
     span,
     subspace_from_rref_rows,
     zero_subspace,
+    zero_vector,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -102,78 +106,35 @@ def enumerate_subspaces(m: int, k: int, p: int):
 # fast GF(p) kernels
 
 
-class _FpPrep:
-    """Preprocessed table for raw-int scans over GF(p).
-
-    keys:     ((cols), ((target, coeff), ...)) per stored tuple
-    one_maps: (n-1)-tuple y -> ((t, ((target, coeff), ...)), ...) encoding
-              [v, e_y...] = sum_t v[t] * vec
-    two_maps: (n-2)-tuple y -> ((c0, c1, ((target, coeff), ...)), ...) encoding
-              [u, v, e_y...] = sum det2(u, v; c0, c1) * vec
-    """
-
-    __slots__ = ("p", "n", "m", "keys", "one_maps", "two_maps")
-
-    def __init__(self, L: NLieAlgebra):
-        if L.field.p is None:
-            raise InvalidParameterError("fast scan requires a GF(p) algebra")
-        p = L.field.p
-        self.p = p
-        self.n = L.arity
-        self.m = L.dim
-        keys = []
-        for cols, val in L.entries:
-            sparse = tuple((t, c) for t, c in enumerate(val) if c)
-            keys.append((cols, sparse))
-        self.keys = tuple(keys)
-        one = {}
-        two = {}
-        for cols, sparse in keys:
-            for t in cols:
-                rest = tuple(c for c in cols if c != t)
-                sign = sort_with_sign((t,) + rest)[1]
-                sv = tuple((tt, (sign * c) % p) for tt, c in sparse)
-                one.setdefault(rest, []).append((t, sv))
-            for pair in combinations(cols, 2):
-                rest = tuple(c for c in cols if c not in pair)
-                sign = sort_with_sign(pair + rest)[1]
-                sv = tuple((tt, (sign * c) % p) for tt, c in sparse)
-                two.setdefault(rest, []).append((pair[0], pair[1], sv))
-        self.one_maps = {y: tuple(v) for y, v in one.items()}
-        self.two_maps = {y: tuple(v) for y, v in two.items()}
-
-
-def _fp_bracket_rows(prep, rows):
-    """Bracket of ``n`` raw int vectors; returns a list or None when zero."""
-    p = prep.p
-    out = None
-    for cols, sparse in prep.keys:
-        d = minor_det(rows, cols, p)
-        if d:
-            if out is None:
-                out = [0] * prep.m
-            for t, c in sparse:
-                out[t] = (out[t] + d * c) % p
-    return out
-
-
-def _fp_is_abelian_subalgebra(prep, rows):
-    if len(rows) < prep.n:
+def _fp_is_abelian_subalgebra(L, rows, pivots):
+    n = L.arity
+    if len(rows) < n:
         return True
-    for combo in combinations(rows, prep.n):
-        w = _fp_bracket_rows(prep, combo)
+    p = L.field.p
+    m = L.dim
+    table = L.maps[n].get((), ())
+    for combo in combinations(rows, n):
+        w = None
+        for cols, sparse in table:
+            d = minor_det(combo, cols, p)
+            if d:
+                if w is None:
+                    w = [0] * m
+                for t, c in sparse:
+                    w[t] = (w[t] + d * c) % p
         if w is not None and any(w):
             return False
     return True
 
 
-def _fp_is_ideal(prep, rows, pivots):
-    p = prep.p
-    m = prep.m
+def _fp_is_ideal(L, rows, pivots):
+    p = L.field.p
+    m = L.dim
+    by_y = L.maps[1].values()
     for v in rows:
-        for contribs in prep.one_maps.values():
+        for contribs in by_y:
             w = None
-            for t, sparse in contribs:
+            for (t,), sparse in contribs:
                 c = v[t]
                 if c:
                     if w is None:
@@ -185,17 +146,15 @@ def _fp_is_ideal(prep, rows, pivots):
     return True
 
 
-def _fp_pair_brackets_vanish(prep, rows):
-    """True when [S, S, L, .., L] = 0 for S spanned by ``rows``."""
-    p = prep.p
-    m = prep.m
-    if len(rows) < 2:
-        return True
-    for a, b in combinations(range(len(rows)), 2):
-        u, v = rows[a], rows[b]
-        for contribs in prep.two_maps.values():
+def _fp_is_abelian_ideal(L, rows, pivots):
+    """An ideal S with [S, S, L, .., L] = 0."""
+    p = L.field.p
+    m = L.dim
+    by_y = L.maps[2].values()
+    for u, v in combinations(rows, 2):
+        for contribs in by_y:
             w = None
-            for c0, c1, sparse in contribs:
+            for (c0, c1), sparse in contribs:
                 d = (u[c0] * v[c1] - u[c1] * v[c0]) % p
                 if d:
                     if w is None:
@@ -204,33 +163,49 @@ def _fp_pair_brackets_vanish(prep, rows):
                         w[tt] = (w[tt] + d * cc) % p
             if w is not None and any(w):
                 return False
-    return True
+    return _fp_is_ideal(L, rows, pivots)
 
 
-def _fp_is_abelian_ideal(prep, rows, pivots):
-    return (_fp_pair_brackets_vanish(prep, rows)
-            and _fp_is_ideal(prep, rows, pivots))
-
-
-_PREDICATES = {
-    "abelian-subalgebra": lambda prep, rows, pivots: _fp_is_abelian_subalgebra(prep, rows),
+PREDICATES = {
+    "abelian-subalgebra": _fp_is_abelian_subalgebra,
     "abelian-ideal": _fp_is_abelian_ideal,
     "ideal": _fp_is_ideal,
 }
 
 
-def _scan_profiles(prep, k, profiles, mode):
-    """Scan the given pivot profiles in order; return (hit rows+profile, scanned)."""
-    predicate = _PREDICATES[mode]
+def scan_profiles(L: NLieAlgebra, k, profiles, mode):
+    """Scan the k-dimensional subspaces of GF(p)^dim with the given pivot
+    profiles in canonical order for the first one that satisfies
+    ``PREDICATES[mode]``; return (hit rows and profile or None, scanned)."""
+    predicate = PREDICATES[mode]
     scanned = 0
-    m = prep.m
-    p = prep.p
+    m = L.dim
+    p = L.field.p
     for profile in profiles:
         for rows in _iter_profile_bases(m, k, p, profile):
             scanned += 1
-            if predicate(prep, rows, profile):
+            if predicate(L, rows, profile):
                 return (rows, profile), scanned
     return None, scanned
+
+
+def _scan_down(L, top, mode, name, budget, scanned, notes):
+    """Largest k <= top with a k-dimensional subspace satisfying
+    ``PREDICATES[mode]``, scanning whole levels downward while the budget
+    allows; returns (k or None when the budget stopped it, the canonically
+    first witness or None at k = 0, the new scanned total)."""
+    m = L.dim
+    for k in range(top, -1, -1):
+        if scanned + gaussian_binomial(m, k, L.field.p) > budget:
+            notes.append(f"{name} scan stopped before dimension {k}: budget")
+            return None, None, scanned
+        hit, cnt = scan_profiles(L, k, combinations(range(m), k), mode)
+        scanned += cnt
+        if hit is not None:
+            rows, profile = hit
+            witness = subspace_from_rref_rows(L.field, m, rows, profile) if k else None
+            return k, witness, scanned
+    return 0, None, scanned
 
 
 @dataclass(frozen=True)
@@ -288,77 +263,29 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
     p = L.field.p
     m = L.dim
     fld = L.field
-    prep = _FpPrep(L)
     abelian = not L.entries
     if abelian:
         fullspace = full_subspace(fld, m)
         return AlphaBetaResult(m, m, fullspace, fullspace, f"exact-fp({p})", p, 0,
                                True, True, alpha_upper=m, beta_upper=m)
 
-    scanned = 0
-    alpha = beta = None
-    alpha_w = beta_w = None
-    alpha_exact = beta_exact = True
     notes = []
-
+    alpha = beta = alpha_w = beta_w = None
+    scanned = 0
     if compute in ("both", "alpha"):
-        for k in range(m, -1, -1):
-            level = gaussian_binomial(m, k, p)
-            if scanned + level > budget:
-                alpha_exact = False
-                notes.append(f"alpha scan stopped before dimension {k}: budget")
-                break
-            hit, cnt = _scan_profiles(prep, k, combinations(range(m), k),
-                                      "abelian-subalgebra")
-            scanned += cnt
-            if hit is not None:
-                rows, profile = hit
-                alpha = k
-                alpha_w = (subspace_from_rref_rows(fld, m, rows, profile)
-                           if k > 0 else None)
-                break
-        else:
-            alpha = 0
-    else:
-        alpha_exact = False
-
+        alpha, alpha_w, scanned = _scan_down(L, m, "abelian-subalgebra", "alpha",
+                                             budget, scanned, notes)
     if compute in ("both", "beta"):
-        for k in range(m - 1, -1, -1):
-            level = gaussian_binomial(m, k, p)
-            if scanned + level > budget:
-                beta_exact = False
-                notes.append(f"beta scan stopped before dimension {k}: budget")
-                break
-            hit, cnt = _scan_profiles(prep, k, combinations(range(m), k),
-                                      "abelian-ideal")
-            scanned += cnt
-            if hit is not None:
-                rows, profile = hit
-                beta = k
-                beta_w = (subspace_from_rref_rows(fld, m, rows, profile)
-                          if k > 0 else None)
-                break
-        else:
-            beta = 0
-    else:
-        beta_exact = False
-
+        beta, beta_w, scanned = _scan_down(L, m - 1, "abelian-ideal", "beta",
+                                           budget, scanned, notes)
     return AlphaBetaResult(alpha, beta, alpha_w, beta_w, f"exact-fp({p})", p,
-                           scanned, alpha_exact and alpha is not None,
-                           beta_exact and beta is not None,
+                           scanned, alpha is not None, beta is not None,
                            alpha_upper=m - 1, beta_upper=m - 2,
                            notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
 # certified lower bounds over Q
-
-
-def _bracket_unit_with_rows(L, t, y_rows):
-    """[e_t, y_1, ..., y_{n-1}] for arbitrary vectors y_i."""
-    from .core import bracket
-    from .linalg import unit_vector
-    return bracket(L, [unit_vector(L.field, L.dim, t)] + list(y_rows))
 
 
 def _grow_abelian(L: NLieAlgebra, seed: Subspace) -> Subspace:
@@ -370,11 +297,13 @@ def _grow_abelian(L: NLieAlgebra, seed: Subspace) -> Subspace:
     f = L.field
     m = L.dim
     n = L.arity
+    zero = zero_vector(f, m)
     current = seed
     while True:
         rows = []
         for y_rows in combinations(current.basis, n - 1):
-            block = [_bracket_unit_with_rows(L, t, y_rows) for t in range(m)]
+            # [y_rows, e_t] is [e_t, y_rows] up to a sign, which keeps the kernel
+            block = [bracket_rows(L, y_rows, (t,)) or zero for t in range(m)]
             for r in range(m):
                 rows.append([block[t][r] for t in range(m)])
         if not rows:

@@ -224,6 +224,20 @@ def test_catalog_build_alpha_parsed_in_target_field(capsys):
     assert "GF(3)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "build", "EX33"],
+    ["lie-catalog", "heisenberg", "--dim", "3"],
+    ["iso", "EX33_PATH", "EX33_PATH"],
+    ["alphabeta", "EX33_PATH"],
+], ids=lambda argv: argv[0])
+def test_zero_modulus_is_usage_error(capsys, ex33_path, argv):
+    argv = [ex33_path if a == "EX33_PATH" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--p", "0")
+    assert code == 2
+    assert "modulus must be prime: 0" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("verb", [["alphabeta", "D"], ["verify-paper"]])
 def test_threads_option_is_gone(capsys, verb):
     with pytest.raises(SystemExit) as exc:

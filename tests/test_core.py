@@ -1,14 +1,17 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
-from nlie.catalog import catalog_build, lie_catalog_build
+from nlie.catalog import catalog_build, entries_for_dims, lie_catalog_build
 from nlie.core import (
     abelian_algebra,
     bracket,
     bracket_basis,
+    bracket_rows,
     bracket_subspaces,
     check_fundamental_identity,
     make_algebra,
@@ -23,6 +26,7 @@ from nlie.errors import (
     ParseError,
 )
 from nlie.fields import GF, QQ
+from nlie.iso import random_basis_change
 from nlie.linalg import full_subspace, span, zero_subspace, unit_vector
 
 from oracles import naive_bracket, naive_fi_residual
@@ -81,17 +85,103 @@ def test_bracket_matches_naive_oracle_at_arity_2_4_5(field):
                      catalog_build("L21-c2", field, n=n, alpha=2),
                      catalog_build("L21-d(r)", field, n=n, r=3)]
 
-    def dense(m):
-        if field.p is None:
-            return tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
-                                  rng.choice((1, 2, 3))) for _ in range(m))
-        return tuple(rng.randrange(1, field.p) for _ in range(m))
-
     assert {L.arity for L in algebras} == {2, 4, 5}
     for L in algebras:
         for _ in range(3):
-            vecs = [dense(L.dim) for _ in range(L.arity)]
+            vecs = [_dense_vector(field, L.dim, rng) for _ in range(L.arity)]
             assert bracket(L, vecs) == naive_bracket(L, vecs)
+
+
+def _dense_vector(field, m, rng):
+    if field.p is None:
+        return tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                              rng.choice((1, 2, 3))) for _ in range(m))
+    return tuple(rng.randrange(1, field.p) for _ in range(m))
+
+
+def _published_and_conjugated(algebras):
+    return [M for L in algebras for M in (L, random_basis_change(L, 1))]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_compiled_table_matches_naive_bracket(field):
+    """bracket_rows(L, rows, y) == [rows..., e_y...] by the oracle for every
+    k = 0..n and every increasing (n-k)-tuple y, at arities 2 to 5; the
+    conjugated tables expose sign errors in the compiled maps."""
+    rng = random.Random(5)
+    algebras = _published_and_conjugated([
+        lie_catalog_build("simple3", field),
+        catalog_build("EX33", field),
+        catalog_build("T35-b4", field),
+        catalog_build("L21-c2", field, n=4, alpha=2),
+        catalog_build("L21-d(r)", field, n=4, r=3),
+        catalog_build("A(n)", field, n=5),
+    ])
+    assert {L.arity for L in algebras} == {2, 3, 4, 5}
+    for L in algebras:
+        m, n = L.dim, L.arity
+        units = [unit_vector(field, m, i) for i in range(m)]
+        for k in range(n + 1):
+            for y in combinations(range(m), n - k):
+                rows = [_dense_vector(field, m, rng) for _ in range(k)]
+                w = bracket_rows(L, rows, y)
+                got = tuple(w) if w is not None else (field.zero,) * m
+                assert got == naive_bracket(L, rows + [units[j] for j in y]), (L, k, y)
+
+
+def _fi_algebras(field):
+    return _published_and_conjugated(
+        [L for _, L in entries_for_dims((4,), field)]
+        + [catalog_build("EX41", field), catalog_build("T43-c1", field, m=5, t=2)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_fi_check_matches_naive_residuals_on_every_instance(field):
+    """The check reports exactly the instances with a nonzero oracle residual,
+    with equal residuals, in lexicographic order, and counts every instance."""
+    for L in _fi_algebras(field):
+        m, n = L.dim, L.arity
+        expected = []
+        for x in combinations(range(m), n):
+            for y in combinations(range(m), n - 1):
+                r = naive_fi_residual(L, x, y)
+                if any(r):
+                    expected.append((tuple(i + 1 for i in x),
+                                     tuple(j + 1 for j in y), r))
+        report = check_fundamental_identity(L)
+        assert report.instances_checked == comb(m, n) * comb(m, n - 1)
+        got = [(v.x_indices, v.y_indices, v.residual) for v in report.violations]
+        assert got == expected, L
+        assert report.holds == (not expected)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_bracket_subspaces_matches_span_of_naive_brackets(field):
+    """Argument tuples mixing the whole space, repeated proper subspaces and
+    distinct proper subspaces, against the span of the oracle's brackets over
+    every tuple of basis vectors."""
+    rng = random.Random(7)
+    for L in (catalog_build("A(n)", field, n=3), catalog_build("T35-b5", field, m=5),
+              catalog_build("L21-d(r)", field, n=4, r=4)):
+        m, n = L.dim, L.arity
+        pool = {"F": full_subspace(field, m),
+                "S": span(field, m, [_dense_vector(field, m, rng) for _ in range(2)]),
+                "T": span(field, m, [_dense_vector(field, m, rng) for _ in range(3)])}
+        patterns = ["".join(c) for c in combinations("FFSSTT", n)]
+        patterns.append("SF" + "S" * (n - 2))
+        for pattern in sorted(set(patterns)):
+            args = [pool[c] for c in pattern]
+            naive = span(field, m, [naive_bracket(L, list(vs))
+                                    for vs in product(*(a.basis for a in args))])
+            assert bracket_subspaces(L, args) == naive, (L, pattern)
+
+
+def test_high_arity_fi_check_compiles_only_the_maps_it_reads():
+    """All k together hold 2^n compiled items per stored tuple (over a
+    million here); the identity check needs only maps[1]."""
+    L = catalog_build("A(n)", GF(2), n=16)
+    assert check_fundamental_identity(L).holds
+    assert sorted(L.maps) == [1]
 
 
 def test_bracket_sign_under_swap():

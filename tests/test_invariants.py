@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from nlie.catalog import catalog_build
+from nlie.catalog import catalog_build, entries_for_dims
 from nlie.core import abelian_algebra, bracket_basis, make_algebra
 from nlie.errors import NotAnIdealError
 from nlie.fields import GF, QQ
@@ -18,9 +19,10 @@ from nlie.invariants import (
     lower_central_series,
     s_derived_series,
 )
-from nlie.linalg import coordinate_subspace, span
+from nlie.iso import random_basis_change
+from nlie.linalg import coordinate_subspace, span, unit_vector
 
-from oracles import rref_fractions
+from oracles import all_vectors_fp, naive_bracket, rref_fractions, span_members_fp
 
 
 def test_derived_of_abelian_is_zero():
@@ -100,7 +102,6 @@ def test_center_ex41_zero_via_oracle():
     assert z.dim == 0
     # independent check: assemble the full linear system and row-reduce it
     # with the textbook Fraction elimination
-    from itertools import combinations
     rows = []
     for y in combinations(range(5), 2):
         block = [bracket_basis(L, (t,) + y) for t in range(5)]
@@ -109,6 +110,32 @@ def test_center_ex41_zero_via_oracle():
     reduced = rref_fractions(rows)
     rank = len(reduced)
     assert 5 - rank == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_center_matches_brute_force(field):
+    """Over GF(3) the center is the set of all vectors killed by every
+    oracle bracket against basis tuples; over Q its basis is killed and its
+    dimension is the corank of the oracle's linear system (textbook RREF)."""
+    algebras = [L for _, L in entries_for_dims((4,), field)]
+    algebras += [random_basis_change(L, 1) for L in algebras]
+    for L in algebras:
+        m, n = L.dim, L.arity
+        units = [unit_vector(field, m, i) for i in range(m)]
+        ys = [[units[j] for j in y] for y in combinations(range(m), n - 1)]
+
+        def killed(v):
+            return all(not any(naive_bracket(L, [v] + y)) for y in ys)
+
+        z = center(L)
+        if field.p is None:
+            assert all(killed(v) for v in z.basis)
+            rows = [[naive_bracket(L, [units[t]] + y)[r] for t in range(m)]
+                    for y in ys for r in range(m)]
+            assert z.dim == m - len(rref_fractions(rows)), L
+        else:
+            members = {v for v in all_vectors_fp(m, field.p) if killed(v)}
+            assert span_members_fp(z.basis, m, field.p) == members, L
 
 
 def test_center_ex42_m6():

@@ -11,11 +11,8 @@ from nlie.invariants import classify_subspace
 from nlie.iso import random_basis_change
 from nlie.linalg import coordinate_subspace, full_subspace, unit_vector
 from nlie.search import (
+    PREDICATES,
     Claims,
-    _FpPrep,
-    _fp_is_abelian_ideal,
-    _fp_is_abelian_subalgebra,
-    _fp_is_ideal,
     abelian_bounds_q,
     alpha_beta_exact_fp,
     enumerate_subspaces,
@@ -71,19 +68,21 @@ def test_enumeration_rejects_bad_arguments():
         list(enumerate_subspaces(3, 1, 4))
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_fast_predicates_match_classifier_and_brute_force(p):
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 4), (2, 5)], ids=["2", "3", "2-m5"])
+def test_fast_predicates_match_classifier_and_brute_force(p, m):
     """Raw-int scan predicates, classify_subspace flags and brute-force
-    membership agree on every subspace of every catalog family at m = 4, as
-    published and after a dense basis change (which exposes sign errors)."""
-    m = 4
+    membership agree on every subspace of every arity-(m-1) catalog family
+    (at m = 4 all of them, at m = 5 the arity-4 L21-* and A(n), whose pair
+    brackets read 2-tuple keys of ``L.maps[2]``), as published and after a
+    dense basis change (which exposes sign errors)."""
     zero = (0,) * m
     algebras = []
     for label, L in entries_for_dims((m,), GF(p)):
-        algebras += [(label, L), (label + " conj", random_basis_change(L, 1))]
+        if L.arity == m - 1:
+            algebras += [(label, L), (label + " conj", random_basis_change(L, 1))]
+    assert algebras
     for label, L in algebras:
         n = L.arity
-        prep = _FpPrep(L)
         units = [unit_vector(L.field, m, i) for i in range(m)]
         memo = {}
 
@@ -95,9 +94,8 @@ def test_fast_predicates_match_classifier_and_brute_force(p):
         for k in range(m + 1):
             for S in enumerate_subspaces(m, k, p):
                 rows, pivots = S.basis, S.pivots
-                fast = (_fp_is_abelian_subalgebra(prep, rows),
-                        _fp_is_ideal(prep, rows, pivots),
-                        _fp_is_abelian_ideal(prep, rows, pivots))
+                fast = tuple(PREDICATES[mode](L, rows, pivots) for mode in
+                             ("abelian-subalgebra", "ideal", "abelian-ideal"))
                 cls = classify_subspace(L, S)
                 generic = (cls.is_abelian_subalgebra, cls.is_ideal,
                            cls.is_abelian_ideal)
