@@ -28,7 +28,7 @@ from .core import (
     load_subspace,
     serialize_algebra,
 )
-from .errors import NLieError, ParseError, UnsupportedRequestError
+from .errors import InvalidParameterError, NLieError, ParseError, UnsupportedRequestError
 from .fields import GF, QQ
 from .invariants import (
     center,
@@ -68,6 +68,13 @@ def _format_subspace(S):
 
 def _subspace_dict(S):
     return dict(S.to_dict(), ambient=S.ambient_dim)
+
+
+def _require_own_prime(L, p):
+    """A ``--p`` given with a prime-field document must name that prime."""
+    if p is not None and L.field.p not in (None, p):
+        raise InvalidParameterError(
+            f"--p {p} does not match the document's field GF({L.field.p})")
 
 
 def cmd_check(args):
@@ -137,6 +144,8 @@ def cmd_classify(args):
 
 def cmd_alphabeta(args):
     L = load_algebra(args.algebra)
+    for p in args.p or ():
+        _require_own_prime(L, p)
     results = []
     lines = []
     if L.field.p is not None:
@@ -177,15 +186,7 @@ def cmd_assoc_lie(args):
     if len(parts) != L.dim:
         raise ParseError(f"--w needs {L.dim} comma-separated scalars")
     w = tuple(L.field.parse(t) for t in parts)
-    L0 = associated_lie(L, w)
-    text = serialize_algebra(L0)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit(args, "assoc-lie", {"written": args.out}, [f"written: {args.out}"])
-    else:
-        _emit(args, "assoc-lie", json.loads(text), text.rstrip().splitlines())
-    return EXIT_OK
+    return _output_algebra(args, "assoc-lie", associated_lie(L, w))
 
 
 def _output_algebra(args, verb, L):
@@ -264,6 +265,8 @@ def cmd_fingerprint(args):
 def cmd_iso(args):
     L1 = load_algebra(args.algebra1)
     L2 = load_algebra(args.algebra2)
+    _require_own_prime(L1, args.p)
+    _require_own_prime(L2, args.p)
     if args.p is not None:
         L1 = reduce_mod_p(L1, args.p) if L1.field.p is None else L1
         L2 = reduce_mod_p(L2, args.p) if L2.field.p is None else L2
@@ -282,6 +285,7 @@ def cmd_iso(args):
 
 def cmd_classify44(args):
     L = load_algebra(args.algebra)
+    _require_own_prime(L, args.p)
     v = classify_theorem44(L, p=args.p, budget=args.budget)
     lines = [f"case: {v.case}", f"evidence: {v.evidence}"]
     if v.tau is not None:

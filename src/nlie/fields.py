@@ -58,9 +58,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def from_int(self, k: int):
         raise NotImplementedError
 

@@ -5,17 +5,19 @@ arguments (dimensions of derived objects, series dimension profiles,
 solvability/nilpotency flags, and alpha/beta over prime fields).  Equality of
 fingerprints is necessary for isomorphism.
 
-``are_isomorphic`` is exact: a ``yes`` always carries a witness matrix that
-is re-verified entry by entry, and a ``no`` over GF(p) means the pruned
-backtracking search exhausted all invertible maps.  Over Q the search only
-tries small-entry candidate columns, so the outcome there is ``yes`` or
-``unknown`` (or ``no`` via fingerprints); general isomorphism over Q is
-deliberately left undecided.
+``are_isomorphic`` is exact.  Its certificates, in order: identical tables
+(``yes``), a fingerprint mismatch (``no``), over GF(p) unequal numbers of 1-
+or 2-dimensional ideals (``no``), and a forward-checked backtracking search
+whose ``yes`` carries a witness matrix re-verified entry by entry and whose
+exhaustion over GF(p) is a ``no``.  Over Q the search only tries small-entry
+candidate columns, so the outcome there is ``yes`` or ``unknown`` (or ``no``
+via fingerprints); general isomorphism over Q is deliberately left undecided.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, fields, replace as dc_replace
 from itertools import combinations, product
 
@@ -31,8 +33,11 @@ from .invariants import (
     s_derived_series,
 )
 from .linalg import Matrix, reduce_vector
+from .search import alpha_beta_exact_fp, count_subspaces, gaussian_binomial
 
 _AB_AUTO_LIMIT = 200_000
+# largest level (number of subspaces) that the ideal counts of are_isomorphic scan
+_COUNT_LIMIT = 20_000
 
 
 @dataclass(frozen=True)
@@ -53,28 +58,21 @@ class Fingerprint(InvariantReport):
         return None
 
 
-def fingerprint(L: NLieAlgebra, *, alpha_beta: str | bool = "auto",
-                budget: int = _AB_AUTO_LIMIT) -> Fingerprint:
+def fingerprint(L: NLieAlgebra) -> Fingerprint:
     """Deterministic basis-invariant of L: its invariant report plus alpha/beta.
 
-    alpha/beta are included for prime fields when the full scan fits the
-    budget (decided from (dim, p) only, so comparable inputs agree on
-    inclusion); they are never included over Q, where the exact values are
+    alpha/beta are included for prime fields when the full scan fits
+    ``_AB_AUTO_LIMIT`` (decided from (dim, p) only, so comparable inputs agree
+    on inclusion); they are never included over Q, where the exact values are
     not computed.
     """
-    from .search import alpha_beta_exact_fp, gaussian_binomial
-
     ab = None
-    if L.field.p is not None:
-        include = alpha_beta is True
-        if alpha_beta == "auto":
-            total = sum(gaussian_binomial(L.dim, k, L.field.p)
-                        for k in range(L.dim + 1))
-            include = 2 * total <= budget
-        if include:
-            res = alpha_beta_exact_fp(L, budget=budget)
-            if res.alpha_exact and res.beta_exact:
-                ab = (res.alpha, res.beta)
+    p = L.field.p
+    if p is not None and 2 * sum(gaussian_binomial(L.dim, k, p)
+                                 for k in range(L.dim + 1)) <= _AB_AUTO_LIMIT:
+        res = alpha_beta_exact_fp(L, budget=_AB_AUTO_LIMIT)
+        if res.complete:
+            ab = (res.alpha, res.beta)
     return Fingerprint(**vars(invariant_report(L)), alpha_beta=ab)
 
 
@@ -146,22 +144,8 @@ class IsoResult:
 
 
 def _verify_witness(L1, L2, P: Matrix) -> bool:
-    if not P.is_invertible():
-        return False
-    f = L1.field
-    m = L1.dim
-    cols = [P.column(j) for j in range(m)]
-    for key in combinations(range(m), L1.arity):
-        lhs = bracket(L2, [cols[i] for i in key])
-        c = bracket_basis(L1, key)
-        rhs = [f.zero] * m
-        for t, coeff in enumerate(c):
-            if coeff != f.zero:
-                for r in range(m):
-                    rhs[r] = f.add(rhs[r], f.mul(coeff, cols[t][r]))
-        if lhs != tuple(rhs):
-            return False
-    return True
+    """P maps L1 onto L2: L2 in the basis of P's columns has L1's table."""
+    return P.is_invertible() and change_basis(L2, P) == L1
 
 
 def _invariant_subspace_pairs(L1, L2):
@@ -178,27 +162,26 @@ def _invariant_subspace_pairs(L1, L2):
     return [(u, w) for u, w in pairs if u.dim == w.dim and u.dim < L1.dim]
 
 
-def _candidate_vectors(field: Field, m: int):
-    if field.p is not None:
-        vals = list(range(field.p))
-    else:
-        vals = [QQ.validate(-1), QQ.zero, QQ.one]
-    for tup in product(vals, repeat=m):
-        if any(x != field.zero for x in tup):
-            yield tup
+def ideal_count_difference(L1: NLieAlgebra, L2: NLieAlgebra) -> str | None:
+    """Why two algebras over GF(p) are not isomorphic, by the numbers of their
+    k-dimensional ideals (k = 1, 2, k < dim), which an isomorphism preserves;
+    None if they agree.  A level is counted when it holds at most
+    ``_COUNT_LIMIT`` subspaces, decided from (dim, p) alone."""
+    m, p = L1.dim, L1.field.p
+    for k in (1, 2):
+        if k >= m or gaussian_binomial(m, k, p) > _COUNT_LIMIT:
+            continue
+        c1 = count_subspaces(L1, k, "ideal")
+        c2 = count_subspaces(L2, k, "ideal")
+        if c1 != c2:
+            return f"ideal count in dimension {k}: {c1} vs {c2}"
+    return None
 
 
 def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
                    budget: int = 2_000_000) -> IsoResult:
-    """Decide isomorphism where feasible.
-
-    Fingerprint mismatch gives a certified ``no``.  Otherwise a backtracking
-    search assigns images of basis vectors (most-constrained index first,
-    candidates in lexicographic order), pruning by linear independence,
-    invariant-subspace containment and every bracket constraint as soon as
-    its support is assigned.  Over GF(p) an exhausted search is a certified
-    ``no``; over Q exhaustion of the small candidate pool gives ``unknown``.
-    """
+    """Decide isomorphism where feasible.  Certificates, in order: identical
+    tables, fingerprint, ideal counts (GF(p) only), forward-checked search."""
     if L1.arity != L2.arity or L1.dim != L2.dim or L1.field != L2.field:
         raise InvalidParameterError("isomorphism requires equal arity, dimension and field")
     m = L1.dim
@@ -207,68 +190,82 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
     if L1.entries == L2.entries:
         return IsoResult("yes", Matrix.identity(f, m), "identical tables", 0)
 
-    fp1, fp2 = fingerprint(L1), fingerprint(L2)
-    diff = fp1.differs_from(fp2)
+    diff = fingerprint(L1).differs_from(fingerprint(L2))
     if diff is not None:
         return IsoResult("no", None, f"fingerprint: {diff}", 0)
 
+    if f.p is not None:
+        reason = ideal_count_difference(L1, L2)
+        if reason is not None:
+            return IsoResult("no", None, reason, 0)
+
+    return _search_isomorphism(L1, L2, budget)
+
+
+def _search_isomorphism(L1, L2, budget) -> IsoResult:
+    """Backtracking search for an isomorphism L1 -> L2 of the same shape.
+
+    Images of basis vectors are assigned most-constrained index first, with
+    candidates in lexicographic order, pruned by linear independence,
+    invariant-subspace containment and bracket constraints, each checked
+    once, at the depth where the last of its variables is assigned (forward
+    checking).  A candidate pool larger than ``budget`` gives ``unknown``
+    before any node is visited.
+    """
+    m = L1.dim
+    f = L1.field
+
+    vals = list(range(f.p)) if f.p is not None else [QQ.validate(-1), QQ.zero, QQ.one]
+    pool_size = len(vals) ** m - 1
+    if pool_size > budget:
+        return IsoResult("unknown", None,
+                         f"candidate pool of {pool_size} columns exceeds "
+                         f"the node budget {budget}", 0)
+
+    # the image of e_i must lie in every invariant subspace of L2 whose mate
+    # contains e_i
     pairs = _invariant_subspace_pairs(L1, L2)
+    unit = [tuple(f.one if t == i else f.zero for t in range(m)) for i in range(m)]
+    targets = [[w for u, w in pairs if u.contains_vector(unit[i])] for i in range(m)]
 
     # most-constrained first: high bracket degree, then small image pool
-    degree = {i: 0 for i in range(m)}
-    for cols, _ in L1.entries:
-        for i in cols:
-            degree[i] += 1
-    pool_dim = {}
-    for i in range(m):
-        dims = [w.dim for u, w in pairs if u.contains_vector(
-            tuple(f.one if t == i else f.zero for t in range(m)))]
-        pool_dim[i] = min(dims) if dims else m
-    order = sorted(range(m), key=lambda i: (-degree[i], pool_dim[i], i))
+    degree = Counter(i for cols, _ in L1.entries for i in cols)
+    order = sorted(range(m), key=lambda i: (
+        -degree[i], min((w.dim for w in targets[i]), default=m), i))
+    position = {i: d for d, i in enumerate(order)}
 
-    constraints = []
+    # forward checking: each constraint [e_key] = sum c_t e_t waits in the
+    # list of the depth at which the last of its variables is assigned
+    checks_at = [[] for _ in range(m)]
     for key in combinations(range(m), L1.arity):
         c = bracket_basis(L1, key)
-        support = tuple(t for t, x in enumerate(c) if x != f.zero)
-        constraints.append((key, c, support))
+        support = tuple((t, x) for t, x in enumerate(c) if x != f.zero)
+        last = max(position[i] for i in key + tuple(t for t, _ in support))
+        checks_at[last].append((key, support))
 
-    unit = [tuple(f.one if t == i else f.zero for t in range(m)) for i in range(m)]
-    candidates_all = list(_candidate_vectors(f, m))
-    exhaustive = f.p is not None
+    # static per-index candidate pools, in lexicographic order
+    candidates_all = [c for c in product(vals, repeat=m) if any(c)]
+    pool_candidates = [[c for c in candidates_all
+                        if all(w.contains_vector(c) for w in targets[i])]
+                       for i in range(m)]
 
-    # static per-index candidate pools (image must lie in every invariant
-    # subspace of L2 whose mate contains e_i); lexicographic order preserved
-    pool_candidates = {}
-    for i in range(m):
-        targets = [w for u, w in pairs if u.contains_vector(unit[i])]
-        if targets:
-            pool_candidates[i] = [c for c in candidates_all
-                                  if all(w.contains_vector(c) for w in targets)]
-        else:
-            pool_candidates[i] = candidates_all
-
-    assigned_cols: dict[int, tuple] = {}
+    zero = [f.zero] * m
+    # assigned[order[d]] is the image chosen at depth d; deeper slots are stale
+    assigned = [None] * m
     nodes = 0
     budget_hit = False
 
-    def constraint_ready(key, support, assigned):
-        return all(i in assigned for i in key) and all(t in assigned for t in support)
-
-    def check_constraints(assigned, fresh):
-        for key, c, support in constraints:
-            if fresh not in key and fresh not in support:
-                continue
-            if not constraint_ready(key, support, assigned):
-                continue
+    def check_constraints(depth):
+        for key, support in checks_at[depth]:
             lhs = bracket_rows(L2, [assigned[i] for i in key])
             rhs = [f.zero] * m
-            for t in support:
-                coeff = c[t]
-                col = assigned[t]
-                for r in range(m):
-                    if col[r] != f.zero:
-                        rhs[r] = f.add(rhs[r], f.mul(coeff, col[r]))
-            if (lhs or [f.zero] * m) != rhs:
+            for t, coeff in support:
+                for r, x in enumerate(assigned[t]):
+                    if x:
+                        rhs[r] += coeff * x
+            if f.p is not None:
+                rhs = [x % f.p for x in rhs]
+            if (lhs or zero) != rhs:
                 return False
         return True
 
@@ -286,29 +283,25 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
             residual = reduce_vector(rows, pivots, cand, f.p)
             if not any(residual):
                 continue
-            assigned_cols[i] = cand
-            if check_constraints(assigned_cols, i):
+            assigned[i] = cand
+            if check_constraints(depth):
                 piv = next(j for j, x in enumerate(residual) if x)
                 inv = f.inv(residual[piv])
                 row = tuple(f.mul(inv, x) for x in residual)
                 if extend(depth + 1, rows + [row], pivots + [piv]):
                     return True
                 if budget_hit:
-                    del assigned_cols[i]
                     return False
-            del assigned_cols[i]
         return False
 
-    found = extend(0, [], [])
-    if found:
-        P = Matrix.from_rows(f, [[assigned_cols[j][r] for j in range(m)]
-                                 for r in range(m)])
+    if extend(0, [], []):
+        P = Matrix.from_rows(f, [list(row) for row in zip(*assigned)])
         if _verify_witness(L1, L2, P):
             return IsoResult("yes", P, None, nodes)
         return IsoResult("unknown", None, "internal witness verification failed", nodes)
     if budget_hit:
         return IsoResult("unknown", None, "budget exhausted", nodes)
-    if exhaustive:
+    if f.p is not None:
         return IsoResult("no", None, "search exhausted over the prime field", nodes)
     return IsoResult("unknown", None,
                      "no witness among small-entry candidates over Q", nodes)

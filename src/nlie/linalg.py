@@ -32,10 +32,6 @@ def vec_add(field, u, v):
     return tuple(field.add(a, b) for a, b in zip(u, v))
 
 
-def vec_sub(field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
 def vec_scale(field, c, v):
     return tuple(field.mul(c, x) for x in v)
 

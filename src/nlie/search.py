@@ -189,6 +189,13 @@ def scan_profiles(L: NLieAlgebra, k, profiles, mode):
     return None, scanned
 
 
+def count_subspaces(L: NLieAlgebra, k, mode) -> int:
+    """Number of k-dimensional subspaces of GF(p)^dim satisfying ``PREDICATES[mode]``."""
+    m, p, predicate = L.dim, L.field.p, PREDICATES[mode]
+    return sum(predicate(L, rows, profile) for profile in combinations(range(m), k)
+               for rows in _iter_profile_bases(m, k, p, profile))
+
+
 def _scan_down(L, top, mode, name, budget, scanned, notes):
     """Largest k <= top with a k-dimensional subspace satisfying
     ``PREDICATES[mode]``, scanning whole levels downward while the budget

@@ -282,8 +282,6 @@ def criterion_4() -> CheckResult:
               for lbl, fid, params, _ in built]
         for (la, A), (lb, B) in combinations(f2, 2):
             checks += 1
-            if fingerprint(A).differs_from(fingerprint(B)) is not None:
-                continue
             verdict = are_isomorphic(A, B)
             if verdict.verdict != "no":
                 failures.append(f"{la} vs {lb}: not separated ({verdict.verdict})")

@@ -238,6 +238,31 @@ def test_zero_modulus_is_usage_error(capsys, ex33_path, argv):
     assert out == ""
 
 
+@pytest.fixture
+def ex33_gf2_path(tmp_path):
+    path = tmp_path / "ex33_gf2.json"
+    path.write_text(serialize_algebra(catalog_build("EX33", GF(2))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "D", "D"],
+    ["alphabeta", "D"],
+    ["classify44", "D"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("p", ["3", "0"])
+def test_other_modulus_on_prime_field_document_is_usage_error(capsys, ex33_gf2_path,
+                                                              argv, p):
+    argv = [ex33_gf2_path if a == "D" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--p", p)
+    assert code == 2
+    assert f"--p {p} does not match the document's field GF(2)" in err
+    assert out == ""
+    # the document's own prime is accepted
+    code, _, _ = run(capsys, *argv, "--p", "2")
+    assert code == 0
+
+
 @pytest.mark.parametrize("verb", [["alphabeta", "D"], ["verify-paper"]])
 def test_threads_option_is_gone(capsys, verb):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from nlie.catalog import catalog_build, representative_entries
@@ -5,6 +11,7 @@ from nlie.core import bracket, check_fundamental_identity
 from nlie.errors import InvalidParameterError
 from nlie.fields import GF, QQ
 from nlie.iso import (
+    _search_isomorphism,
     are_isomorphic,
     change_basis,
     fingerprint,
@@ -12,6 +19,14 @@ from nlie.iso import (
     random_invertible_matrix,
 )
 from nlie.linalg import Matrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _b_cores():
+    return [("T35-b4", catalog_build("T35-b4", GF(2), m=4)),
+            ("T35-b5", catalog_build("T35-b5", GF(2), m=4)),
+            ("T35-b6", catalog_build("T35-b6", GF(2), m=4, alpha=1))]
 
 
 def test_fingerprint_separates_t34_cases():
@@ -87,7 +102,6 @@ def test_iso_yes_on_conjugated_algebra_with_verified_witness():
     # direct check: bracket_{Lc}(P ei, P ej, P ek) = P [ei,ej,ek]_L
     f = GF(3)
     cols = [P.column(j) for j in range(4)]
-    from itertools import combinations
     from nlie.core import bracket_basis
     for key in combinations(range(4), 3):
         lhs = bracket(Lc, [cols[i] for i in key])
@@ -100,14 +114,34 @@ def test_iso_yes_on_conjugated_algebra_with_verified_witness():
 
 
 def test_iso_no_for_b_cores_over_gf2():
-    b4 = catalog_build("T35-b4", GF(2), m=4)
-    b5 = catalog_build("T35-b5", GF(2), m=4)
-    b6 = catalog_build("T35-b6", GF(2), m=4, alpha=1)
-    assert are_isomorphic(b4, b5).verdict == "no"
-    assert are_isomorphic(b4, b6).verdict == "no"
-    assert are_isomorphic(b5, b6).verdict == "no"
-    # fingerprints tie, so these are decided by exhausted search
-    assert fingerprint(b4).differs_from(fingerprint(b5)) is None
+    for (_, A), (_, B) in combinations(_b_cores(), 2):
+        # fingerprints tie, so the numbers of 1-dimensional ideals decide
+        # these before any search node (the search itself is covered below)
+        assert fingerprint(A).differs_from(fingerprint(B)) is None
+        res = are_isomorphic(A, B)
+        assert res.verdict == "no"
+        assert res.reason.startswith("ideal count in dimension 1:")
+        assert res.nodes == 0
+
+
+def test_search_alone_proves_b_cores_distinct():
+    """The backtracking search on its own, without the ideal counts in front
+    of it, proves the tied cores distinct in a fixed number of nodes."""
+    expected = {("T35-b4", "T35-b5"): 1158, ("T35-b4", "T35-b6"): 870,
+                ("T35-b5", "T35-b6"): 2382}
+    for (la, A), (lb, B) in combinations(_b_cores(), 2):
+        res = _search_isomorphism(A, B, 2_000_000)
+        assert res.verdict == "no", (la, lb)
+        assert res.reason == "search exhausted over the prime field"
+        assert res.nodes == expected[la, lb], (la, lb)
+
+
+def test_search_on_conjugate_keeps_witness_and_node_count():
+    L = catalog_build("T35-b4", GF(3), m=4)
+    res = are_isomorphic(L, random_basis_change(L, seed=0))
+    assert res.verdict == "yes"
+    assert res.nodes == 1553
+    assert res.witness.rows == ((0, 1, 0, 0), (0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 0, 0))
 
 
 def test_iso_symmetric_verdicts():
@@ -125,11 +159,35 @@ def test_iso_no_via_fingerprint_over_q():
 
 
 def test_iso_budget_exhaustion_is_unknown():
-    b4 = catalog_build("T35-b4", GF(2), m=4)
-    b5 = catalog_build("T35-b5", GF(2), m=4)
-    res = are_isomorphic(b4, b5, budget=3)
+    # a table against its own basis change reaches the search (1553 nodes);
+    # the 80 candidate columns fit the budget, the nodes do not
+    L = catalog_build("T35-b4", GF(3), m=4)
+    res = are_isomorphic(L, random_basis_change(L, seed=0), budget=100)
     assert res.verdict == "unknown"
     assert "budget" in res.reason
+
+
+def test_iso_candidate_pool_over_budget_fails_fast():
+    """p^m - 1 candidate columns beyond the budget give ``unknown`` before
+    any are built.  Run under an address-space limit, so that building them
+    (about 4e9 tuples here) fails with MemoryError instead of exhausting the
+    machine."""
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))\n"
+        "from nlie.catalog import lie_catalog_build\n"
+        "from nlie.fields import GF\n"
+        "from nlie.iso import are_isomorphic, random_basis_change\n"
+        "L = lie_catalog_build('affine', GF(65521), dim=2)\n"
+        "res = are_isomorphic(L, random_basis_change(L, 1), budget=1000)\n"
+        "print(res.verdict, res.nodes, res.reason)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "unknown", "0", "candidate", "pool", "of", "4293001440", "columns",
+        "exceeds", "the", "node", "budget", "1000"]
 
 
 def test_iso_requires_matching_shape():

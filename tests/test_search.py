@@ -15,6 +15,7 @@ from nlie.search import (
     Claims,
     abelian_bounds_q,
     alpha_beta_exact_fp,
+    count_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
     reduce_mod_p,
@@ -110,6 +111,20 @@ def test_fast_predicates_match_classifier_and_brute_force(p, m):
                                   for ys in combinations(units, n - 2)),
                 )
                 assert fast == generic == brute, (label, rows)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ideal_counts_match_classifier_and_basis_change(p):
+    """The ideal counts that certify ``no`` in are_isomorphic: equal to a
+    brute-force count through classify_subspace on every m = 4 catalog
+    family, and unchanged by a basis change."""
+    for label, L in entries_for_dims((4,), GF(p)):
+        Lc = random_basis_change(L, 2)
+        for k in (1, 2):
+            brute = sum(classify_subspace(L, S).is_ideal
+                        for S in enumerate_subspaces(4, k, p))
+            assert count_subspaces(L, k, "ideal") == brute, (label, k)
+            assert count_subspaces(Lc, k, "ideal") == brute, (label, k)
 
 
 def test_enumerated_bases_are_rref():
