@@ -26,9 +26,10 @@ from .core import (
     with_fi_checked,
 )
 from .errors import FundamentalIdentityError, InvalidParameterError
-from .fields import GF, QQ, Field, same_field
+from .fields import QQ, Field, same_field
 from .invariants import classify_subspace, derived_algebra, full_space, s_derived_series
-from .linalg import Subspace, validate_vector
+from .linalg import Subspace, subspace_from_rref_rows, validate_vector
+from .search import enumerate_subspaces, first_hit, gaussian_binomial, reduce_mod_p, subspace_hits
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +579,9 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     decomposition searches enumerate subspaces over GF(p) (the input's own
     prime field, or the reduction of a Q input at ``p``; integral reduction
     preserves ideals, so a clean mod-p search certifies the verdict for
-    integral tables).  ``unknown`` is returned when the budget is exhausted.
+    integral tables).  A semidirect block must itself classify as
+    simple-A4.  ``unknown`` is returned when the budget is exhausted.
     """
-    from .iso import fingerprint
-    from .search import PREDICATES, enumerate_subspaces, gaussian_binomial, \
-        reduce_mod_p, scan_profiles
-
     require_arity(L, 3, "trichotomy classification")
     m = L.dim
 
@@ -599,19 +597,13 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
         Lp = reduce_mod_p(L, p_used)
 
     if m == 4 and derived_algebra(L).dim == 4:
-        scanned = 0
-        proper_ideal = None
-        for k in range(1, 4):
-            if scanned + gaussian_binomial(4, k, p_used) > budget:
-                return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
-            proper_ideal, cnt = scan_profiles(Lp, k, combinations(range(4), k), "ideal")
-            scanned += cnt
-            if proper_ideal is not None:
-                break
-        if proper_ideal is None:
+        k, hit, scanned = first_hit(Lp, (1, 2, 3), "ideal", budget)
+        if k is None:
             return Theorem44Verdict("simple-A4", {
                 "p": p_used, "proper_subspaces_checked": scanned,
                 "derived_dim": 4})
+        if hit is None:
+            return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
         return Theorem44Verdict("unknown", {
             "reason": "dimension 4, perfect, but a proper ideal exists mod p",
             "p": p_used})
@@ -619,30 +611,26 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     if m < 4:
         return Theorem44Verdict("unknown", {"reason": "not solvable and dim < 4"})
 
+    # tau runs over the abelian ideals of dimension m - 4, S over the
+    # 4-dimensional subspaces; both count towards the budget
     k_tau = m - 4
-    a4_fp = fingerprint(catalog_build("A(n)", GF(p_used), n=3))
-    scanned = 0
-    if scanned + gaussian_binomial(m, k_tau, p_used) > budget:
+    n_tau, n_block = gaussian_binomial(m, k_tau, p_used), gaussian_binomial(m, 4, p_used)
+    if n_tau > budget:
         return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
-    for tau in enumerate_subspaces(m, k_tau, p_used):
-        scanned += 1
-        if k_tau and not PREDICATES["abelian-ideal"](Lp, tau.basis, tau.pivots):
-            continue
-        if scanned + gaussian_binomial(m, 4, p_used) > budget:
+    blocks = 0
+    for position, rows, profile in subspace_hits(Lp, k_tau, "abelian-ideal"):
+        if position + blocks + n_block > budget:
             return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
+        tau = subspace_from_rref_rows(Lp.field, m, rows, profile)
         for S in enumerate_subspaces(m, 4, p_used):
-            scanned += 1
-            if S.intersect(tau).dim != 0:
+            blocks += 1
+            if S.intersect(tau).dim != 0 or not classify_subspace(Lp, S).is_subalgebra:
                 continue
-            cls = classify_subspace(Lp, S)
-            if not cls.is_subalgebra:
-                continue
-            block = restrict_to_subalgebra(Lp, S)
-            if fingerprint(block) == a4_fp:
+            if classify_theorem44(restrict_to_subalgebra(Lp, S)).case == "simple-A4":
                 return Theorem44Verdict(
                     "A4-semidirect",
-                    {"p": p_used, "tau_dim": k_tau, "subspaces_scanned": scanned},
+                    {"p": p_used, "tau_dim": k_tau, "subspaces_scanned": position + blocks},
                     tau=tau, block=S)
     return Theorem44Verdict("unknown", {
         "reason": "no simple block + abelian ideal decomposition found mod p",
-        "p": p_used, "subspaces_scanned": scanned})
+        "p": p_used, "subspaces_scanned": n_tau + blocks})

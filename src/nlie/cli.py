@@ -146,38 +146,40 @@ def cmd_alphabeta(args):
     L = load_algebra(args.algebra)
     for p in args.p or ():
         _require_own_prime(L, p)
-    results = []
+    runs = []
     lines = []
     if L.field.p is not None:
         res = alpha_beta_exact_fp(L, budget=args.budget)
-        results.append(res.to_dict())
+        runs.append(res)
         lines.append(f"alpha = {res.alpha}, beta = {res.beta} "
                      f"(exact over GF({L.field.p}); {res.subspaces_scanned} subspaces)")
     elif args.p:
         for p in args.p:
-            Lp = reduce_mod_p(L, p)
-            res = alpha_beta_exact_fp(Lp, budget=args.budget)
-            results.append(res.to_dict())
+            res = alpha_beta_exact_fp(reduce_mod_p(L, p), budget=args.budget)
+            runs.append(res)
             lines.append(f"p={p}: alpha = {res.alpha}, beta = {res.beta} "
                          f"({res.subspaces_scanned} subspaces)")
-        values = {(r["alpha"], r["beta"]) for r in results}
-        agree = len(values) == 1
-        lines.append(f"primes agree: {agree} "
-                     "(modular values corroborate, but do not prove, "
-                     "the characteristic-0 values)")
+        if all(r.complete for r in runs):
+            agree = len({(r.alpha, r.beta) for r in runs}) == 1
+            lines.append(f"primes agree: {agree} "
+                         "(modular values corroborate, but do not prove, "
+                         "the characteristic-0 values)")
     elif args.q_bounds:
         res = abelian_bounds_q(L)
-        results.append(res.to_dict())
         lines.append(f"alpha >= {res.alpha} (upper bound {res.alpha_upper}), "
                      f"beta >= {res.beta} (upper bound {res.beta_upper})")
         lines.append("certified lower bounds only; exact alpha/beta over Q "
                      "is not computed")
+        _emit(args, "alphabeta", {"runs": [res.to_dict()]}, lines)
+        return EXIT_OK
     else:
         raise UnsupportedRequestError(
             "exact alpha/beta over Q is unsupported: pass --p P (modular "
             "corroboration) or --q-bounds (certified bounds)")
-    _emit(args, "alphabeta", {"runs": results}, lines)
-    return EXIT_OK
+    # the notes of an exhaustive run name the scans its budget stopped
+    undecided = [f"undecided: {note}" for r in runs for note in r.notes]
+    _emit(args, "alphabeta", {"runs": [r.to_dict() for r in runs]}, lines + undecided)
+    return EXIT_UNSUPPORTED if undecided else EXIT_OK
 
 
 def cmd_assoc_lie(args):

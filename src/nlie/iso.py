@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace as dc_replace
 from itertools import combinations, product
 
 from .core import NLieAlgebra, bracket, bracket_basis, bracket_rows, make_algebra
-from .errors import InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError
 from .fields import QQ, Field
 from .invariants import (
     InvariantReport,
@@ -33,7 +33,7 @@ from .invariants import (
     s_derived_series,
 )
 from .linalg import Matrix, reduce_vector
-from .search import alpha_beta_exact_fp, count_subspaces, gaussian_binomial
+from .search import alpha_beta_exact_fp, gaussian_binomial, subspace_hits
 
 _AB_AUTO_LIMIT = 200_000
 # largest level (number of subspaces) that the ideal counts of are_isomorphic scan
@@ -80,11 +80,12 @@ def change_basis(L: NLieAlgebra, P: Matrix) -> NLieAlgebra:
     """Algebra in the basis whose vectors are the columns of P (old coordinates)."""
     if P.field != L.field or P.nrows != L.dim or P.ncols != L.dim:
         raise InvalidParameterError("change of basis needs a square matrix over the same field")
-    if not P.is_invertible():
-        raise InvalidParameterError("change of basis requires an invertible matrix")
+    try:
+        inv = P.inverse()
+    except DimensionMismatchError:
+        raise InvalidParameterError("change of basis requires an invertible matrix") from None
     f = L.field
     m = L.dim
-    inv = P.inverse()
     cols = [P.column(j) for j in range(m)]
     entries = {}
     for key in combinations(range(m), L.arity):
@@ -145,7 +146,10 @@ class IsoResult:
 
 def _verify_witness(L1, L2, P: Matrix) -> bool:
     """P maps L1 onto L2: L2 in the basis of P's columns has L1's table."""
-    return P.is_invertible() and change_basis(L2, P) == L1
+    try:
+        return change_basis(L2, P) == L1
+    except InvalidParameterError:  # P is singular
+        return False
 
 
 def _invariant_subspace_pairs(L1, L2):
@@ -171,8 +175,7 @@ def ideal_count_difference(L1: NLieAlgebra, L2: NLieAlgebra) -> str | None:
     for k in (1, 2):
         if k >= m or gaussian_binomial(m, k, p) > _COUNT_LIMIT:
             continue
-        c1 = count_subspaces(L1, k, "ideal")
-        c2 = count_subspaces(L2, k, "ideal")
+        c1, c2 = (sum(1 for _ in subspace_hits(L, k, "ideal")) for L in (L1, L2))
         if c1 != c2:
             return f"ideal count in dimension {k}: {c1} vs {c2}"
     return None

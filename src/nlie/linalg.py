@@ -3,6 +3,11 @@
 Matrices are immutable row-major tuples of scalars; subspaces are kept in
 canonical reduced row echelon form, so two subspaces are equal exactly when
 their basis tuples are equal.  Everything is a value type, safe to share.
+
+The kernels ``minor_det``, ``reduce_vector`` and ``rref`` (the one
+elimination routine: ranks, kernels, inverses, spans and intersections) work
+on raw scalars, Fractions or ints reduced mod p, and do not validate; the
+public constructors and methods validate what they are given.
 """
 
 from __future__ import annotations
@@ -26,14 +31,6 @@ def zero_vector(field: Field, length: int) -> tuple:
 
 def unit_vector(field: Field, length: int, i: int) -> tuple:
     return tuple(field.one if j == i else field.zero for j in range(length))
-
-
-def vec_add(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(field, c, v):
-    return tuple(field.mul(c, x) for x in v)
 
 
 def vec_is_zero(field, v):
@@ -106,35 +103,37 @@ def reduce_vector(rows, pivots, v, p=None):
     return w
 
 
-def _rref_inplace(field, rows, ncols):
-    """Reduce a list of row lists to RREF; returns the pivot column list."""
-    zero = field.zero
+def rref(rows, ncols, p=None):
+    """Reduce a list of raw row lists to RREF in place; returns the pivot list.
+
+    The scalars are those of ``reduce_vector``: ints in [0, p) reduced mod
+    a prime ``p``, or Fractions with ``p=None``.
+    """
     pivots = []
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != zero:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r][c]
-        if lead != field.one:
-            inv = field.inv(lead)
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [field.sub(ri[j], field.mul(f, rr[j])) for j in range(ncols)]
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
+        for pr in range(r, nrows):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        lead = rows[r]
+        if lead[c] != 1:
+            inv = 1 / lead[c] if p is None else pow(lead[c], p - 2, p)
+            lead = rows[r] = [inv * x if p is None else inv * x % p for x in lead]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                if p is None:
+                    rows[i] = [x - f * y if y else x for x, y in zip(rows[i], lead)]
+                else:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
     return pivots
 
 
@@ -172,25 +171,14 @@ class Matrix:
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.ncols, self.nrows,
                       tuple(tuple(self.rows[i][j] for i in range(self.nrows))
                             for j in range(self.ncols)))
 
     def matvec(self, v) -> tuple:
-        f = self.field
-        v = validate_vector(f, self.ncols, v)
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, b in zip(row, v):
-                if a != f.zero and b != f.zero:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        v = validate_vector(self.field, self.ncols, v)
+        return tuple(_dot(self.field, row, v) for row in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         same_field(self.field, other.field)
@@ -206,7 +194,7 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple]:
         rows = [list(r) for r in self.rows]
-        pivots = _rref_inplace(self.field, rows, self.ncols)
+        pivots = rref(rows, self.ncols, self.field.p)
         return Matrix(self.field, self.nrows, self.ncols,
                       tuple(tuple(r) for r in rows)), tuple(pivots)
 
@@ -242,8 +230,7 @@ class Matrix:
         f = self.field
         n = self.nrows
         aug = [list(self.rows[i]) + list(unit_vector(f, n, i)) for i in range(n)]
-        pivots = _rref_inplace(f, aug, 2 * n)
-        if tuple(pivots) != tuple(range(n)):
+        if rref(aug, 2 * n, f.p) != list(range(n)):
             raise DimensionMismatchError("matrix is singular")
         return Matrix(f, n, n, tuple(tuple(r[n:]) for r in aug))
 
@@ -302,9 +289,6 @@ class Subspace:
         vv = validate_vector(self.field, self.ambient_dim, v)
         return tuple(vv[pc] for pc in self.pivots)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        return subspace_sum(self, other)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         return subspace_intersect(self, other)
 
@@ -327,9 +311,8 @@ def subspace_from_rref_rows(field, ambient_dim, rows, pivots) -> Subspace:
 def span(field: Field, ambient_dim: int, vectors) -> Subspace:
     """Smallest subspace containing the given vectors, in canonical form."""
     rows = [list(validate_vector(field, ambient_dim, v)) for v in vectors]
-    pivots = _rref_inplace(field, rows, ambient_dim)
-    basis = tuple(tuple(r) for r in rows[: len(pivots)])
-    return Subspace(field, ambient_dim, basis, tuple(pivots))
+    pivots = rref(rows, ambient_dim, field.p)
+    return subspace_from_rref_rows(field, ambient_dim, rows[: len(pivots)], pivots)
 
 
 def zero_subspace(field: Field, ambient_dim: int) -> Subspace:
@@ -337,9 +320,7 @@ def zero_subspace(field: Field, ambient_dim: int) -> Subspace:
 
 
 def full_subspace(field: Field, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim,
-                    tuple(unit_vector(field, ambient_dim, i) for i in range(ambient_dim)),
-                    tuple(range(ambient_dim)))
+    return coordinate_subspace(field, ambient_dim, range(ambient_dim))
 
 
 def coordinate_subspace(field: Field, ambient_dim: int, indices) -> Subspace:
@@ -356,23 +337,12 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
+    """The intersection by Zassenhaus: in the RREF of [u|u] stacked over [w|0], the
+    rows whose pivot lies in the right half are [0|x], and their right halves
+    x are the canonical basis of the intersection."""
     _check_ambient(u, w)
-    f = u.field
-    if u.is_zero or w.is_zero:
-        return zero_subspace(f, u.ambient_dim)
-    # Solve a*U - b*W = 0; intersection vectors are a*U.
-    stacked = Matrix.from_rows(
-        f,
-        [list(r) for r in u.basis] + [[f.neg(x) for x in r] for r in w.basis],
-        u.ambient_dim,
-    )
-    ker = stacked.transpose().kernel()
-    vectors = []
-    for coeffs in ker.basis:
-        a = coeffs[: u.dim]
-        v = zero_vector(f, u.ambient_dim)
-        for c, row in zip(a, u.basis):
-            if c != f.zero:
-                v = vec_add(f, v, vec_scale(f, c, row))
-        vectors.append(v)
-    return span(f, u.ambient_dim, vectors)
+    f, m = u.field, u.ambient_dim
+    rows = [list(r) * 2 for r in u.basis] + [list(r) + [f.zero] * m for r in w.basis]
+    pivots = rref(rows, 2 * m, f.p)
+    meet = [(r[m:], c - m) for r, c in zip(rows, pivots) if c >= m]
+    return subspace_from_rref_rows(f, m, [r for r, _ in meet], [c for _, c in meet])

@@ -4,8 +4,12 @@ Over GF(p) the values are computed exactly by exhaustive enumeration of
 subspaces in canonical RREF order (profiles of pivot columns in lexicographic
 order, free entries in odometer order), scanning dimensions downward with
 early exit.  Over Q only certified lower bounds are produced, plus the
-universal upper bounds (dim for abelian algebras, dim-1 for alpha and dim-2
-for beta otherwise).
+universal upper bounds of ``_upper_bounds`` (dim for abelian algebras; else
+dim-1 for alpha, and dim-1 for beta at arity 2, dim-2 at arity >= 3).
+
+The alpha/beta scans, the ideal counts of ``iso`` and the classifier of
+``catalog`` walk the Grassmannian through ``subspace_hits`` (one level) and
+``first_hit`` (whole levels under the budget).
 
 The scan predicates read the compiled table ``L.maps`` like every other
 layer, but keep their own raw-int loops with the reduction mod p at every
@@ -24,7 +28,7 @@ from itertools import combinations
 from .core import NLieAlgebra, bracket_rows
 from .errors import InvalidParameterError, UnsupportedRequestError
 from .fields import GF, QQ, is_prime
-from .invariants import center, classify_subspace
+from .invariants import center, classify_subspace, invariant_report
 from .linalg import (
     Matrix,
     Subspace,
@@ -62,29 +66,27 @@ def _profile_free_positions(m, profile):
     return pos
 
 
-def _iter_profile_bases(m, k, p, profile):
-    """All RREF bases with the given pivot profile, free entries in odometer order."""
-    free = _profile_free_positions(m, profile)
-    base = [[0] * m for _ in range(k)]
-    for r, c in enumerate(profile):
-        base[r][c] = 1
-    if not free:
-        yield tuple(tuple(row) for row in base)
-        return
-    vals = [0] * len(free)
-    while True:
-        yield tuple(tuple(row) for row in base)
-        i = len(free) - 1
+def _iter_level(m, k, p):
+    """(RREF rows, pivot profile) of every k-dimensional subspace of GF(p)^m
+    in canonical order: profiles lexicographic, free entries in odometer order."""
+    for profile in combinations(range(m), k):
+        free = _profile_free_positions(m, profile)
+        base = [[0] * m for _ in range(k)]
+        for r, c in enumerate(profile):
+            base[r][c] = 1
+        vals = [0] * len(free)
+        i = 0  # the odometer digit that moved last; -1 once all of them wrapped
         while i >= 0:
-            vals[i] += 1
-            if vals[i] < p:
-                base[free[i][0]][free[i][1]] = vals[i]
-                break
-            vals[i] = 0
-            base[free[i][0]][free[i][1]] = 0
-            i -= 1
-        if i < 0:
-            return
+            yield tuple(tuple(row) for row in base), profile
+            i = len(free) - 1
+            while i >= 0:
+                vals[i] += 1
+                if vals[i] < p:
+                    base[free[i][0]][free[i][1]] = vals[i]
+                    break
+                vals[i] = 0
+                base[free[i][0]][free[i][1]] = 0
+                i -= 1
 
 
 def enumerate_subspaces(m: int, k: int, p: int):
@@ -94,12 +96,8 @@ def enumerate_subspaces(m: int, k: int, p: int):
     if not (0 <= k <= m):
         raise InvalidParameterError(f"k must be in 0..{m}, got {k}")
     fld = GF(p)
-    if k == 0:
-        yield zero_subspace(fld, m)
-        return
-    for profile in combinations(range(m), k):
-        for rows in _iter_profile_bases(m, k, p, profile):
-            yield subspace_from_rref_rows(fld, m, rows, profile)
+    for rows, profile in _iter_level(m, k, p):
+        yield subspace_from_rref_rows(fld, m, rows, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -173,46 +171,57 @@ PREDICATES = {
 }
 
 
-def scan_profiles(L: NLieAlgebra, k, profiles, mode):
-    """Scan the k-dimensional subspaces of GF(p)^dim with the given pivot
-    profiles in canonical order for the first one that satisfies
-    ``PREDICATES[mode]``; return (hit rows and profile or None, scanned)."""
+def subspace_hits(L: NLieAlgebra, k, mode):
+    """Yield (position, rows, profile) for every k-dimensional subspace of
+    GF(p)^dim that satisfies ``PREDICATES[mode]``, in canonical order;
+    position is the subspace's 1-based index in its level."""
     predicate = PREDICATES[mode]
-    scanned = 0
-    m = L.dim
-    p = L.field.p
-    for profile in profiles:
-        for rows in _iter_profile_bases(m, k, p, profile):
-            scanned += 1
-            if predicate(L, rows, profile):
-                return (rows, profile), scanned
-    return None, scanned
+    position = 0
+    for rows, profile in _iter_level(L.dim, k, L.field.p):
+        position += 1
+        if predicate(L, rows, profile):
+            yield position, rows, profile
 
 
-def count_subspaces(L: NLieAlgebra, k, mode) -> int:
-    """Number of k-dimensional subspaces of GF(p)^dim satisfying ``PREDICATES[mode]``."""
-    m, p, predicate = L.dim, L.field.p, PREDICATES[mode]
-    return sum(predicate(L, rows, profile) for profile in combinations(range(m), k)
-               for rows in _iter_profile_bases(m, k, p, profile))
+def first_hit(L: NLieAlgebra, levels, mode, budget, scanned=0):
+    """Walk whole levels k, in the given order, to the canonically first
+    subspace that satisfies ``PREDICATES[mode]``; a level is entered only
+    when ``scanned`` plus its size is within ``budget``.  Returns (k, (rows,
+    profile), scanned) at a hit, (k, None, scanned) when the budget stopped
+    the walk before level k, and (None, None, scanned) without a hit."""
+    m, p = L.dim, L.field.p
+    for k in levels:
+        size = gaussian_binomial(m, k, p)
+        if scanned + size > budget:
+            return k, None, scanned
+        for position, rows, profile in subspace_hits(L, k, mode):
+            return k, (rows, profile), scanned + position
+        scanned += size
+    return None, None, scanned
 
 
 def _scan_down(L, top, mode, name, budget, scanned, notes):
     """Largest k <= top with a k-dimensional subspace satisfying
-    ``PREDICATES[mode]``, scanning whole levels downward while the budget
-    allows; returns (k or None when the budget stopped it, the canonically
-    first witness or None at k = 0, the new scanned total)."""
+    ``PREDICATES[mode]``; returns (k or None when the budget stopped it, the
+    canonically first witness or None at k = 0, the new scanned total).  The
+    zero subspace satisfies every predicate, so some level always hits."""
+    k, hit, scanned = first_hit(L, range(top, -1, -1), mode, budget, scanned)
+    if hit is None:
+        notes.append(f"{name} scan stopped before dimension {k}: budget")
+        return None, None, scanned
+    rows, profile = hit
+    return k, subspace_from_rref_rows(L.field, L.dim, rows, profile) if k else None, scanned
+
+
+def _upper_bounds(L: NLieAlgebra) -> tuple:
+    """Universal bounds (alpha, beta): dim if L is abelian; else dim - 1,
+    and for beta dim - 1 at arity 2 (affine(2) attains it) or dim - 2 at
+    arity >= 3 (with I of codimension 1, every bracket has two arguments in
+    I, so an abelian ideal I would make L abelian)."""
     m = L.dim
-    for k in range(top, -1, -1):
-        if scanned + gaussian_binomial(m, k, L.field.p) > budget:
-            notes.append(f"{name} scan stopped before dimension {k}: budget")
-            return None, None, scanned
-        hit, cnt = scan_profiles(L, k, combinations(range(m), k), mode)
-        scanned += cnt
-        if hit is not None:
-            rows, profile = hit
-            witness = subspace_from_rref_rows(L.field, m, rows, profile) if k else None
-            return k, witness, scanned
-    return 0, None, scanned
+    if not L.entries:
+        return m, m
+    return m - 1, m - 1 if L.arity == 2 else m - 2
 
 
 @dataclass(frozen=True)
@@ -269,12 +278,11 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
         raise InvalidParameterError(f"bad compute selector: {compute}")
     p = L.field.p
     m = L.dim
-    fld = L.field
-    abelian = not L.entries
-    if abelian:
-        fullspace = full_subspace(fld, m)
+    alpha_upper, beta_upper = _upper_bounds(L)
+    if not L.entries:
+        fullspace = full_subspace(L.field, m)
         return AlphaBetaResult(m, m, fullspace, fullspace, f"exact-fp({p})", p, 0,
-                               True, True, alpha_upper=m, beta_upper=m)
+                               True, True, alpha_upper, beta_upper)
 
     notes = []
     alpha = beta = alpha_w = beta_w = None
@@ -287,7 +295,7 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
                                            budget, scanned, notes)
     return AlphaBetaResult(alpha, beta, alpha_w, beta_w, f"exact-fp({p})", p,
                            scanned, alpha is not None, beta is not None,
-                           alpha_upper=m - 1, beta_upper=m - 2,
+                           alpha_upper=alpha_upper, beta_upper=beta_upper,
                            notes=tuple(notes))
 
 
@@ -338,7 +346,6 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
         raise UnsupportedRequestError("lower-bound search is the Q mode")
     f = L.field
     m = L.dim
-    abelian = not L.entries
     z = center(L)
     seeds = [z]
     seeds += [coordinate_subspace(f, m, (i,)) for i in range(m)]
@@ -365,8 +372,7 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
         if S.dim > best_beta.dim and classify_subspace(L, S).is_abelian_ideal:
             best_beta = S
 
-    alpha_upper = m if abelian else m - 1
-    beta_upper = m if abelian else m - 2
+    alpha_upper, beta_upper = _upper_bounds(L)
     return AlphaBetaResult(
         alpha=best_alpha.dim,
         beta=best_beta.dim,
@@ -460,8 +466,6 @@ def verify_claims(L: NLieAlgebra, claims: Claims, *, primes=(2, 3),
     required) together with the certified Q bounds -- evidence, not proof,
     and flagged as such in the method string.
     """
-    from .invariants import invariant_report
-
     checks = []
     rep = invariant_report(L)
     if claims.derived_dim is not None:

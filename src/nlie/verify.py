@@ -49,6 +49,7 @@ from .iso import are_isomorphic, fingerprint, random_basis_change
 from .linalg import coordinate_subspace, subspace_intersect
 from .oracle import naive_fi_residual
 from .search import (
+    abelian_bounds_q,
     alpha_beta_exact_fp,
     enumerate_subspaces,
     gaussian_binomial,
@@ -334,8 +335,6 @@ def criterion_6() -> CheckResult:
     """Trivial extensions of 2-step solvable Lie algebras with a codim-1
     abelian ideal: identity holds, second derived term vanishes, beta equals
     dim-2 over GF(2) and GF(3), and the embedded copy is hypo-abelian."""
-    from .search import abelian_bounds_q
-
     failures = []
     checks = 0
     for label, J0 in _criterion6_inputs():

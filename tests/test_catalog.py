@@ -299,6 +299,22 @@ def test_classify44_works_on_prime_field_input():
     assert classify_theorem44(catalog_build("A(n)", GF(3), n=3)).case == "simple-A4"
 
 
+@pytest.mark.parametrize("m,scanned", [(5, 32), (6, 652)])
+def test_classify44_t44_3_over_gf2_is_pinned(m, scanned):
+    """tau is the first abelian ideal in canonical order that has a simple
+    complement; the block is the first such complement."""
+    v = classify_theorem44(catalog_build("T44-3", GF(2), m=m))
+    assert v.case == "A4-semidirect"
+    assert v.evidence == {"p": 2, "tau_dim": m - 4, "subspaces_scanned": scanned}
+    assert v.tau == coordinate_subspace(GF(2), m, range(4, m))
+    assert v.block == coordinate_subspace(GF(2), m, range(4))
+
+
+def test_classify44_simple_evidence_is_pinned():
+    v = classify_theorem44(catalog_build("A(n)", GF(3), n=3))
+    assert v.evidence == {"p": 3, "proper_subspaces_checked": 210, "derived_dim": 4}
+
+
 # ---------------------------------------------------------------------------
 # Lie fixtures
 

@@ -263,6 +263,26 @@ def test_other_modulus_on_prime_field_document_is_usage_error(capsys, ex33_gf2_p
     assert code == 0
 
 
+def test_alphabeta_budget_stop_is_undecided(capsys, ex33_path, ex33_gf2_path):
+    """A scan stopped by its budget leaves alpha/beta undecided: exit 3, the
+    stopped scans named, and no claim that the primes agree."""
+    code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--budget", "10")
+    assert code == 3
+    assert "primes agree" not in out
+    assert "undecided: alpha scan stopped before dimension 3: budget" in out
+    code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3",
+                       "--budget", "60", "--json")
+    assert code == 3
+    runs = json.loads(out)["result"]["runs"]
+    assert [(r["alpha_exact"], r["beta_exact"]) for r in runs] == [(True, True), (True, False)]
+    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "20")
+    assert code == 3
+    assert "alpha = 3, beta = None" in out
+    code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3")
+    assert code == 0
+    assert "primes agree: True" in out
+
+
 @pytest.mark.parametrize("verb", [["alphabeta", "D"], ["verify-paper"]])
 def test_threads_option_is_gone(capsys, verb):
     with pytest.raises(SystemExit) as exc:

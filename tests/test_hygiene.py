@@ -1,6 +1,7 @@
-"""Static checks on the package sources: no unused imports, and no module
+"""Static checks on the package sources: no unused imports, no module
 reaching into another module's private (underscore-prefixed, not dunder)
-names.
+names, and no function-local imports of package modules (every dependency
+between modules shows at the top of the importing module).
 
 ``__init__.py`` is skipped because its imports are the public re-exports.
 """
@@ -63,3 +64,14 @@ def test_no_private_names_from_other_modules(path):
                and (source.startswith(".") or source.split(".")[0] == "nlie")
                and name.startswith("_") and not name.endswith("__")]
     assert not private
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports_of_package_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    local = [f"{path.name}:{node.lineno} {source or name}"
+             for scope in _scopes(tree)[1:]
+             for node, _, name, source in _imports(scope)
+             if (source or name).startswith(".")
+             or (source or name).split(".")[0] == "nlie"]
+    assert not local

@@ -6,6 +6,7 @@ import pytest
 
 from nlie.errors import DimensionMismatchError, FieldMismatchError
 from nlie.fields import GF, QQ
+from nlie.iso import random_invertible_matrix
 from nlie.linalg import (
     Matrix,
     coordinate_subspace,
@@ -15,6 +16,7 @@ from nlie.linalg import (
     subspace_sum,
     zero_subspace,
 )
+from nlie.search import enumerate_subspaces
 
 from oracles import perm_sign, rref_fractions, span_members_fp
 
@@ -120,6 +122,19 @@ def test_sum_intersect_gf2_by_enumeration():
     assert mu & mw == {(0, 0)}
 
 
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3) for m in range(1, 5)])
+def test_intersect_matches_member_sets(p, m):
+    """The Zassenhaus intersection of every pair of subspaces of GF(p)^m is
+    the subspace whose members are the common members of the two."""
+    by_members = {}
+    for k in range(m + 1):
+        for S in enumerate_subspaces(m, k, p):
+            by_members[frozenset(span_members_fp(S.basis, m, p))] = S
+    for mu, U in by_members.items():
+        for mw, W in by_members.items():
+            assert subspace_intersect(U, W) == by_members[mu & mw], (U.basis, W.basis)
+
+
 def test_grassmann_dimension_formula():
     U = span(QQ, 4, [(1, 0, 1, 0), (0, 1, 0, 1)])
     W = span(QQ, 4, [(1, 1, 1, 1), (0, 0, 1, 1)])
@@ -156,6 +171,12 @@ def test_matrix_inverse_roundtrip():
     M = Matrix.from_rows(QQ, [[2, 1], [1, 1]])
     assert (M @ M.inverse()) == Matrix.identity(QQ, 2)
     assert M.det() == Fraction(1)
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for n in range(1, 6):
+            identity = Matrix.identity(field, n)
+            for seed in range(6):
+                M = random_invertible_matrix(field, n, seed)
+                assert M @ M.inverse() == identity == M.inverse() @ M, (field, n, seed)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)

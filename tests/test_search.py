@@ -3,7 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from nlie.catalog import catalog_build, direct_sum, entries_for_dims
+from nlie.catalog import (
+    associated_lie,
+    catalog_build,
+    direct_sum,
+    entries_for_dims,
+    lie_catalog_build,
+)
 from nlie.core import abelian_algebra, check_fundamental_identity, make_algebra
 from nlie.errors import InvalidParameterError, UnsupportedRequestError
 from nlie.fields import GF, QQ
@@ -15,10 +21,10 @@ from nlie.search import (
     Claims,
     abelian_bounds_q,
     alpha_beta_exact_fp,
-    count_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
     reduce_mod_p,
+    subspace_hits,
     verify_claims,
 )
 
@@ -115,16 +121,52 @@ def test_fast_predicates_match_classifier_and_brute_force(p, m):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_ideal_counts_match_classifier_and_basis_change(p):
-    """The ideal counts that certify ``no`` in are_isomorphic: equal to a
-    brute-force count through classify_subspace on every m = 4 catalog
-    family, and unchanged by a basis change."""
+    """The ideal counts that certify ``no`` in are_isomorphic: the hits of
+    ``subspace_hits`` are, in order and with their positions, the ideals
+    that classify_subspace finds on every m = 4 catalog family, and their
+    number is unchanged by a basis change."""
     for label, L in entries_for_dims((4,), GF(p)):
         Lc = random_basis_change(L, 2)
         for k in (1, 2):
-            brute = sum(classify_subspace(L, S).is_ideal
-                        for S in enumerate_subspaces(4, k, p))
-            assert count_subspaces(L, k, "ideal") == brute, (label, k)
-            assert count_subspaces(Lc, k, "ideal") == brute, (label, k)
+            brute = [(pos, S.basis, S.pivots)
+                     for pos, S in enumerate(enumerate_subspaces(4, k, p), 1)
+                     if classify_subspace(L, S).is_ideal]
+            assert list(subspace_hits(L, k, "ideal")) == brute, (label, k)
+            assert len(list(subspace_hits(Lc, k, "ideal"))) == len(brute), (label, k)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_alpha_beta_match_brute_force_walk(p):
+    """On every m = 4 catalog family, as published and after a basis change:
+    alpha, beta, the witnesses (the canonically first subspace of the maximal
+    dimension, None at dimension 0) and ``subspaces_scanned`` (whole levels
+    above the hit plus the hit's 1-based position in its level, alpha's walk
+    from dim and beta's from dim - 1) equal a walk through
+    ``enumerate_subspaces`` and ``classify_subspace``."""
+    m = 4
+    for label, L0 in entries_for_dims((m,), GF(p)):
+        for L in (L0, random_basis_change(L0, 3)):
+            levels = [[(S, classify_subspace(L, S)) for S in enumerate_subspaces(m, k, p)]
+                      for k in range(m + 1)]
+
+            def first_max(top, flag):
+                scanned = 0
+                for k in range(top, -1, -1):
+                    for pos, (S, cls) in enumerate(levels[k], 1):
+                        if getattr(cls, flag):
+                            return k, S if k else None, scanned + pos
+                    scanned += len(levels[k])
+
+            res = alpha_beta_exact_fp(L)
+            alpha, alpha_w, alpha_n = first_max(m, "is_abelian_subalgebra")
+            assert (res.alpha, res.alpha_witness) == (alpha, alpha_w), label
+            if not L.entries:  # abelian: answered without a scan
+                assert (res.beta, res.subspaces_scanned) == (m, 0), label
+                continue
+            beta, beta_w, beta_n = first_max(m - 1, "is_abelian_ideal")
+            assert (res.beta, res.beta_witness) == (beta, beta_w), label
+            assert res.subspaces_scanned == alpha_n + beta_n, label
+            assert res.complete
 
 
 def test_enumerated_bases_are_rref():
@@ -271,6 +313,31 @@ def test_bounds_q_t43_c2_beta_witness():
     res = abelian_bounds_q(L)
     assert res.beta >= 1
     assert classify_subspace(L, res.beta_witness).is_abelian_ideal
+
+
+def test_upper_bounds_of_lie_algebras_allow_codimension_1_abelian_ideals():
+    """At arity 2 beta can reach dim - 1, so the bound is dim - 1 there and
+    dim - 2 only at arity >= 3."""
+    affine = lie_catalog_build("affine", QQ, dim=2)
+    res = abelian_bounds_q(affine)
+    assert (res.beta, res.alpha_upper, res.beta_upper) == (1, 1, 1)
+    report = verify_claims(affine, Claims(beta=1))
+    assert report.all_pass, report.to_dict()
+    L = reduce_mod_p(associated_lie(catalog_build("EX42", QQ, m=6), (1, 0, 0, 0, 0, 0)), 2)
+    res = alpha_beta_exact_fp(L)
+    assert (res.beta, res.alpha_upper, res.beta_upper) == (5, 5, 5)
+    ternary = abelian_bounds_q(catalog_build("EX33", QQ))
+    assert (ternary.alpha_upper, ternary.beta_upper) == (3, 2)
+
+
+def test_exact_values_within_upper_bounds_on_lie_catalog():
+    for fid, params in [("affine", {"dim": 2}), ("heisenberg", {"dim": 3}),
+                        ("heisenberg", {"dim": 5}), ("simple3", {"dim": 3}),
+                        ("upper", {"n": 2}), ("strictly-upper", {"n": 3})]:
+        for p in (2, 3):
+            res = alpha_beta_exact_fp(lie_catalog_build(fid, GF(p), **params))
+            assert res.alpha <= res.alpha_upper, (fid, params, p)
+            assert res.beta <= res.beta_upper, (fid, params, p)
 
 
 def test_bounds_q_requires_rationals():
