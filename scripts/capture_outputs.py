@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Digest of every output the benchmark produces, to show that a change kept them.
+
+Builds the documents of the three benchmark workloads (structure-q, scan-fp,
+identify-fp) in a temporary directory through ``bench/tasks.py``, then runs
+through ``nlie.cli.main``, in process: every timed task, every
+``tasks.ISO_PROBES`` search and ``verify-paper``.  Prints one line per output
+(key, exit code, SHA-256 of stdout, SHA-256 of stderr), then one final digest
+over those lines.  The temporary directory's path is replaced by a fixed
+token before hashing, so two checkouts with the same outputs print the same
+digest.  Work counts in the ``--json`` documents are part of stdout and so of
+the digest.
+
+Usage (from the root of a source checkout): python3 scripts/capture_outputs.py
+"""
+
+import hashlib
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+from nlie import cli  # noqa: E402
+import tasks  # noqa: E402
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main():
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def capture(key, argv):
+            rc, out, err = tasks.run_cli(cli, argv)
+            out, err = (s.replace(tmp, "<work>") for s in (out, err))
+            lines.append(f"{key}\t{rc}\t{sha(out)}\t{sha(err)}")
+            print(lines[-1], flush=True)
+
+        for name in tasks.WORKLOADS:
+            workdir = pathlib.Path(tmp) / name
+            workdir.mkdir()
+            work = tasks.Workload(cli, name, "full", workdir)
+            for task in work.tasks:
+                capture(f"{name} {task.key}", task.argv)
+            for task in work.probes():
+                capture(f"{name} probe {task.key}", task.argv)
+        capture("verify-paper", ["verify-paper"])
+    print(f"{len(lines)} outputs, digest {sha(chr(10).join(lines))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

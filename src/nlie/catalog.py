@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import FundamentalIdentityError, InvalidParameterError
 from .fields import QQ, Field, same_field
-from .invariants import classify_subspace, derived_algebra, full_space, s_derived_series
+from .invariants import classify_subspace, full_space, s_derived_series
 from .linalg import Subspace, subspace_from_rref_rows, validate_vector
 from .search import enumerate_subspaces, first_hit, gaussian_binomial, reduce_mod_p, subspace_hits
 
@@ -596,7 +596,7 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
         p_used = p if p is not None else 2
         Lp = reduce_mod_p(L, p_used)
 
-    if m == 4 and derived_algebra(L).dim == 4:
+    if m == 4 and rep.terms[1].dim == 4:  # [L, L, L] = L
         k, hit, scanned = first_hit(Lp, (1, 2, 3), "ideal", budget)
         if k is None:
             return Theorem44Verdict("simple-A4", {

@@ -33,7 +33,6 @@ from .fields import GF, QQ
 from .invariants import (
     center,
     classify_subspace,
-    derived_algebra,
     full_space,
     invariant_report,
     s_derived_series,
@@ -121,7 +120,7 @@ def cmd_derived(args):
     terms = rep.terms[: args.steps + 1] if args.steps is not None else rep.terms
     lines = [f"{args.s}-derived series dims: {[t.dim for t in terms]}",
              f"terminates at zero: {rep.terminated_at_zero}"]
-    d1 = derived_algebra(L)
+    d1 = rep.terms[1]  # [L, .., L]: the derived algebra
     lines.append(f"derived algebra dim {d1.dim}:")
     lines += _format_subspace(d1)
     _emit(args, "derived", {

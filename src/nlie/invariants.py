@@ -9,7 +9,7 @@ conditions, stable under field extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import NLieAlgebra, bracket_subspaces
 from .errors import DimensionMismatchError, InvalidParameterError, NotAnIdealError
@@ -93,8 +93,6 @@ def is_ideal(L: NLieAlgebra, S: Subspace) -> bool:
 class SeriesReport:
     """Terms of a subspace series until it stabilizes or reaches zero."""
 
-    kind: str            # "s-derived" or "lower-central"
-    s: int | None
     terms: tuple         # Subspaces, starting with the input
     stabilized: bool
     terminated_at_zero: bool
@@ -103,33 +101,32 @@ class SeriesReport:
     def dims(self) -> tuple:
         return tuple(t.dim for t in self.terms)
 
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "dims": list(self.dims),
-            "stabilized": self.stabilized,
-            "terminated_at_zero": self.terminated_at_zero,
-        }
-        if self.s is not None:
-            out["s"] = self.s
-        return out
 
-
-def _run_series(L, I, step, kind, s):
-    terms = [I]
-    cap = L.dim + len(terms) + _SERIES_HARD_CAP_EXTRA
+def _run_series(L, terms, step):
+    """Extend ``terms`` by ``step`` until a term is zero or repeats the one before."""
+    terms = list(terms)
+    cap = L.dim + 1 + _SERIES_HARD_CAP_EXTRA
     while True:
         cur = terms[-1]
         if cur.is_zero:
-            return SeriesReport(kind, s, tuple(terms), True, True)
-        nxt = step(cur)
-        terms.append(nxt)
-        if nxt.is_zero:
-            return SeriesReport(kind, s, tuple(terms), True, True)
-        if nxt == cur:
-            return SeriesReport(kind, s, tuple(terms), True, False)
+            return SeriesReport(tuple(terms), True, True)
+        if len(terms) > 1 and cur == terms[-2]:
+            return SeriesReport(tuple(terms), True, False)
         if len(terms) > cap:
-            return SeriesReport(kind, s, tuple(terms), False, False)
+            return SeriesReport(tuple(terms), False, False)
+        terms.append(step(cur))
+
+
+def _derived_step(L, s):
+    n = L.arity
+    full = full_space(L)
+    return lambda cur: bracket_subspaces(L, (cur,) * s + (full,) * (n - s))
+
+
+def _central_step(L, I):
+    n = L.arity
+    full = full_space(L)
+    return lambda cur: bracket_subspaces(L, (cur, I) + (full,) * (n - 2))
 
 
 def s_derived_series(L: NLieAlgebra, I: Subspace, s: int) -> SeriesReport:
@@ -137,27 +134,16 @@ def s_derived_series(L: NLieAlgebra, I: Subspace, s: int) -> SeriesReport:
     n = L.arity
     if not (2 <= s <= n):
         raise InvalidParameterError(f"s must be in 2..{n}, got {s}")
-    if not is_ideal(L, I):
+    if I.dim < L.dim and not is_ideal(L, I):  # L itself is an ideal
         raise NotAnIdealError("series input is not an ideal")
-    full = full_space(L)
-
-    def step(cur):
-        return bracket_subspaces(L, (cur,) * s + (full,) * (n - s))
-
-    return _run_series(L, I, step, "s-derived", s)
+    return _run_series(L, [I], _derived_step(L, s))
 
 
 def lower_central_series(L: NLieAlgebra, I: Subspace) -> SeriesReport:
     """I, [I, I, L..], [[I,I,L..], I, L..], ...; zero-terminating means nilpotent."""
-    n = L.arity
-    if not is_ideal(L, I):
+    if I.dim < L.dim and not is_ideal(L, I):
         raise NotAnIdealError("series input is not an ideal")
-    full = full_space(L)
-
-    def step(cur):
-        return bracket_subspaces(L, (cur, I) + (full,) * (n - 2))
-
-    return _run_series(L, I, step, "lower-central", None)
+    return _run_series(L, [I], _central_step(L, I))
 
 
 def is_s_solvable(L: NLieAlgebra, s: int) -> bool:
@@ -186,6 +172,10 @@ class InvariantReport:
     lower_central: tuple    # dims
     nilpotent: bool
     solvable: tuple         # ((s, flag), ...)
+    # Subspaces, one tuple per series: (center,), the terms after L of each
+    # s-derived series, then of the lower central series.  Basis-dependent,
+    # so they take no part in equality, hashing, repr or to_dict.
+    subspaces: tuple = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -202,20 +192,19 @@ class InvariantReport:
 
 def invariant_report(L: NLieAlgebra) -> InvariantReport:
     full = full_space(L)
-    series = []
-    solvable = []
-    for s in range(2, L.arity + 1):
-        rep = s_derived_series(L, full, s)
-        series.append((s, rep.dims))
-        solvable.append((s, rep.terminated_at_zero))
-    lower = lower_central_series(L, full)
+    # every series from L continues with [L, .., L], the derived algebra
+    head = [full, bracket_subspaces(L, (full,) * L.arity)]
+    derived = [_run_series(L, head, _derived_step(L, s)) for s in range(2, L.arity + 1)]
+    lower = _run_series(L, head, _central_step(L, full))
+    z = center(L)
     return InvariantReport(
         arity=L.arity,
         dim=L.dim,
-        derived_dim=derived_algebra(L).dim,
-        center_dim=center(L).dim,
-        derived_series=tuple(series),
+        derived_dim=head[1].dim,
+        center_dim=z.dim,
+        derived_series=tuple((s, rep.dims) for s, rep in enumerate(derived, 2)),
         lower_central=lower.dims,
         nilpotent=lower.terminated_at_zero,
-        solvable=tuple(solvable),
+        solvable=tuple((s, rep.terminated_at_zero) for s, rep in enumerate(derived, 2)),
+        subspaces=((z,),) + tuple(rep.terms[1:] for rep in derived + [lower]),
     )

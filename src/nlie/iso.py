@@ -24,14 +24,7 @@ from itertools import combinations, product
 from .core import NLieAlgebra, bracket, bracket_basis, bracket_rows, make_algebra
 from .errors import DimensionMismatchError, InvalidParameterError
 from .fields import QQ, Field
-from .invariants import (
-    InvariantReport,
-    center,
-    full_space,
-    invariant_report,
-    lower_central_series,
-    s_derived_series,
-)
+from .invariants import InvariantReport, invariant_report
 from .linalg import Matrix, reduce_vector
 from .search import alpha_beta_exact_fp, gaussian_binomial, subspace_hits
 
@@ -53,7 +46,7 @@ class Fingerprint(InvariantReport):
     def differs_from(self, other: "Fingerprint") -> str | None:
         """Name of the first component separating the two, or None."""
         for f in fields(self):
-            if getattr(self, f.name) != getattr(other, f.name):
+            if f.compare and getattr(self, f.name) != getattr(other, f.name):
                 return f.name
         return None
 
@@ -152,20 +145,6 @@ def _verify_witness(L1, L2, P: Matrix) -> bool:
         return False
 
 
-def _invariant_subspace_pairs(L1, L2):
-    """Aligned invariant subspaces; an isomorphism maps each left one onto its mate."""
-    pairs = [(center(L1), center(L2))]
-    full1, full2 = full_space(L1), full_space(L2)
-    for s in range(2, L1.arity + 1):
-        t1 = s_derived_series(L1, full1, s).terms
-        t2 = s_derived_series(L2, full2, s).terms
-        pairs += list(zip(t1[1:], t2[1:]))
-    t1 = lower_central_series(L1, full1).terms
-    t2 = lower_central_series(L2, full2).terms
-    pairs += list(zip(t1[1:], t2[1:]))
-    return [(u, w) for u, w in pairs if u.dim == w.dim and u.dim < L1.dim]
-
-
 def ideal_count_difference(L1: NLieAlgebra, L2: NLieAlgebra) -> str | None:
     """Why two algebras over GF(p) are not isomorphic, by the numbers of their
     k-dimensional ideals (k = 1, 2, k < dim), which an isomorphism preserves;
@@ -193,7 +172,8 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
     if L1.entries == L2.entries:
         return IsoResult("yes", Matrix.identity(f, m), "identical tables", 0)
 
-    diff = fingerprint(L1).differs_from(fingerprint(L2))
+    fp1, fp2 = fingerprint(L1), fingerprint(L2)
+    diff = fp1.differs_from(fp2)
     if diff is not None:
         return IsoResult("no", None, f"fingerprint: {diff}", 0)
 
@@ -202,11 +182,14 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
         if reason is not None:
             return IsoResult("no", None, reason, 0)
 
-    return _search_isomorphism(L1, L2, budget)
+    return _search_isomorphism(L1, L2, fp1.subspaces, fp2.subspaces, budget)
 
 
-def _search_isomorphism(L1, L2, budget) -> IsoResult:
+def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
     """Backtracking search for an isomorphism L1 -> L2 of the same shape.
+
+    ``subspaces1`` and ``subspaces2`` are the ``InvariantReport.subspaces`` of
+    the two algebras; an isomorphism maps each subspace of L1 onto its mate.
 
     Images of basis vectors are assigned most-constrained index first, with
     candidates in lexicographic order, pruned by linear independence,
@@ -226,8 +209,9 @@ def _search_isomorphism(L1, L2, budget) -> IsoResult:
                          f"the node budget {budget}", 0)
 
     # the image of e_i must lie in every invariant subspace of L2 whose mate
-    # contains e_i
-    pairs = _invariant_subspace_pairs(L1, L2)
+    # contains e_i; mates are aligned per series, the center first
+    pairs = [(u, w) for t1, t2 in zip(subspaces1, subspaces2) for u, w in zip(t1, t2)
+             if u.dim == w.dim and u.dim < m]
     unit = [tuple(f.one if t == i else f.zero for t in range(m)) for i in range(m)]
     targets = [[w for u, w in pairs if u.contains_vector(unit[i])] for i in range(m)]
 

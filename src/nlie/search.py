@@ -468,20 +468,12 @@ def verify_claims(L: NLieAlgebra, claims: Claims, *, primes=(2, 3),
     """
     checks = []
     rep = invariant_report(L)
-    if claims.derived_dim is not None:
-        ok = rep.derived_dim == claims.derived_dim
-        checks.append(ClaimCheck("derived_dim", claims.derived_dim,
-                                 rep.derived_dim, "pass" if ok else "fail",
-                                 "exact rank"))
-    if claims.center_dim is not None:
-        ok = rep.center_dim == claims.center_dim
-        checks.append(ClaimCheck("center_dim", claims.center_dim,
-                                 rep.center_dim, "pass" if ok else "fail",
-                                 "exact kernel"))
-    if claims.nilpotent is not None:
-        ok = rep.nilpotent == claims.nilpotent
-        checks.append(ClaimCheck("nilpotent", claims.nilpotent, rep.nilpotent,
-                                 "pass" if ok else "fail", "exact series"))
+    for name, method in (("derived_dim", "exact rank"), ("center_dim", "exact kernel"),
+                         ("nilpotent", "exact series")):
+        expected, got = getattr(claims, name), getattr(rep, name)
+        if expected is not None:
+            checks.append(ClaimCheck(name, expected, got,
+                                     "pass" if got == expected else "fail", method))
     solv = dict(rep.solvable)
     for s, expected in claims.solvable:
         got = solv.get(s)
@@ -510,23 +502,18 @@ def verify_claims(L: NLieAlgebra, claims: Claims, *, primes=(2, 3),
                                              f"exhaustive GF({L.field.p})"))
         else:
             bounds = abelian_bounds_q(L)
-            modular = {}
-            used = []
+            runs = {}
             for p in primes:
                 try:
                     Lp = reduce_mod_p(L, p)
                 except InvalidParameterError:
                     continue
-                res = alpha_beta_exact_fp(Lp, budget=budget)
-                if res.alpha_exact and res.beta_exact:
-                    modular[p] = (res.alpha, res.beta)
-                    used.append(p)
-            for idx, (name, expected) in enumerate(
-                    (("alpha", claims.alpha), ("beta", claims.beta))):
+                runs[p] = alpha_beta_exact_fp(Lp, budget=budget)
+            for name, expected in (("alpha", claims.alpha), ("beta", claims.beta)):
                 if expected is None:
                     continue
-                lower = bounds.alpha if name == "alpha" else bounds.beta
-                upper = bounds.alpha_upper if name == "alpha" else bounds.beta_upper
+                lower = getattr(bounds, name)
+                upper = getattr(bounds, f"{name}_upper")
                 if lower is not None and lower > expected:
                     checks.append(ClaimCheck(name, expected, lower, "fail",
                                              "certified Q lower bound exceeds claim"))
@@ -535,7 +522,12 @@ def verify_claims(L: NLieAlgebra, claims: Claims, *, primes=(2, 3),
                     checks.append(ClaimCheck(name, expected, upper, "fail",
                                              "claim exceeds certified Q upper bound"))
                     continue
-                values = {v[idx] for v in modular.values()}
+                # each invariant is judged by the runs in which its own scan finished
+                used = [p for p, res in runs.items() if getattr(res, f"{name}_exact")]
+                stopped = [p for p in runs if p not in used]
+                note = (f"; budget {budget} stopped the {name} scan at p in {stopped}"
+                        if stopped else "")
+                values = {getattr(runs[p], name) for p in used}
                 if len(values) == 1 and len(used) >= 2:
                     got = values.pop()
                     status = "pass" if got == expected else "fail"
@@ -543,10 +535,10 @@ def verify_claims(L: NLieAlgebra, claims: Claims, *, primes=(2, 3),
                         name, expected, got, status,
                         f"exhaustive mod p agreement at p in {used} "
                         f"(heuristic corroboration of the characteristic-0 claim) "
-                        f"+ Q bounds [{lower}, {upper}]"))
+                        f"+ Q bounds [{lower}, {upper}]{note}"))
                 else:
                     checks.append(ClaimCheck(
                         name, expected, sorted(values) if values else None,
                         "unverifiable",
-                        f"modular results disagree or too few primes ({used})"))
+                        f"modular results disagree or too few primes ({used}){note}"))
     return ClaimsReport(tuple(checks))

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from nlie.catalog import catalog_build, entries_for_dims
 from nlie.core import abelian_algebra, bracket_basis, make_algebra
 from nlie.errors import NotAnIdealError
 from nlie.fields import GF, QQ
+from nlie import invariants
 from nlie.invariants import (
     center,
     classify_subspace,
@@ -19,7 +21,7 @@ from nlie.invariants import (
     lower_central_series,
     s_derived_series,
 )
-from nlie.iso import random_basis_change
+from nlie.iso import are_isomorphic, fingerprint, random_basis_change
 from nlie.linalg import coordinate_subspace, span, unit_vector
 
 from oracles import all_vectors_fp, naive_bracket, rref_fractions, span_members_fp
@@ -89,6 +91,54 @@ def test_series_requires_ideal():
         s_derived_series(L, S, 2)
     with pytest.raises(NotAnIdealError):
         lower_central_series(L, S)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_first_term_after_l_is_the_derived_algebra(field):
+    """Every series from L continues with [L, .., L]; invariant_report, the
+    ``derived`` verb and classify_theorem44 read the derived algebra there."""
+    for label, L in entries_for_dims((4, 5, 6), field):
+        full, d = full_space(L), derived_algebra(L)
+        for s in range(2, L.arity + 1):
+            assert s_derived_series(L, full, s).terms[1] == d, (label, s)
+        assert lower_central_series(L, full).terms[1] == d, label
+        subspaces = invariant_report(L).subspaces
+        assert subspaces[0] == (center(L),), label
+        assert [terms[0] for terms in subspaces[1:]] == [d] * L.arity, label
+
+
+def test_each_span_is_computed_once(monkeypatch):
+    """invariant_report, and are_isomorphic on top of it, compute each bracket
+    span of an algebra once.  The subspaces that a fingerprint carries take
+    no part in its comparisons or its document."""
+    L = catalog_build("T35-b4", GF(3), m=4)
+    D = random_basis_change(L, seed=0)
+    fp_l, fp_d = fingerprint(L), fingerprint(D)
+    assert fp_l == fp_d and fp_l.differs_from(fp_d) is None
+    assert fp_l.to_dict().keys() == fp_d.to_dict().keys()
+    assert "subspaces" not in fp_l.to_dict()
+    assert fp_l.subspaces != fp_d.subspaces
+
+    calls = []
+    original = invariants.bracket_subspaces
+
+    def counted(L, subspaces):
+        calls.append((id(L), tuple(S.basis for S in subspaces)))
+        return original(L, subspaces)
+
+    monkeypatch.setattr(invariants, "bracket_subspaces", counted)
+    alive = []  # no algebra is freed, so no id is reused
+    for field in (QQ, GF(3)):
+        for _, L in entries_for_dims((4, 5), field):
+            alive.append(L)
+            invariant_report(L)
+    for p in (2, 3):
+        for seed, (_, L) in enumerate(entries_for_dims((4,), GF(p))):
+            D = random_basis_change(L, seed)
+            alive += [L, D]
+            are_isomorphic(L, D, budget=2_000)
+    assert calls
+    assert [key for key, count in Counter(calls).items() if count > 1] == []
 
 
 def test_center_dims():

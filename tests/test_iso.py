@@ -10,6 +10,7 @@ from nlie.catalog import catalog_build, representative_entries
 from nlie.core import bracket, check_fundamental_identity
 from nlie.errors import InvalidParameterError
 from nlie.fields import GF, QQ
+from nlie.invariants import invariant_report
 from nlie.iso import (
     _search_isomorphism,
     are_isomorphic,
@@ -130,7 +131,8 @@ def test_search_alone_proves_b_cores_distinct():
     expected = {("T35-b4", "T35-b5"): 1158, ("T35-b4", "T35-b6"): 870,
                 ("T35-b5", "T35-b6"): 2382}
     for (la, A), (lb, B) in combinations(_b_cores(), 2):
-        res = _search_isomorphism(A, B, 2_000_000)
+        res = _search_isomorphism(A, B, invariant_report(A).subspaces,
+                                  invariant_report(B).subspaces, 2_000_000)
         assert res.verdict == "no", (la, lb)
         assert res.reason == "search exhausted over the prime field"
         assert res.nodes == expected[la, lb], (la, lb)

@@ -380,3 +380,18 @@ def test_verify_claims_nilpotency_flags():
     assert rep.all_pass
     rep = verify_claims(L, Claims(nilpotent=False))
     assert rep.any_fail
+
+
+def test_verify_claims_judges_each_invariant_by_its_own_scans():
+    """Over Q a prime counts for alpha when its alpha scan finished, whether
+    or not the budget stopped its beta scan; the stopped primes are named
+    together with the budget."""
+    L = catalog_build("EX33", QQ)
+    check, = verify_claims(L, Claims(alpha=3), primes=(2, 3, 5), budget=60).checks
+    assert (check.status, check.computed) == ("pass", 3)
+    assert "agreement at p in [2, 3]" in check.method
+    assert check.method.endswith("; budget 60 stopped the alpha scan at p in [5]")
+    check, = verify_claims(L, Claims(alpha=3), primes=(2, 3, 5), budget=10).checks
+    assert (check.status, check.computed) == ("unverifiable", None)
+    assert check.method == ("modular results disagree or too few primes ([]); "
+                            "budget 10 stopped the alpha scan at p in [2, 3, 5]")
