@@ -313,103 +313,83 @@ def cmd_verify_paper(args):
     return EXIT_OK if suite.passed else EXIT_FALSE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*names, **options):
+    return names, options
+
+
+_ALGEBRA = _arg("algebra")
+_OUT = _arg("--out")
+
+# verb -> (handler, help, arguments after --json)
+VERBS = {
+    "check": (cmd_check, "verify the fundamental identity", [_ALGEBRA]),
+    "report": (cmd_report, "basis-invariant structure report", [_ALGEBRA]),
+    "center": (cmd_center, "center of the algebra", [_ALGEBRA]),
+    "derived": (cmd_derived, "derived series", [
+        _ALGEBRA,
+        _arg("--s", type=int, default=2, choices=(2, 3), help="series parameter"),
+        _arg("--steps", type=int, default=None, help="maximum steps shown")]),
+    "classify": (cmd_classify, "classify a subspace against an algebra", [
+        _ALGEBRA, _arg("subspace", help="subspace-v1 document")]),
+    "alphabeta": (cmd_alphabeta, "maximal abelian subalgebra/ideal dims", [
+        _ALGEBRA,
+        _arg("--p", type=int, action="append",
+             help="reduce mod p and enumerate exhaustively (repeatable)"),
+        _arg("--q-bounds", action="store_true", help="certified lower bounds over Q"),
+        _arg("--budget", type=int, default=10_000_000)]),
+    "assoc-lie": (cmd_assoc_lie, "associated binary algebra at w", [
+        _ALGEBRA, _arg("--w", required=True, help="comma-separated coordinates of w"),
+        _OUT]),
+    "extend": (cmd_extend, "trivial one-point extension of a Lie algebra",
+               [_ALGEBRA, _OUT]),
+    "sum": (cmd_sum, "direct sum of two algebras",
+            [_arg("algebra1"), _arg("algebra2"), _OUT]),
+    "catalog": (cmd_catalog, "list or build catalog families", [
+        _arg("action", choices=("list", "build")), _arg("family", nargs="?"),
+        _arg("--dim", type=int), _arg("--n", type=int), _arg("--alpha"),
+        _arg("--t", type=int), _arg("--r", type=int),
+        _arg("--p", type=int, help="build over GF(p) instead of Q"), _OUT]),
+    "lie-catalog": (cmd_lie_catalog, "build binary (Lie) fixtures", [
+        _arg("family"), _arg("--dim", type=int), _arg("--n", type=int),
+        _arg("--p", type=int), _OUT]),
+    "fingerprint": (cmd_fingerprint, "basis-invariant fingerprint", [_ALGEBRA]),
+    "iso": (cmd_iso, "isomorphism semidecision", [
+        _arg("algebra1"), _arg("algebra2"),
+        _arg("--p", type=int, help="compare reductions mod p"),
+        _arg("--budget", type=int, default=2_000_000)]),
+    "classify44": (cmd_classify44, "trichotomy: 3-solvable / simple 4-dim / semidirect", [
+        _ALGEBRA, _arg("--p", type=int), _arg("--budget", type=int, default=2_000_000)]),
+    "verify-paper": (cmd_verify_paper, "run the full verification suite", [
+        _arg("--only", type=int, action="append",
+             help="run a single criterion (repeatable)"),
+        _arg("--seed", type=int, default=0)]),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every verb, or with ``only`` of that verb alone; the
+    top-level usage still lists every verb, so its errors read the same."""
     parser = argparse.ArgumentParser(
         prog="nlie",
         description="Exact computations for n-ary Lie algebras given by "
                     "structure constants (nlie-v1 documents)")
     parser.add_argument("--version", action="version", version=f"nlie {__version__}")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p = add("check", cmd_check, help="verify the fundamental identity")
-    p.add_argument("algebra")
-
-    p = add("report", cmd_report, help="basis-invariant structure report")
-    p.add_argument("algebra")
-
-    p = add("center", cmd_center, help="center of the algebra")
-    p.add_argument("algebra")
-
-    p = add("derived", cmd_derived, help="derived series")
-    p.add_argument("algebra")
-    p.add_argument("--s", type=int, default=2, choices=(2, 3), help="series parameter")
-    p.add_argument("--steps", type=int, default=None, help="maximum steps shown")
-
-    p = add("classify", cmd_classify, help="classify a subspace against an algebra")
-    p.add_argument("algebra")
-    p.add_argument("subspace", help="subspace-v1 document")
-
-    p = add("alphabeta", cmd_alphabeta, help="maximal abelian subalgebra/ideal dims")
-    p.add_argument("algebra")
-    p.add_argument("--p", type=int, action="append",
-                   help="reduce mod p and enumerate exhaustively (repeatable)")
-    p.add_argument("--q-bounds", action="store_true",
-                   help="certified lower bounds over Q")
-    p.add_argument("--budget", type=int, default=10_000_000)
-
-    p = add("assoc-lie", cmd_assoc_lie, help="associated binary algebra at w")
-    p.add_argument("algebra")
-    p.add_argument("--w", required=True, help="comma-separated coordinates of w")
-    p.add_argument("--out")
-
-    p = add("extend", cmd_extend, help="trivial one-point extension of a Lie algebra")
-    p.add_argument("algebra")
-    p.add_argument("--out")
-
-    p = add("sum", cmd_sum, help="direct sum of two algebras")
-    p.add_argument("algebra1")
-    p.add_argument("algebra2")
-    p.add_argument("--out")
-
-    p = add("catalog", cmd_catalog, help="list or build catalog families")
-    p.add_argument("action", choices=("list", "build"))
-    p.add_argument("family", nargs="?")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha")
-    p.add_argument("--t", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--p", type=int, help="build over GF(p) instead of Q")
-    p.add_argument("--out")
-
-    p = add("lie-catalog", cmd_lie_catalog, help="build binary (Lie) fixtures")
-    p.add_argument("family")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--out")
-
-    p = add("fingerprint", cmd_fingerprint, help="basis-invariant fingerprint")
-    p.add_argument("algebra")
-
-    p = add("iso", cmd_iso, help="isomorphism semidecision")
-    p.add_argument("algebra1")
-    p.add_argument("algebra2")
-    p.add_argument("--p", type=int, help="compare reductions mod p")
-    p.add_argument("--budget", type=int, default=2_000_000)
-
-    p = add("classify44", cmd_classify44,
-            help="trichotomy: 3-solvable / simple 4-dim / semidirect")
-    p.add_argument("algebra")
-    p.add_argument("--p", type=int)
-    p.add_argument("--budget", type=int, default=2_000_000)
-
-    p = add("verify-paper", cmd_verify_paper,
-            help="run the full verification suite")
-    p.add_argument("--only", type=int, action="append",
-                   help="run a single criterion (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
+    sub = parser.add_subparsers(
+        dest="verb", required=True,
+        metavar=None if only is None else "{" + ",".join(VERBS) + "}")
+    for name, (func, help_text, arguments) in VERBS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=func)
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+            for names, options in arguments:
+                p.add_argument(*names, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     if args.verb == "catalog" and args.action == "build" and not args.family:
         parser.error("catalog build requires a family id")

@@ -1,13 +1,26 @@
 """Abelian subalgebra/ideal search: alpha and beta invariants.
 
-Over GF(p) the values are computed exactly by exhaustive enumeration of
+Over GF(p) the values are computed exactly.  Alpha is an exhaustive scan of
 subspaces in canonical RREF order (profiles of pivot columns in lexicographic
-order, free entries in odometer order), scanning dimensions downward with
-early exit.  Over Q only certified lower bounds are produced, plus the
-universal upper bounds of ``_upper_bounds`` (dim for abelian algebras; else
-dim-1 for alpha, and dim-1 for beta at arity 2, dim-2 at arity >= 3).
+order, free entries in odometer order), dimensions downward with early exit.
+Beta is a branch and bound over abelian ideals that rests on two facts:
 
-The alpha/beta scans, the ideal counts of ``iso`` and the classifier of
+* J + Z is an abelian ideal whenever J is one (Z the centre), so every
+  abelian ideal of the largest dimension contains Z: the search starts at Z.
+* An abelian ideal J containing an ideal I lies in K(I) = {v : [v, i, x_1,
+  .., x_{n-2}] = 0 for all i in I and all x}, a kernel linear in v, so
+  dim K(I) bounds every branch below I.
+
+Nodes grow by the ideal closure of one vector of K(I)/I (the spinning closure
+of the MeatAxe; Lux, Mueller & Ringe 1994), and a node is pruned by dim K(I)
+as a maximum-clique search is pruned by the size of its candidate set
+(Carraghan & Pardalos 1990).
+Both report the canonically first subspace of the largest dimension.  Over Q
+only certified lower bounds are produced, plus the universal upper bounds of
+``_upper_bounds`` (dim for abelian algebras; else dim-1 for alpha, and dim-1
+for beta at arity 2, dim-2 at arity >= 3).
+
+The alpha scan, the ideal counts of ``iso`` and the classifier of
 ``catalog`` walk the Grassmannian through ``subspace_hits`` (one level) and
 ``first_hit`` (whole levels under the budget).
 
@@ -23,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .core import NLieAlgebra, bracket_rows
 from .errors import InvalidParameterError, UnsupportedRequestError
@@ -36,6 +49,7 @@ from .linalg import (
     full_subspace,
     minor_det,
     reduce_vector,
+    rref,
     span,
     subspace_from_rref_rows,
     zero_subspace,
@@ -125,20 +139,43 @@ def _fp_is_abelian_subalgebra(L, rows, pivots):
     return True
 
 
+def _fp_image(contribs, v, p, m):
+    """[v, e_y] for the items ``contribs`` of one y of ``L.maps[1]``, as a
+    raw int list mod p, or None when no item meets the support of v."""
+    w = None
+    for (t,), sparse in contribs:
+        c = v[t]
+        if c:
+            if w is None:
+                w = [0] * m
+            for tt, cc in sparse:
+                w[tt] = (w[tt] + c * cc) % p
+    return w
+
+
+def _fp_commute(by_y2, u, v, p, m):
+    """[u, v, e_y] = 0 for every y of ``L.maps[2]`` (given as its values)."""
+    for contribs in by_y2:
+        w = None
+        for (c0, c1), sparse in contribs:
+            d = (u[c0] * v[c1] - u[c1] * v[c0]) % p
+            if d:
+                if w is None:
+                    w = [0] * m
+                for tt, cc in sparse:
+                    w[tt] = (w[tt] + d * cc) % p
+        if w is not None and any(w):
+            return False
+    return True
+
+
 def _fp_is_ideal(L, rows, pivots):
     p = L.field.p
     m = L.dim
     by_y = L.maps[1].values()
     for v in rows:
         for contribs in by_y:
-            w = None
-            for (t,), sparse in contribs:
-                c = v[t]
-                if c:
-                    if w is None:
-                        w = [0] * m
-                    for tt, cc in sparse:
-                        w[tt] = (w[tt] + c * cc) % p
+            w = _fp_image(contribs, v, p, m)
             if w is not None and any(w) and any(reduce_vector(rows, pivots, w, p)):
                 return False
     return True
@@ -150,17 +187,8 @@ def _fp_is_abelian_ideal(L, rows, pivots):
     m = L.dim
     by_y = L.maps[2].values()
     for u, v in combinations(rows, 2):
-        for contribs in by_y:
-            w = None
-            for (c0, c1), sparse in contribs:
-                d = (u[c0] * v[c1] - u[c1] * v[c0]) % p
-                if d:
-                    if w is None:
-                        w = [0] * m
-                    for tt, cc in sparse:
-                        w[tt] = (w[tt] + d * cc) % p
-            if w is not None and any(w):
-                return False
+        if not _fp_commute(by_y, u, v, p, m):
+            return False
     return _fp_is_ideal(L, rows, pivots)
 
 
@@ -183,13 +211,15 @@ def subspace_hits(L: NLieAlgebra, k, mode):
             yield position, rows, profile
 
 
-def first_hit(L: NLieAlgebra, levels, mode, budget, scanned=0):
+def first_hit(L: NLieAlgebra, levels, mode, budget):
     """Walk whole levels k, in the given order, to the canonically first
     subspace that satisfies ``PREDICATES[mode]``; a level is entered only
-    when ``scanned`` plus its size is within ``budget``.  Returns (k, (rows,
-    profile), scanned) at a hit, (k, None, scanned) when the budget stopped
-    the walk before level k, and (None, None, scanned) without a hit."""
+    when the subspaces scanned so far plus its size are within ``budget``.
+    Returns (k, (rows, profile), scanned) at a hit, (k, None, scanned) when
+    the budget stopped the walk before level k, and (None, None, scanned)
+    without a hit."""
     m, p = L.dim, L.field.p
+    scanned = 0
     for k in levels:
         size = gaussian_binomial(m, k, p)
         if scanned + size > budget:
@@ -200,14 +230,14 @@ def first_hit(L: NLieAlgebra, levels, mode, budget, scanned=0):
     return None, None, scanned
 
 
-def _scan_down(L, top, mode, name, budget, scanned, notes):
-    """Largest k <= top with a k-dimensional subspace satisfying
-    ``PREDICATES[mode]``; returns (k or None when the budget stopped it, the
-    canonically first witness or None at k = 0, the new scanned total).  The
-    zero subspace satisfies every predicate, so some level always hits."""
-    k, hit, scanned = first_hit(L, range(top, -1, -1), mode, budget, scanned)
+def _scan_down(L, budget, notes):
+    """Alpha by a scan down from dim: the largest k with an abelian
+    k-dimensional subalgebra; returns (k or None when the budget stopped it,
+    the canonically first witness or None at k = 0, the subspaces scanned).
+    The zero subspace is abelian, so some level always hits."""
+    k, hit, scanned = first_hit(L, range(L.dim, -1, -1), "abelian-subalgebra", budget)
     if hit is None:
-        notes.append(f"{name} scan stopped before dimension {k}: budget")
+        notes.append(f"alpha scan stopped before dimension {k}: budget")
         return None, None, scanned
     rows, profile = hit
     return k, subspace_from_rref_rows(L.field, L.dim, rows, profile) if k else None, scanned
@@ -222,6 +252,141 @@ def _upper_bounds(L: NLieAlgebra) -> tuple:
     if not L.entries:
         return m, m
     return m - 1, m - 1 if L.arity == 2 else m - 2
+
+
+def _fp_constraints(by_y2, vectors, p, m):
+    """Rows of the linear conditions [v, u, e_y] = 0 on v, for each u of
+    ``vectors`` and each y of ``L.maps[2]`` (given as its values)."""
+    rows = []
+    for u in vectors:
+        for contribs in by_y2:
+            block = {}  # target coordinate -> its row of coefficients of v
+            for (c0, c1), sparse in contribs:
+                a, b = u[c1], u[c0]  # det(v, u; c0, c1) = v[c0] u[c1] - v[c1] u[c0]
+                if a or b:
+                    for tt, cc in sparse:
+                        row = block.setdefault(tt, [0] * m)
+                        row[c0] = (row[c0] + a * cc) % p
+                        row[c1] = (row[c1] - b * cc) % p
+            rows += block.values()
+    return rows
+
+
+def _fp_points(basis, p):
+    """One nonzero vector of each line of span(basis): the first nonzero
+    coefficient is 1, in a fixed order."""
+    for j, head in enumerate(basis):
+        tail = basis[j + 1:]
+        for coeffs in product(range(p), repeat=len(tail)):
+            v = head
+            for c, row in zip(coeffs, tail):
+                if c:
+                    v = [(x + c * y) % p for x, y in zip(v, row)]
+            yield v
+
+
+def _fp_spin(L, rows, pivots, cons, v, limit):
+    """Ideal closure of the ideal span(rows) + <v>, spun under the operators
+    [., e_y] of ``L.maps[1]``: (RREF rows, pivots, the new vectors), or None
+    as soon as a new vector leaves K = {x : cons . x = 0}, two new vectors
+    fail to commute, or the dimension would pass ``limit``.  K(I) is an
+    ideal when the fundamental identity holds; on a table that violates it
+    the spin can leave K(I), and the closure would not be abelian."""
+    p, m = L.field.p, L.dim
+    by_y2 = L.maps[2].values()
+    rows, pivots = [list(r) for r in rows], list(pivots)
+    new = []
+
+    def adjoin(w):
+        w = reduce_vector(rows, pivots, w, p)
+        c = next((j for j, x in enumerate(w) if x), None)
+        if c is None:
+            return True
+        if (len(rows) == limit
+                or any(sum(a * b for a, b in zip(row, w)) % p for row in cons)
+                or not all(_fp_commute(by_y2, u, w, p, m) for u in new)):
+            return False
+        inv = pow(w[c], p - 2, p)
+        w = [x * inv % p for x in w]
+        rows.append(w)
+        pivots.append(c)
+        new.append(w)
+        return True
+
+    if not adjoin(v):
+        return None
+    for w in new:  # grows while it is read: every new vector is spun in turn
+        for contribs in L.maps[1].values():
+            image = _fp_image(contribs, w, p, m)
+            if image is not None and not adjoin(image):
+                return None
+    return rows, rref(rows, m, p), new
+
+
+def _beta_search(L, budget, scanned, notes):
+    """Largest abelian ideal by branch and bound from the centre Z; returns
+    (beta or None when the budget stopped it, the canonically first witness
+    or None at beta = 0, the new scanned total).
+
+    A node is an abelian ideal I containing Z, kept with the RREF rows
+    ``cons`` of the conditions that cut out K(I) = {v : [v, I, L, .., L] =
+    0}.  Its children are the ideal closures of I + <v>, one per line of
+    K(I)/I.  Each closure tried counts one against ``budget``; a closure met
+    before is not expanded again, and a node with dim K(I) < best is pruned,
+    so every abelian ideal of the largest dimension is reached.
+    """
+    p, m = L.field.p, L.dim
+    by_y2 = L.maps[2].values()
+    limit = _upper_bounds(L)[1]
+    z = center(L)
+    best = (z.dim, z.pivots, z.basis)  # dimension, then the scan's order key
+    seen = set()
+    tried = 0
+
+    def expand(rows, pivots, cons, cons_pivots):
+        """False when the budget stopped the search below this node."""
+        nonlocal best, tried
+        kernel = []
+        for fc in range(m):
+            if fc not in cons_pivots:
+                x = [0] * m
+                x[fc] = 1
+                for row, pc in zip(cons, cons_pivots):
+                    x[pc] = -row[fc] % p
+                kernel.append(reduce_vector(rows, pivots, x, p))
+        quotient = [r for r in kernel if any(r)]
+        quotient = quotient[:len(rref(quotient, m, p))]
+        for v in _fp_points(quotient, p):
+            if m - len(cons) < best[0]:
+                return True
+            if scanned + tried >= budget:
+                return False
+            tried += 1
+            closure = _fp_spin(L, rows, pivots, cons, v, limit)
+            if closure is None:
+                continue
+            child, child_pivots, new = closure
+            key = (tuple(child_pivots), tuple(map(tuple, child)))
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(child) > best[0] or (len(child) == best[0] and key < best[1:]):
+                best = (len(child),) + key
+            child_cons = cons + _fp_constraints(by_y2, new, p, m)
+            child_cons_pivots = rref(child_cons, m, p)
+            del child_cons[len(child_cons_pivots):]
+            dim_k = m - len(child_cons_pivots)
+            if (dim_k > len(child) and dim_k >= best[0]
+                    and not expand(child, child_pivots, child_cons, child_cons_pivots)):
+                return False
+        return True
+
+    # every vector of L commutes with Z in every bracket: K(Z) = L
+    if not expand(z.basis, z.pivots, [], []):
+        notes.append(f"beta search stopped after {tried} candidate ideals: budget {budget}")
+        return None, None, scanned + tried
+    k, pivots, rows = best
+    return k, subspace_from_rref_rows(L.field, m, rows, pivots) if k else None, scanned + tried
 
 
 @dataclass(frozen=True)
@@ -264,12 +429,13 @@ class AlphaBetaResult:
 
 def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
                         compute: str = "both") -> AlphaBetaResult:
-    """Exact alpha/beta over GF(p) by downward exhaustive scans.
+    """Exact alpha by a downward scan and beta by branch and bound over GF(p).
 
-    The witness is the canonically first subspace of maximal dimension.  The
-    budget bounds the number of subspaces scanned; a level whose size would
-    exceed the remainder is skipped and the affected value reported inexact
-    (the partial result is a lower bound from completed levels).
+    Each witness is the canonically first subspace of maximal dimension.  The
+    budget bounds ``subspaces_scanned``: the subspaces of the alpha scan plus
+    the candidate closures of the beta search.  The alpha scan enters a level
+    only when all of it fits; a value the budget stopped is None, reported
+    inexact, and named in the notes.
     """
     if L.field.p is None:
         raise UnsupportedRequestError(
@@ -288,11 +454,9 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
     alpha = beta = alpha_w = beta_w = None
     scanned = 0
     if compute in ("both", "alpha"):
-        alpha, alpha_w, scanned = _scan_down(L, m, "abelian-subalgebra", "alpha",
-                                             budget, scanned, notes)
+        alpha, alpha_w, scanned = _scan_down(L, budget, notes)
     if compute in ("both", "beta"):
-        beta, beta_w, scanned = _scan_down(L, m - 1, "abelian-ideal", "beta",
-                                           budget, scanned, notes)
+        beta, beta_w, scanned = _beta_search(L, budget, scanned, notes)
     return AlphaBetaResult(alpha, beta, alpha_w, beta_w, f"exact-fp({p})", p,
                            scanned, alpha is not None, beta is not None,
                            alpha_upper=alpha_upper, beta_upper=beta_upper,

@@ -1,8 +1,8 @@
 """Machine verification suite for the classification claims behind the catalog.
 
 Nine criteria, each returning a CheckResult with failure details.  All
-arithmetic is exact; alpha/beta statements are established by exhaustive
-enumeration over small prime fields and linear-algebra statements exactly
+arithmetic is exact; alpha/beta statements are established by exact
+searches over small prime fields and linear-algebra statements exactly
 over Q.  The suite is deterministic for a fixed seed.
 
 Known defect, surfaced honestly rather than patched around: the shipped

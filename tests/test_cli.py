@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nlie import cli
 from nlie.cli import main
 from nlie.core import parse_algebra, serialize_algebra, serialize_subspace
 from nlie.catalog import catalog_build
@@ -264,20 +265,28 @@ def test_other_modulus_on_prime_field_document_is_usage_error(capsys, ex33_gf2_p
 
 
 def test_alphabeta_budget_stop_is_undecided(capsys, ex33_path, ex33_gf2_path):
-    """A scan stopped by its budget leaves alpha/beta undecided: exit 3, the
-    stopped scans named, and no claim that the primes agree."""
+    """A search stopped by its budget leaves alpha/beta undecided: exit 3, the
+    stopped searches named, and no claim that the primes agree.  On EX33 the
+    alpha scan needs whole levels of 1 + 15 subspaces at p = 2 and 1 + 40 at
+    p = 3 and hits after 10 and 29; the beta search then tries 7 and 13
+    candidate ideals."""
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--budget", "10")
     assert code == 3
     assert "primes agree" not in out
     assert "undecided: alpha scan stopped before dimension 3: budget" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3",
-                       "--budget", "60", "--json")
+                       "--budget", "41", "--json")
     assert code == 3
     runs = json.loads(out)["result"]["runs"]
     assert [(r["alpha_exact"], r["beta_exact"]) for r in runs] == [(True, True), (True, False)]
-    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "20")
+    assert runs[1]["notes"] == ["beta search stopped after 12 candidate ideals: budget 41"]
+    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "16")
     assert code == 3
     assert "alpha = 3, beta = None" in out
+    assert "undecided: beta search stopped after 6 candidate ideals: budget 16" in out
+    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "17")
+    assert code == 0
+    assert "alpha = 3, beta = 2 (exact over GF(2); 17 subspaces)" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3")
     assert code == 0
     assert "primes agree: True" in out
@@ -295,3 +304,37 @@ def test_malformed_document_is_usage_error(capsys, tmp_path):
     bad.write_text("{}")
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
+
+
+_VERBS = ["check", "report", "center", "derived", "classify", "alphabeta", "assoc-lie",
+          "extend", "sum", "catalog", "lie-catalog", "fingerprint", "iso", "classify44",
+          "verify-paper"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["--version"], [], ["bogus"], ["-h"], ["--json"],
+    ["check", "--bogus", "x"], ["check"], ["check", "--version"], ["catalog", "build"],
+    ["derived", "x", "--s", "4"], ["alphabeta"],
+] + [[verb, "--help"] for verb in _VERBS], ids=" ".join)
+def test_parser_of_one_verb_answers_like_the_full_parser(capsys, monkeypatch, argv):
+    """When argv names a verb only that verb's parser is built; help, version
+    and usage errors (exit code, stdout and stderr) stay those of the parser
+    of every verb."""
+
+    def outcome():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(cli.VERBS) == _VERBS
+    real, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or real(only))
+    one = outcome()
+    assert built == [argv[0] if argv and argv[0] in _VERBS else None]
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: real())
+    assert one == outcome()
+    assert one[0] in (0, 2)

@@ -13,7 +13,7 @@ from nlie.catalog import (
 from nlie.core import abelian_algebra, check_fundamental_identity, make_algebra
 from nlie.errors import InvalidParameterError, UnsupportedRequestError
 from nlie.fields import GF, QQ
-from nlie.invariants import classify_subspace
+from nlie.invariants import center, classify_subspace
 from nlie.iso import random_basis_change
 from nlie.linalg import coordinate_subspace, full_subspace, unit_vector
 from nlie.search import (
@@ -138,12 +138,14 @@ def test_ideal_counts_match_classifier_and_basis_change(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_alpha_beta_match_brute_force_walk(p):
     """On every m = 4 catalog family, as published and after a basis change:
-    alpha, beta, the witnesses (the canonically first subspace of the maximal
-    dimension, None at dimension 0) and ``subspaces_scanned`` (whole levels
-    above the hit plus the hit's 1-based position in its level, alpha's walk
-    from dim and beta's from dim - 1) equal a walk through
-    ``enumerate_subspaces`` and ``classify_subspace``."""
+    alpha, beta and the witnesses (the canonically first subspace of the
+    maximal dimension, None at dimension 0) equal a walk through
+    ``enumerate_subspaces`` and ``classify_subspace``; alpha's share of
+    ``subspaces_scanned`` is the walk's count from dim (whole levels above the
+    hit plus the hit's 1-based position in its level), and the candidate
+    closures of the beta search add up to a pinned total."""
     m = 4
+    beta_counts = []
     for label, L0 in entries_for_dims((m,), GF(p)):
         for L in (L0, random_basis_change(L0, 3)):
             levels = [[(S, classify_subspace(L, S)) for S in enumerate_subspaces(m, k, p)]
@@ -160,13 +162,75 @@ def test_alpha_beta_match_brute_force_walk(p):
             res = alpha_beta_exact_fp(L)
             alpha, alpha_w, alpha_n = first_max(m, "is_abelian_subalgebra")
             assert (res.alpha, res.alpha_witness) == (alpha, alpha_w), label
+            assert alpha_beta_exact_fp(L, compute="alpha").subspaces_scanned == alpha_n
             if not L.entries:  # abelian: answered without a scan
                 assert (res.beta, res.subspaces_scanned) == (m, 0), label
                 continue
-            beta, beta_w, beta_n = first_max(m - 1, "is_abelian_ideal")
+            beta, beta_w, _ = first_max(m - 1, "is_abelian_ideal")
             assert (res.beta, res.beta_witness) == (beta, beta_w), label
-            assert res.subspaces_scanned == alpha_n + beta_n, label
+            beta_counts.append(res.subspaces_scanned - alpha_n)
             assert res.complete
+    assert sum(beta_counts) == {2: 464, 3: 1120}[p]
+
+
+def _max_abelian_ideals(L):
+    """Brute force: beta and every abelian ideal of dimension beta, in the
+    canonical order of ``enumerate_subspaces``."""
+    for k in range(L.dim, -1, -1):
+        hits = [S for S in enumerate_subspaces(L.dim, k, L.field.p)
+                if classify_subspace(L, S).is_abelian_ideal]
+        if hits:
+            return k, hits
+
+
+@pytest.fixture(scope="module")
+def beta_walks():
+    """(label, L, brute-force walk of L) for every catalog family over GF(2)
+    at m = 4, 5 and over GF(3) at m = 4, Lie fixtures over GF(2) and GF(3),
+    and A(4) over GF(3); each as published and after a dense basis change."""
+    algebras = list(entries_for_dims((4, 5), GF(2))) + list(entries_for_dims((4,), GF(3)))
+    for p in (2, 3):
+        for fid, params in (("affine", {"dim": 2}), ("heisenberg", {"dim": 5}),
+                            ("upper", {"n": 2}), ("strictly-upper", {"n": 3})):
+            algebras.append((f"lie {fid} {params}", lie_catalog_build(fid, GF(p), **params)))
+    algebras.append(("A(4)", catalog_build("A(n)", GF(3), n=4)))
+    out = []
+    for label, L in algebras:
+        for name, Lx in ((f"{label} GF({L.field.p})", L),
+                         (f"{label} GF({L.field.p}) conj", random_basis_change(L, 5))):
+            out.append((name, Lx, _max_abelian_ideals(Lx)))
+    return out
+
+
+def test_beta_search_matches_brute_force_walk(beta_walks):
+    """The branch and bound from the centre gives the beta and the witness
+    (the canonically first abelian ideal of the largest dimension) of a walk
+    through every subspace."""
+    for label, L, (beta, hits) in beta_walks:
+        res = alpha_beta_exact_fp(L, compute="beta")
+        assert res.beta_exact, label
+        assert (res.beta, res.beta_witness) == (beta, hits[0] if beta else None), label
+
+
+def test_every_largest_abelian_ideal_contains_the_center(beta_walks):
+    """J + Z is an abelian ideal whenever J is one, so every abelian ideal of
+    the largest dimension contains the centre: the fact the beta search
+    starts from."""
+    for label, L, (_, hits) in beta_walks:
+        z = center(L)
+        assert all(J.contains(z) for J in hits), label
+
+
+def test_beta_search_on_a_table_that_violates_the_identity():
+    """K(I) is an ideal only when the fundamental identity holds; on a table
+    that violates it the search still checks every new vector against K(I),
+    so the witness is an abelian ideal and equals the brute-force walk's."""
+    L = make_algebra(GF(3), 3, 5, {(1, 3, 5): {2: 1}, (2, 4, 5): {4: 1}})
+    assert not check_fundamental_identity(L).holds
+    beta, hits = _max_abelian_ideals(L)
+    res = alpha_beta_exact_fp(L, compute="beta")
+    assert (res.beta, res.beta_witness) == (beta, hits[0]) == (1, hits[0])
+    assert classify_subspace(L, res.beta_witness).is_abelian_ideal
 
 
 def test_enumerated_bases_are_rref():
@@ -240,7 +304,6 @@ def test_alpha_beta_invariant_under_basis_change():
 
 
 def test_beta_at_least_center_dim():
-    from nlie.invariants import center
     for fid, params in [("EX33", {}), ("T34-a1", {"m": 5}), ("EX42", {"m": 5})]:
         L = catalog_build(fid, GF(2), **params)
         res = alpha_beta_exact_fp(L)
