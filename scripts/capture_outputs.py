@@ -12,7 +12,11 @@ digest.  Work counts in the ``--json`` documents are part of stdout and so of
 the digest.  A second final digest is taken over the same lines with the work
 counts (the keys ``WORK_KEYS`` of ``bench/checks.py``) deleted from every
 ``--json`` document first, so a change that only moves work counts can still
-show that everything else is byte-identical.
+show that everything else is byte-identical.  A third digest covers
+``alphabeta --q-bounds --json`` on the Q documents at m = 6 and 7, which the
+benchmark does not time (its ``--q-bounds`` tasks stop at m = 5) and whose
+growth paths run deepest; it is kept apart so that the first two digests
+stay comparable with earlier checkouts.
 
 Usage (from the root of a source checkout): python3 scripts/capture_outputs.py
 """
@@ -56,14 +60,20 @@ def work_free(out):
 def main():
     lines = []
     work_free_lines = []
+    q_bounds_lines = []
     with tempfile.TemporaryDirectory() as tmp:
 
-        def capture(key, argv):
+        def run(key, argv):
             rc, out, err = tasks.run_cli(cli, argv)
             out, err = (s.replace(tmp, "<work>") for s in (out, err))
-            lines.append(f"{key}\t{rc}\t{sha(out)}\t{sha(err)}")
-            work_free_lines.append(f"{key}\t{rc}\t{sha(work_free(out))}\t{sha(err)}")
-            print(lines[-1], flush=True)
+            line = f"{key}\t{rc}\t{sha(out)}\t{sha(err)}"
+            print(line, flush=True)
+            return line, f"{key}\t{rc}\t{sha(work_free(out))}\t{sha(err)}"
+
+        def capture(key, argv):
+            line, work_free_line = run(key, argv)
+            lines.append(line)
+            work_free_lines.append(work_free_line)
 
         for name in tasks.WORKLOADS:
             workdir = pathlib.Path(tmp) / name
@@ -73,9 +83,17 @@ def main():
                 capture(f"{name} {task.key}", task.argv)
             for task in work.probes():
                 capture(f"{name} probe {task.key}", task.argv)
+            if name == "structure-q":
+                for doc in work.builder.docs.values():
+                    if doc.m >= 6:
+                        q_bounds_lines.append(run(
+                            f"{name} extra alphabeta-q-bounds {doc.key}",
+                            ["alphabeta", doc.path, "--q-bounds", "--json"])[0])
         capture("verify-paper", ["verify-paper"])
     print(f"{len(lines)} outputs, digest {sha(chr(10).join(lines))}")
     print(f"without work counts, digest {sha(chr(10).join(work_free_lines))}")
+    print(f"q-bounds at m = 6, 7: {len(q_bounds_lines)} outputs, "
+          f"digest {sha(chr(10).join(q_bounds_lines))}")
     return 0
 
 

@@ -25,7 +25,9 @@ from .errors import (
 )
 from .fields import GF, QQ, Field, same_field
 from .linalg import (
+    Matrix,
     Subspace,
+    full_subspace,
     minor_det,
     span,
     validate_vector,
@@ -83,6 +85,25 @@ class NLieAlgebra:
     @cached_property
     def maps(self) -> "CompiledTable":
         return CompiledTable(self.field, self.entries)
+
+    @cached_property
+    def center(self) -> Subspace:
+        """Kernel of x -> (all brackets of x against basis (n-1)-tuples),
+        computed once: a fingerprint over GF(p) reads it for beta and for
+        the invariant report."""
+        f = self.field
+        m = self.dim
+        rows = []
+        for contribs in self.maps[1].values():
+            # contribs give [e_t, e_y] per t; transpose into coordinate rows
+            block = {}
+            for (t,), sparse in contribs:
+                for r, c in sparse:
+                    block.setdefault(r, [f.zero] * m)[t] = c
+            rows += block.values()
+        if not rows:
+            return full_subspace(f, m)
+        return Matrix.from_rows(f, rows, m).kernel()
 
 
 class CompiledTable(dict):
@@ -204,14 +225,16 @@ def bracket(L: NLieAlgebra, vectors) -> tuple:
     return zero_vector(f, L.dim) if w is None else tuple(w)
 
 
-def bracket_subspaces(L: NLieAlgebra, subspaces) -> Subspace:
-    """Span of brackets over all basis tuples of the given subspaces.
+def bracket_vectors(L: NLieAlgebra, subspaces):
+    """Yield the nonzero brackets, as raw scalar lists, of the basis tuples of
+    the given subspaces; they span ``bracket_subspaces(L, subspaces)``.
 
     Whole-space arguments contribute the basis tuples y of ``L.maps``, so
-    only the proper subspaces are enumerated.  Proper arguments equal as
-    subspaces are grouped: by antisymmetry each unordered choice of distinct
+    only the proper subspaces are enumerated.  Proper arguments with equal
+    bases are grouped: by antisymmetry each unordered choice of distinct
     basis vectors within a group contributes one generator (up to sign), so
-    combinations replace full products there.
+    combinations replace full products there.  The arguments are checked
+    when the first vector is asked for.
     """
     f = L.field
     n = L.arity
@@ -222,20 +245,22 @@ def bracket_subspaces(L: NLieAlgebra, subspaces) -> Subspace:
         if s.ambient_dim != L.dim:
             raise DimensionMismatchError("subspace ambient dimension mismatch")
     if any(s.is_zero for s in subspaces):
-        return span(f, L.dim, [])
-    counts: dict = {}
-    for s in subspaces:
-        if s.dim < L.dim:
-            counts[s] = counts.get(s, 0) + 1
-    by_y = L.maps[sum(counts.values())]
-    vectors = []
-    for picks in product(*(combinations(s.basis, c) for s, c in counts.items())):
+        return
+    # bases compared with ==, not hashed: a hash would visit every scalar
+    proper = [s.basis for s in subspaces if s.dim < L.dim]
+    groups = [(b, proper.count(b)) for i, b in enumerate(proper) if b not in proper[:i]]
+    by_y = L.maps[len(proper)]
+    for picks in product(*(combinations(b, c) for b, c in groups)):
         rows = [row for pick in picks for row in pick]
         for y in by_y:
             w = bracket_rows(L, rows, y)
             if w is not None:
-                vectors.append(w)
-    return span(f, L.dim, vectors)
+                yield w
+
+
+def bracket_subspaces(L: NLieAlgebra, subspaces) -> Subspace:
+    """Span of brackets over all basis tuples of the given subspaces."""
+    return span(L.field, L.dim, bracket_vectors(L, subspaces))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import NLieAlgebra, bracket_subspaces
-from .errors import DimensionMismatchError, InvalidParameterError, NotAnIdealError
-from .fields import same_field
-from .linalg import Matrix, Subspace, full_subspace, span
+from .core import NLieAlgebra, bracket_subspaces, bracket_vectors
+from .errors import InvalidParameterError, NotAnIdealError
+from .linalg import Subspace, full_subspace, reduce_vector, span
 
 _SERIES_HARD_CAP_EXTRA = 2  # guard for tables that do not satisfy the identity
 
@@ -31,19 +30,7 @@ def derived_algebra(L: NLieAlgebra) -> Subspace:
 
 def center(L: NLieAlgebra) -> Subspace:
     """Kernel of x -> (all brackets of x against basis (n-1)-tuples)."""
-    f = L.field
-    m = L.dim
-    rows = []
-    for contribs in L.maps[1].values():
-        # contribs give [e_t, e_y] per t; transpose into coordinate rows
-        block = {}
-        for (t,), sparse in contribs:
-            for r, c in sparse:
-                block.setdefault(r, [f.zero] * m)[t] = c
-        rows += block.values()
-    if not rows:
-        return full_space(L)
-    return Matrix.from_rows(f, rows, m).kernel()
+    return L.center
 
 
 @dataclass(frozen=True)
@@ -64,29 +51,48 @@ class SubspaceClass:
         }
 
 
-def classify_subspace(L: NLieAlgebra, S: Subspace) -> SubspaceClass:
-    """Flags for S: closure under brackets with itself and with the whole algebra."""
-    same_field(L.field, S.field)
-    if S.ambient_dim != L.dim:
-        raise DimensionMismatchError("subspace ambient dimension mismatch")
-    n = L.arity
-    full = full_space(L)
-    self_bracket = bracket_subspaces(L, (S,) * n)
-    is_subalgebra = self_bracket <= S
-    is_abelian_sub = self_bracket.is_zero
-    ideal_bracket = bracket_subspaces(L, (S,) + (full,) * (n - 1))
-    is_ideal = ideal_bracket <= S
-    pair_bracket = bracket_subspaces(L, (S, S) + (full,) * (n - 2))
-    is_abelian_ideal = is_ideal and pair_bracket.is_zero
-    is_hypo = is_ideal and is_abelian_sub and not pair_bracket.is_zero
-    return SubspaceClass(is_subalgebra, is_ideal, is_abelian_sub,
-                         is_abelian_ideal, is_hypo)
+def _brackets_in(L: NLieAlgebra, S: Subspace, subspaces) -> bool:
+    """Every bracket of basis tuples of ``subspaces`` lies in S; stops at the
+    first that leaves it."""
+    p = L.field.p
+    return not any(any(reduce_vector(S.basis, S.pivots, w, p))
+                   for w in bracket_vectors(L, subspaces))
+
+
+def _brackets_vanish(L: NLieAlgebra, subspaces) -> bool:
+    """Every bracket of basis tuples of ``subspaces`` is zero; stops at the
+    first that is not."""
+    return next(bracket_vectors(L, subspaces), None) is None
+
+
+def _pair_vanishes(L: NLieAlgebra, S: Subspace) -> bool:
+    """[S, S, L, .., L] = 0."""
+    return _brackets_vanish(L, (S, S) + (full_space(L),) * (L.arity - 2))
+
+
+def is_abelian_subalgebra(L: NLieAlgebra, S: Subspace) -> bool:
+    """[S, .., S] = 0."""
+    return _brackets_vanish(L, (S,) * L.arity)
 
 
 def is_ideal(L: NLieAlgebra, S: Subspace) -> bool:
-    n = L.arity
-    full = full_space(L)
-    return bracket_subspaces(L, (S,) + (full,) * (n - 1)) <= S
+    """[S, L, .., L] lies in S."""
+    return _brackets_in(L, S, (S,) + (full_space(L),) * (L.arity - 1))
+
+
+def is_abelian_ideal(L: NLieAlgebra, S: Subspace) -> bool:
+    """An ideal S with [S, S, L, .., L] = 0."""
+    return _pair_vanishes(L, S) and is_ideal(L, S)
+
+
+def classify_subspace(L: NLieAlgebra, S: Subspace) -> SubspaceClass:
+    """Flags for S: closure under brackets with itself and with the whole algebra."""
+    abelian_sub = is_abelian_subalgebra(L, S)
+    subalgebra = abelian_sub or _brackets_in(L, S, (S,) * L.arity)
+    ideal = is_ideal(L, S)
+    pair_zero = ideal and _pair_vanishes(L, S)  # is_abelian_ideal, the ideal test done
+    return SubspaceClass(subalgebra, ideal, abelian_sub, pair_zero,
+                         ideal and abelian_sub and not pair_zero)
 
 
 @dataclass(frozen=True)

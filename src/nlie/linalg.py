@@ -4,10 +4,11 @@ Matrices are immutable row-major tuples of scalars; subspaces are kept in
 canonical reduced row echelon form, so two subspaces are equal exactly when
 their basis tuples are equal.  Everything is a value type, safe to share.
 
-The kernels ``minor_det``, ``reduce_vector`` and ``rref`` (the one
-elimination routine: ranks, kernels, inverses, spans and intersections) work
-on raw scalars, Fractions or ints reduced mod p, and do not validate; the
-public constructors and methods validate what they are given.
+The kernels ``minor_det``, ``reduce_vector``, ``rref`` (the one
+elimination routine: ranks, kernels, inverses, spans and intersections) and
+``null_basis`` work on raw scalars, Fractions or ints reduced mod p, and do
+not validate; the public constructors and methods validate what they are
+given.
 """
 
 from __future__ import annotations
@@ -137,6 +138,20 @@ def rref(rows, ncols, p=None):
     return pivots
 
 
+def null_basis(rows, pivots, ncols, p=None):
+    """Basis of {v : rows . v = 0} for RREF rows with the given pivots: one
+    raw vector per free column, 1 there and 0 at the other free columns."""
+    out = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [0] * ncols
+            v[fc] = 1
+            for row, pc in zip(rows, pivots):
+                v[pc] = -row[fc] if p is None else -row[fc] % p
+            out.append(v)
+    return out
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable exact matrix; ``rows`` is a tuple of row tuples."""
@@ -203,18 +218,9 @@ class Matrix:
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : M v = 0} as a canonical subspace of F^ncols."""
-        f = self.field
         red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        vectors = []
-        for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for i, pc in enumerate(pivots):
-                v[pc] = f.neg(red.rows[i][fc])
-            vectors.append(tuple(v))
-        return span(f, self.ncols, vectors)
+        vectors = null_basis(red.rows, pivots, self.ncols, self.field.p)
+        return span(self.field, self.ncols, vectors)
 
     def det(self):
         if self.nrows != self.ncols:

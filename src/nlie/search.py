@@ -28,8 +28,10 @@ The scan predicates read the compiled table ``L.maps`` like every other
 layer, but keep their own raw-int loops with the reduction mod p at every
 step: sent through the field-generic ``core.bracket_rows`` instead, a scan
 took 1.6-2.7x as long.  The tested reference for them is
-``invariants.classify_subspace``, which works on ``bracket_subspaces`` spans;
-the tests check both against a brute-force oracle.
+``invariants.classify_subspace``, whose flags are the field-generic
+predicates of ``invariants``: they read the generators of
+``core.bracket_vectors`` and stop at the first that decides; the tests check
+both against a brute-force oracle.  The Q bounds call those predicates too.
 """
 
 from __future__ import annotations
@@ -41,19 +43,18 @@ from itertools import combinations, product
 from .core import NLieAlgebra, bracket_rows
 from .errors import InvalidParameterError, UnsupportedRequestError
 from .fields import GF, QQ, is_prime
-from .invariants import center, classify_subspace, invariant_report
+from .invariants import center, invariant_report, is_abelian_ideal, is_abelian_subalgebra
 from .linalg import (
-    Matrix,
     Subspace,
     coordinate_subspace,
     full_subspace,
     minor_det,
+    null_basis,
     reduce_vector,
     rref,
     span,
     subspace_from_rref_rows,
     zero_subspace,
-    zero_vector,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -346,14 +347,7 @@ def _beta_search(L, budget, scanned, notes):
     def expand(rows, pivots, cons, cons_pivots):
         """False when the budget stopped the search below this node."""
         nonlocal best, tried
-        kernel = []
-        for fc in range(m):
-            if fc not in cons_pivots:
-                x = [0] * m
-                x[fc] = 1
-                for row, pc in zip(cons, cons_pivots):
-                    x[pc] = -row[fc] % p
-                kernel.append(reduce_vector(rows, pivots, x, p))
+        kernel = (reduce_vector(rows, pivots, x, p) for x in null_basis(cons, cons_pivots, m, p))
         quotient = [r for r in kernel if any(r)]
         quotient = quotient[:len(rref(quotient, m, p))]
         for v in _fp_points(quotient, p):
@@ -467,36 +461,43 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
 # certified lower bounds over Q
 
 
-def _grow_abelian(L: NLieAlgebra, seed: Subspace) -> Subspace:
+def _grow_abelian(L: NLieAlgebra, seed: Subspace, memo: dict) -> Subspace:
     """Deterministic greedy growth of an abelian subalgebra containing ``seed``.
 
-    Repeatedly solves for {v : [v, s_1, .., s_{n-1}] = 0 over basis tuples of
-    the current subspace} and adjoins the first RREF kernel vector outside.
+    While there is one, adjoins the first RREF basis vector of K(S) = {v :
+    [v, s_1, .., s_{n-1}] = 0 for all s_j in S} outside the current subspace
+    S.  K(S) depends on S alone, so a step adds only the conditions of the
+    basis tuples that contain the new vector; and so does the end of the
+    growth, so ``memo`` maps each subspace met (by its basis) to the
+    subspace its growth ends at, and a later seed stops at the first one.
     """
     f = L.field
     m = L.dim
-    n = L.arity
-    zero = zero_vector(f, m)
+    path = []
+    cons = []  # RREF rows of the conditions on v met so far
+    new = combinations(seed.basis, L.arity - 1)
     current = seed
-    while True:
-        rows = []
-        for y_rows in combinations(current.basis, n - 1):
+    final = memo.get(current.basis)
+    while final is None:
+        path.append(current.basis)
+        for y_rows in new:
             # [y_rows, e_t] is [e_t, y_rows] up to a sign, which keeps the kernel
-            block = [bracket_rows(L, y_rows, (t,)) or zero for t in range(m)]
-            for r in range(m):
-                rows.append([block[t][r] for t in range(m)])
-        if not rows:
-            candidate = full_subspace(f, m)
+            block = [bracket_rows(L, y_rows, (t,)) for t in range(m)]
+            cons += ([w[r] if w else f.zero for w in block] for r in range(m))
+        pivots = rref(cons, m)
+        del cons[len(pivots):]
+        kernel = span(f, m, null_basis(cons, pivots, m))
+        v = next((x for x in kernel.basis
+                  if any(reduce_vector(current.basis, current.pivots, x))), None)
+        if v is None:
+            final = current
         else:
-            candidate = Matrix.from_rows(f, rows, m).kernel()
-        grew = False
-        for v in candidate.basis:
-            if not current.contains_vector(v):
-                current = span(f, m, list(current.basis) + [v])
-                grew = True
-                break
-        if not grew:
-            return current
+            new = [y_rows + (v,) for y_rows in combinations(current.basis, L.arity - 2)]
+            current = span(f, m, current.basis + (v,))
+            final = memo.get(current.basis)
+    for basis in path:
+        memo[basis] = final
+    return final
 
 
 def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
@@ -517,10 +518,11 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
               for i, j in combinations(range(m), 2)]
     grown_list = []
     best_alpha = None
+    memo = {}
     for seed in seeds:
-        if not classify_subspace(L, seed).is_abelian_subalgebra:
+        if not is_abelian_subalgebra(L, seed):
             continue
-        grown = _grow_abelian(L, seed)
+        grown = _grow_abelian(L, seed, memo)
         grown_list.append(grown)
         if best_alpha is None or grown.dim > best_alpha.dim:
             best_alpha = grown
@@ -533,7 +535,7 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
             candidates.append(coordinate_subspace(f, m, subset))
     best_beta = zero_subspace(f, m)
     for S in candidates:
-        if S.dim > best_beta.dim and classify_subspace(L, S).is_abelian_ideal:
+        if S.dim > best_beta.dim and is_abelian_ideal(L, S):
             best_beta = S
 
     alpha_upper, beta_upper = _upper_bounds(L)

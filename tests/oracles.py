@@ -4,12 +4,24 @@ These deliberately avoid the library's evaluation paths: the bracket oracle
 (shipped as ``nlie.oracle``, which criterion 1 also uses) expands through an
 explicitly antisymmetrized all-orderings table, membership oracles enumerate
 whole vector spaces over GF(p), and the counting oracle is the q-Pascal
-recurrence rather than the product formula.
+recurrence rather than the product formula.  The reference of the Q lower
+bounds is their first implementation: flags read off whole bracket spans and
+every growth run from scratch.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+from nlie.core import bracket_rows, bracket_subspaces
+from nlie.invariants import center
+from nlie.linalg import (
+    Matrix,
+    coordinate_subspace,
+    full_subspace,
+    span,
+    zero_subspace,
+    zero_vector,
+)
 from nlie.oracle import naive_bracket, naive_fi_residual, perm_sign  # noqa: F401
 
 
@@ -70,3 +82,60 @@ def rref_fractions(rows):
                 rows[i] = [a - lv * b for a, b in zip(rows[i], rows[r])]
         lead += 1
     return [row for row in rows if any(row)]
+
+
+def _abelian_subalgebra_by_span(L, S):
+    return bracket_subspaces(L, (S,) * L.arity).is_zero
+
+
+def _abelian_ideal_by_span(L, S):
+    full = full_subspace(L.field, L.dim)
+    n = L.arity
+    return (bracket_subspaces(L, (S,) + (full,) * (n - 1)) <= S
+            and bracket_subspaces(L, (S, S) + (full,) * (n - 2)).is_zero)
+
+
+def grow_abelian_reference(L, seed):
+    """Greedy growth from ``seed``, each step solved from scratch: the
+    subspaces passed through, seed first, the end last."""
+    f, m, n = L.field, L.dim, L.arity
+    zero = zero_vector(f, m)
+    path = [seed]
+    while True:
+        rows = []
+        for y_rows in combinations(path[-1].basis, n - 1):
+            block = [bracket_rows(L, y_rows, (t,)) or zero for t in range(m)]
+            rows += [[block[t][r] for t in range(m)] for r in range(m)]
+        kernel = Matrix.from_rows(f, rows, m).kernel() if rows else full_subspace(f, m)
+        outside = [v for v in kernel.basis if not path[-1].contains_vector(v)]
+        if not outside:
+            return path
+        path.append(span(f, m, list(path[-1].basis) + [outside[0]]))
+
+
+def abelian_bounds_q_reference(L):
+    """(alpha, beta, alpha witness, beta witness, subspaces scanned, notes,
+    the growth path of each abelian seed in seed order) as
+    ``search.abelian_bounds_q`` computes them over Q."""
+    f, m = L.field, L.dim
+    z = center(L)
+    seeds = [z] + [coordinate_subspace(f, m, (i,)) for i in range(m)]
+    seeds += [coordinate_subspace(f, m, pair) for pair in combinations(range(m), 2)]
+    paths = [grow_abelian_reference(L, S) for S in seeds if _abelian_subalgebra_by_span(L, S)]
+    grown = [path[-1] for path in paths]
+    best_alpha = None
+    for S in grown:
+        if best_alpha is None or S.dim > best_alpha.dim:
+            best_alpha = S
+    if best_alpha is None:
+        best_alpha = zero_subspace(f, m)
+    candidates = [z] + grown + [coordinate_subspace(f, m, subset)
+                                for r in range(1, m + 1)
+                                for subset in combinations(range(m), r)]
+    best_beta = zero_subspace(f, m)
+    for S in candidates:
+        if S.dim > best_beta.dim and _abelian_ideal_by_span(L, S):
+            best_beta = S
+    return (best_alpha.dim, best_beta.dim, best_alpha if best_alpha.dim else None,
+            best_beta if best_beta.dim else None, len(seeds) + len(candidates),
+            ("lower bounds only; exact maxima over Q are not computed",), paths)

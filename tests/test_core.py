@@ -176,6 +176,25 @@ def test_bracket_subspaces_matches_span_of_naive_brackets(field):
             assert bracket_subspaces(L, args) == naive, (L, pattern)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_bracket_subspaces_groups_equal_arguments_that_are_distinct_objects(field):
+    """Arguments equal as subspaces but built separately give the span that
+    one shared object gives, in every position and with the whole space."""
+    rng = random.Random(3)
+    for L in (catalog_build("A(n)", field, n=3), catalog_build("T35-b5", field, m=5),
+              catalog_build("L21-d(r)", field, n=4, r=4)):
+        m, n = L.dim, L.arity
+        full = full_subspace(field, m)
+        for k in (1, 2, 3):
+            vectors = [_dense_vector(field, m, rng) for _ in range(k)]
+            copies = [span(field, m, vectors) for _ in range(n)]
+            assert all(c == copies[0] and c.basis is not copies[0].basis for c in copies[1:])
+            for j in range(1, n + 1):
+                shared = bracket_subspaces(L, (copies[0],) * j + (full,) * (n - j))
+                assert bracket_subspaces(L, copies[:j] + [full] * (n - j)) == shared
+                assert bracket_subspaces(L, [full] * (n - j) + copies[:j]) == shared
+
+
 def test_high_arity_fi_check_compiles_only_the_maps_it_reads():
     """All k together hold 2^n compiled items per stored tuple (over a
     million here); the identity check needs only maps[1]."""

@@ -1,21 +1,26 @@
+import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from nlie.catalog import catalog_build, entries_for_dims
-from nlie.core import abelian_algebra, bracket_basis, make_algebra
+from nlie.catalog import catalog_build, entries_for_dims, lie_catalog_build
+from nlie.core import NLieAlgebra, abelian_algebra, bracket_basis, make_algebra
 from nlie.errors import NotAnIdealError
 from nlie.fields import GF, QQ
 from nlie import invariants
 from nlie.invariants import (
+    SubspaceClass,
     center,
     classify_subspace,
     derived_algebra,
     full_space,
     invariant_report,
     is_2step_s_solvable,
+    is_abelian_ideal,
+    is_abelian_subalgebra,
+    is_ideal,
     is_nilpotent,
     is_s_solvable,
     lower_central_series,
@@ -191,6 +196,66 @@ def test_center_matches_brute_force(field):
 def test_center_ex42_m6():
     L = catalog_build("EX42", QQ, m=6)
     assert center(L) == coordinate_subspace(QQ, 6, (2,))
+
+
+def _flags_by_naive_spans(L, S):
+    """classify_subspace's flags read off spans of the oracle's brackets
+    over every tuple of basis vectors."""
+    f, m, n = L.field, L.dim, L.arity
+    units = [unit_vector(f, m, i) for i in range(m)]
+
+    def naive(*bases):
+        return span(f, m, [naive_bracket(L, list(vs)) for vs in product(*bases)])
+
+    own = naive(*(S.basis,) * n)
+    ideal = naive(S.basis, *(units,) * (n - 1)) <= S
+    pair_zero = naive(S.basis, S.basis, *(units,) * (n - 2)).is_zero
+    return SubspaceClass(own <= S, ideal, own.is_zero, ideal and pair_zero,
+                         ideal and own.is_zero and not pair_zero)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_subspace_predicates_match_spans_of_naive_brackets(field):
+    """The early-exit predicates and classify_subspace against whole spans of
+    oracle brackets, on every coordinate subspace and on seeded random
+    subspaces, at arities 2 and 3; EX41 violates the identity."""
+    rng = random.Random(11)
+    algebras = [catalog_build(fid, field, **params) for fid, params in (
+        ("A(n)", {"n": 3}), ("EX32-1", {}), ("EX33", {}), ("EX41", {}),
+        ("T35-b2", {"m": 5}))]
+    algebras += [lie_catalog_build("heisenberg", field, dim=3),
+                 lie_catalog_build("upper", field, n=2)]
+    for L in algebras:
+        m = L.dim
+        subspaces = [coordinate_subspace(field, m, idx)
+                     for k in range(m + 1) for idx in combinations(range(m), k)]
+        values = range(-1, 2) if field.p is None else range(field.p)
+        subspaces += [span(field, m, [[rng.choice(values) for _ in range(m)] for _ in range(k)])
+                      for k in range(1, m) for _ in range(3)]
+        for S in subspaces:
+            flags = _flags_by_naive_spans(L, S)
+            assert classify_subspace(L, S) == flags, (L, S)
+            assert (is_abelian_subalgebra(L, S), is_ideal(L, S), is_abelian_ideal(L, S)) \
+                == (flags.is_abelian_subalgebra, flags.is_ideal, flags.is_abelian_ideal), (L, S)
+
+
+def test_fingerprint_computes_the_centre_once(monkeypatch):
+    """Over GF(p) a fingerprint reads the centre for beta and for the
+    invariant report; the algebra computes it once."""
+    calls = []
+    compute = NLieAlgebra.center.func
+
+    def counted(L):
+        calls.append(L)
+        return compute(L)
+
+    monkeypatch.setattr(NLieAlgebra.center, "func", counted)
+    for p, dims in ((2, (4, 5)), (3, (4,))):
+        for seed, (label, L) in enumerate(entries_for_dims(dims, GF(p))):
+            D = random_basis_change(L, seed)
+            calls.clear()
+            assert fingerprint(D).alpha_beta is not None, label
+            assert calls == [D], label
 
 
 def test_classify_ex32_1_hypo_abelian():

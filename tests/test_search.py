@@ -16,6 +16,7 @@ from nlie.fields import GF, QQ
 from nlie.invariants import center, classify_subspace
 from nlie.iso import random_basis_change
 from nlie.linalg import coordinate_subspace, full_subspace, unit_vector
+from nlie import search
 from nlie.search import (
     PREDICATES,
     Claims,
@@ -28,7 +29,12 @@ from nlie.search import (
     verify_claims,
 )
 
-from oracles import gauss_count_recursive, naive_bracket, span_members_fp
+from oracles import (
+    abelian_bounds_q_reference,
+    gauss_count_recursive,
+    naive_bracket,
+    span_members_fp,
+)
 
 
 def test_gaussian_binomial_product_vs_recurrence():
@@ -458,3 +464,33 @@ def test_verify_claims_judges_each_invariant_by_its_own_scans():
     assert (check.status, check.computed) == ("unverifiable", None)
     assert check.method == ("modular results disagree or too few primes ([]); "
                             "budget 10 stopped the alpha scan at p in [2, 3, 5]")
+
+
+def test_q_bounds_match_the_reference_growth(monkeypatch):
+    """abelian_bounds_q against ``oracles.abelian_bounds_q_reference`` (whole
+    spans, every growth from scratch) on every catalog family over Q at m =
+    4, 5, 6 and the Lie fixtures, one after another in this process, so a
+    memo that outlived its call would show.  Each call keeps one memo, and
+    it maps exactly the subspaces of the reference's growth paths to where
+    their growth ends."""
+    memos = []
+    grow = search._grow_abelian
+
+    def recorded(L, seed, memo):
+        memos.append(memo)
+        return grow(L, seed, memo)
+
+    monkeypatch.setattr(search, "_grow_abelian", recorded)
+    algebras = entries_for_dims((4, 5, 6), QQ)
+    for fid, params in (("affine", {"dim": 2}), ("heisenberg", {"dim": 3}),
+                        ("heisenberg", {"dim": 5}), ("upper", {"n": 2}),
+                        ("strictly-upper", {"n": 3})):
+        algebras.append((f"lie {fid} {params}", lie_catalog_build(fid, QQ, **params)))
+    for label, L in algebras:
+        memos.clear()
+        res = abelian_bounds_q(L)
+        *expected, paths = abelian_bounds_q_reference(L)
+        assert [res.alpha, res.beta, res.alpha_witness, res.beta_witness,
+                res.subspaces_scanned, res.notes] == expected, label
+        assert memos and all(memo is memos[0] for memo in memos), label
+        assert memos[0] == {S.basis: path[-1] for path in paths for S in path}, label
