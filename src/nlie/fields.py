@@ -1,13 +1,16 @@
 """Exact scalar fields: arbitrary-precision rationals and prime fields GF(p).
 
-A scalar by itself is a plain Python value -- ``fractions.Fraction`` for the
-rationals, ``int`` in ``[0, p)`` for GF(p).  Its meaning comes from the Field
+A scalar by itself is a plain Python value -- for the rationals an ``int``
+when the value is integral and a ``fractions.Fraction`` otherwise, for GF(p)
+an ``int`` in ``[0, p)``.  Its meaning comes from the Field
 object it travels with: matrices, subspaces and algebras carry the field tag
 and refuse to combine values tagged with different fields.  There is no
 implicit coercion between fields anywhere; integers are accepted on ingestion
 (``validate`` / ``from_int``) because every field contains an image of Z.
 
-No floating point is used anywhere in the package.
+No floating point is used anywhere in the package.  Since ``/`` on two ints
+gives a float, the package has no ``/`` operator: ``RationalField.inv`` is
+its one exact division.
 """
 
 from __future__ import annotations
@@ -76,11 +79,17 @@ class Field:
 
 
 class RationalField(Field):
-    """The field Q; scalars are Fractions, automatically in lowest terms."""
+    """The field Q.  An integral scalar is an ``int`` and any other one a
+    ``Fraction`` in lowest terms, so integer data runs on machine ints.
+
+    ``validate``, ``parse``, ``from_int`` and ``inv`` return that form.  Sums
+    and products of Fractions may be integral Fractions; they compare, hash
+    and format exactly as the equal ints do.
+    """
 
     p = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -95,18 +104,22 @@ class RationalField(Field):
         return -a
 
     def inv(self, a):
+        """The exact inverse: an ``int`` when it is integral, else a Fraction."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / a
+        num, den = a.numerator, a.denominator
+        if num == 1 or num == -1:
+            return num * den
+        return Fraction(den, num)
 
     def from_int(self, k):
-        return Fraction(k)
+        return int(k)
 
     def validate(self, x):
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         raise FieldMismatchError(f"not a rational scalar: {x!r}")
 
     def parse(self, text):
@@ -116,8 +129,8 @@ class RationalField(Field):
             num, den = text.split("/")
             if int(den) == 0:
                 raise ParseError(f"zero denominator in scalar: {text!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return self.validate(Fraction(int(num), int(den)))
+        return int(text)
 
     def format(self, x):
         return str(x)

@@ -6,9 +6,10 @@ their basis tuples are equal.  Everything is a value type, safe to share.
 
 The kernels ``minor_det``, ``reduce_vector``, ``rref`` (the one
 elimination routine: ranks, kernels, inverses, spans and intersections) and
-``null_basis`` work on raw scalars, Fractions or ints reduced mod p, and do
-not validate; the public constructors and methods validate what they are
-given.
+``null_basis`` work on raw scalars -- over Q ints and Fractions (see
+``fields.RationalField``), over GF(p) ints reduced mod p -- and do not
+validate; the public constructors and methods validate what they are given.
+Over Q they divide only through the exact ``QQ.inv``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
-from .fields import Field, same_field
+from .fields import QQ, Field, same_field
 
 
 def validate_vector(field: Field, length: int, v) -> tuple:
@@ -43,8 +44,7 @@ def minor_det(rows, cols, p=None):
     """Determinant of the square minor [rows[i][cols[j]]] of raw scalars.
 
     With a prime ``p`` the entries are ints in [0, p) and the result is
-    reduced mod p; with ``p=None`` the entries are Fractions (a zero result
-    may be int 0).
+    reduced mod p; with ``p=None`` they are rationals (ints or Fractions).
     """
     n = len(cols)
     if n == 2:
@@ -72,7 +72,7 @@ def minor_det(rows, cols, p=None):
                 det = -det
             lead = mat[c]
             det *= lead[c]
-            inv = 1 / lead[c] if p is None else pow(lead[c], p - 2, p)
+            inv = QQ.inv(lead[c]) if p is None else pow(lead[c], p - 2, p)
             for i in range(c + 1, n):
                 if mat[i][c]:
                     factor = inv * mat[i][c]
@@ -87,7 +87,7 @@ def reduce_vector(rows, pivots, v, p=None):
     """Residual list of raw vector ``v`` after elimination against echelon rows.
 
     Each row has a 1 at its pivot column and zeros at the pivots of the rows
-    before it.  With a prime ``p`` the arithmetic is mod p, else over Fractions.
+    before it.  With a prime ``p`` the arithmetic is mod p, else over Q.
     """
     w = list(v)
     for row, pc in zip(rows, pivots):
@@ -108,7 +108,7 @@ def rref(rows, ncols, p=None):
     """Reduce a list of raw row lists to RREF in place; returns the pivot list.
 
     The scalars are those of ``reduce_vector``: ints in [0, p) reduced mod
-    a prime ``p``, or Fractions with ``p=None``.
+    a prime ``p``, or rationals with ``p=None``.
     """
     pivots = []
     r = 0
@@ -124,7 +124,7 @@ def rref(rows, ncols, p=None):
         rows[r], rows[pr] = rows[pr], rows[r]
         lead = rows[r]
         if lead[c] != 1:
-            inv = 1 / lead[c] if p is None else pow(lead[c], p - 2, p)
+            inv = QQ.inv(lead[c]) if p is None else pow(lead[c], p - 2, p)
             lead = rows[r] = [inv * x if p is None else inv * x % p for x in lead]
         for i in range(nrows):
             f = rows[i][c]

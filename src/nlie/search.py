@@ -37,7 +37,6 @@ both against a brute-force oracle.  The Q bounds call those predicates too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from .core import NLieAlgebra, bracket_rows
@@ -533,10 +532,14 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
     for r in range(1, m + 1):
         for subset in combinations(range(m), r):
             candidates.append(coordinate_subspace(f, m, subset))
+    # a repeated candidate cannot win again: test each basis once
     best_beta = zero_subspace(f, m)
+    tested = set()
     for S in candidates:
-        if S.dim > best_beta.dim and is_abelian_ideal(L, S):
-            best_beta = S
+        if S.dim > best_beta.dim and S.basis not in tested:
+            tested.add(S.basis)
+            if is_abelian_ideal(L, S):
+                best_beta = S
 
     alpha_upper, beta_upper = _upper_bounds(L)
     return AlphaBetaResult(
@@ -564,7 +567,6 @@ def reduce_mod_p(L: NLieAlgebra, p: int) -> NLieAlgebra:
     for key, val in L.entries:
         vec = []
         for c in val:
-            c = Fraction(c)
             if c.denominator % p == 0:
                 raise InvalidParameterError(
                     f"p={p} divides a structure-constant denominator ({c})")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .catalog import (
@@ -474,7 +473,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
 
         def rand_vec():
             if f.p is None:
-                return tuple(Fraction(rng.randrange(-3, 4)) for _ in range(m))
+                return tuple(QQ.from_int(rng.randrange(-3, 4)) for _ in range(m))
             return tuple(rng.randrange(f.p) for _ in range(m))
 
         vecs = [rand_vec() for _ in range(n)]
@@ -489,7 +488,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
             break
         slot = rng.randrange(n)
         u, v = rand_vec(), rand_vec()
-        c = (Fraction(rng.randrange(-3, 4)) if f.p is None
+        c = (QQ.from_int(rng.randrange(-3, 4)) if f.p is None
              else rng.randrange(f.p))
         combo = tuple(f.add(a, f.mul(c, b)) for a, b in zip(u, v))
         with_u = list(vecs)

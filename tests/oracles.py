@@ -3,8 +3,9 @@
 These deliberately avoid the library's evaluation paths: the bracket oracle
 (shipped as ``nlie.oracle``, which criterion 1 also uses) expands through an
 explicitly antisymmetrized all-orderings table, membership oracles enumerate
-whole vector spaces over GF(p), and the counting oracle is the q-Pascal
-recurrence rather than the product formula.  The reference of the Q lower
+whole vector spaces over GF(p), the counting oracle is the q-Pascal
+recurrence rather than the product formula, and the elimination oracles are
+textbook RREF and cofactor expansion on Fractions.  The reference of the Q lower
 bounds is their first implementation: flags read off whole bracket spans and
 every growth run from scratch.
 """
@@ -82,6 +83,16 @@ def rref_fractions(rows):
                 rows[i] = [a - lv * b for a, b in zip(rows[i], rows[r])]
         lead += 1
     return [row for row in rows if any(row)]
+
+
+def det_cofactor(rows):
+    """Determinant by Laplace expansion along the first row, on Fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    if not rows:
+        return Fraction(1)
+    return sum(((-1) ** j * rows[0][j]
+                * det_cofactor([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j in range(len(rows)) if rows[0][j]), Fraction(0))
 
 
 def _abelian_subalgebra_by_span(L, S):

@@ -1,7 +1,8 @@
 """Static checks on the package sources: no unused imports, no module
 reaching into another module's private (underscore-prefixed, not dunder)
-names, and no function-local imports of package modules (every dependency
-between modules shows at the top of the importing module).
+names, no function-local imports of package modules (every dependency
+between modules shows at the top of the importing module), and no true
+division (an integral rational is an int, and int / int is a float).
 
 ``__init__.py`` is skipped because its imports are the public re-exports.
 """
@@ -75,3 +76,14 @@ def test_no_function_local_imports_of_package_modules(path):
              if (source or name).startswith(".")
              or (source or name).split(".")[0] == "nlie"]
     assert not local
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_true_division(path):
+    """Exact division goes through ``QQ.inv`` (or ``pow`` mod p); ``/`` and
+    ``/=`` occur nowhere, not even there."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    divisions = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div)]
+    assert not divisions

@@ -466,6 +466,23 @@ def test_verify_claims_judges_each_invariant_by_its_own_scans():
                             "budget 10 stopped the alpha scan at p in [2, 3, 5]")
 
 
+def test_q_bounds_test_each_beta_candidate_once(monkeypatch):
+    """Within one abelian_bounds_q call no subspace goes to is_abelian_ideal
+    twice: a repeated candidate cannot win again."""
+    tested = []
+    test = search.is_abelian_ideal
+
+    def recorded(L, S):
+        tested.append(S.basis)
+        return test(L, S)
+
+    monkeypatch.setattr(search, "is_abelian_ideal", recorded)
+    for label, L in entries_for_dims((4, 5), QQ):
+        tested.clear()
+        abelian_bounds_q(L)
+        assert tested and len(tested) == len(set(tested)), label
+
+
 def test_q_bounds_match_the_reference_growth(monkeypatch):
     """abelian_bounds_q against ``oracles.abelian_bounds_q_reference`` (whole
     spans, every growth from scratch) on every catalog family over Q at m =
