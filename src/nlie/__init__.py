@@ -67,15 +67,11 @@ from .invariants import (
 )
 from .search import (
     AlphaBetaResult,
-    ClaimCheck,
-    Claims,
-    ClaimsReport,
     abelian_bounds_q,
     alpha_beta_exact_fp,
     enumerate_subspaces,
     gaussian_binomial,
     reduce_mod_p,
-    verify_claims,
 )
 from .catalog import (
     CATALOG,

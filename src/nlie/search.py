@@ -1,16 +1,20 @@
 """Abelian subalgebra/ideal search: alpha and beta invariants.
 
-Over GF(p) the values are computed exactly.  Alpha is an exhaustive scan of
-subspaces in canonical RREF order (profiles of pivot columns in lexicographic
-order, free entries in odometer order), dimensions downward with early exit.
-Beta is a branch and bound over abelian ideals that rests on two facts:
+Over GF(p) the values are computed exactly, and both searches rest on the
+centre Z: S + Z is an abelian subalgebra (ideal) whenever S is one, so every
+abelian subalgebra or ideal of the largest dimension contains Z.
 
-* J + Z is an abelian ideal whenever J is one (Z the centre), so every
-  abelian ideal of the largest dimension contains Z: the search starts at Z.
-* An abelian ideal J containing an ideal I lies in K(I) = {v : [v, i, x_1,
-  .., x_{n-2}] = 0 for all i in I and all x}, a kernel linear in v, so
-  dim K(I) bounds every branch below I.
+Alpha is an exhaustive scan of the subspaces that contain Z, in canonical
+RREF order (profiles of pivot columns in lexicographic order, free entries
+in odometer order), dimensions downward with early exit.  At a level k >=
+dim Z an abelian k-subspace exists exactly when one contains Z, so the value,
+the witness and the count (whole levels above the hit plus the hit's
+position in its level) are those of a scan of every subspace.
 
+Beta is a branch and bound over abelian ideals that starts at Z.  An abelian
+ideal J containing an ideal I lies in K(I) = {v : [v, i, x_1, .., x_{n-2}]
+= 0 for all i in I and all x}, a kernel linear in v, so dim K(I) bounds
+every branch below I.
 Nodes grow by the ideal closure of one vector of K(I)/I (the spinning closure
 of the MeatAxe; Lux, Mueller & Ringe 1994), and a node is pruned by dim K(I)
 as a maximum-clique search is pruned by the size of its candidate set
@@ -22,7 +26,8 @@ for beta at arity 2, dim-2 at arity >= 3).
 
 The alpha scan, the ideal counts of ``iso`` and the classifier of
 ``catalog`` walk the Grassmannian through ``subspace_hits`` (one level) and
-``first_hit`` (whole levels under the budget).
+``first_hit`` (whole levels under the budget), both on ``_iter_level``,
+which can walk only the subspaces that contain a given one.
 
 The scan predicates read the compiled table ``L.maps`` like every other
 layer, but keep their own raw-int loops with the reduction mod p at every
@@ -37,12 +42,13 @@ both against a brute-force oracle.  The Q bounds call those predicates too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 
 from .core import NLieAlgebra, bracket_rows
 from .errors import InvalidParameterError, UnsupportedRequestError
 from .fields import GF, QQ, is_prime
-from .invariants import center, invariant_report, is_abelian_ideal, is_abelian_subalgebra
+from .invariants import center, is_abelian_ideal, is_abelian_subalgebra
 from .linalg import (
     Subspace,
     coordinate_subspace,
@@ -80,27 +86,84 @@ def _profile_free_positions(m, profile):
     return pos
 
 
-def _iter_level(m, k, p):
-    """(RREF rows, pivot profile) of every k-dimensional subspace of GF(p)^m
-    in canonical order: profiles lexicographic, free entries in odometer order."""
+def _containing_solutions(m, profile, free, z_basis, p):
+    """(x0, D): the free entries x (listed as ``free``) of the subspaces with
+    pivot ``profile`` that contain span(z_basis) are x0 + span(D), with D in
+    RREF and x0 zero at its pivots.  They solve sum_r z[c_r] x(r, j) = z[j],
+    one equation for each z and each column j off the profile.  When the
+    profile holds the pivots of the RREF ``z_basis`` these are consistent:
+    each equation that is not 0 = 0 has an unknown x(r, j), with c_r the
+    pivot of its z, that no other equation holds."""
+    nfree = len(free)
+    index = {pos: f for f, pos in enumerate(free)}
+    eqs = []
+    for z in z_basis:
+        for j in range(m):
+            if j not in profile:
+                row = [0] * (nfree + 1)
+                for r, c in enumerate(profile):
+                    if c < j and z[c]:
+                        row[index[r, j]] = z[c]
+                row[nfree] = z[j]
+                eqs.append(row)
+    pivots = rref(eqs, nfree, p)
+    x0 = [0] * nfree
+    for row, c in zip(eqs, pivots):
+        x0[c] = row[nfree]
+    directions = null_basis(eqs, pivots, nfree, p)
+    x0 = reduce_vector(directions, rref(directions, nfree, p), x0, p)
+    return x0, directions
+
+
+def _iter_level(m, k, p, containing=None, keep=None):
+    """(position, RREF rows, pivot profile) of every k-dimensional subspace
+    of GF(p)^m that contains the subspace ``containing`` and passes
+    ``keep(rows as lists, profile)``, each when given, in canonical order:
+    profiles lexicographic, free entries in odometer order.  The position is
+    the subspace's 1-based index in the whole level.
+
+    A profile that misses a pivot of Z holds no subspace containing Z and
+    is skipped.  Otherwise the free entries are x0 + t.D (see
+    ``_containing_solutions``): as D is in RREF and x0 is zero at its
+    pivots, the lexicographic order of t is the odometer order of the free
+    entries, so an odometer over t adds one row of D per digit it moves (a
+    wrap too, as p.d = 0).  Without Z, D is the unit vectors and x0 = 0.
+    The position, the mixed-radix value of the free entries, is read only
+    for a subspace that is yielded."""
+    z_basis = containing.basis if containing is not None else ()
+    z_pivots = set(containing.pivots) if containing is not None else set()
+    offset = 0  # the subspaces of the earlier profiles
     for profile in combinations(range(m), k):
         free = _profile_free_positions(m, profile)
-        base = [[0] * m for _ in range(k)]
-        for r, c in enumerate(profile):
-            base[r][c] = 1
-        vals = [0] * len(free)
-        i = 0  # the odometer digit that moved last; -1 once all of them wrapped
-        while i >= 0:
-            yield tuple(tuple(row) for row in base), profile
-            i = len(free) - 1
+        if z_pivots <= set(profile):
+            base = [[0] * m for _ in range(k)]
+            for r, c in enumerate(profile):
+                base[r][c] = 1
+            if z_basis:
+                x0, directions = _containing_solutions(m, profile, free, z_basis, p)
+                for (r, j), c in zip(free, x0):
+                    base[r][j] = c
+                steps = [[(r, j, c) for (r, j), c in zip(free, d) if c] for d in directions]
+            else:
+                steps = [[(r, j, 1)] for r, j in free]
+            digits = [0] * len(steps)
+            i = 0  # the odometer digit that moved last; -1 once all of them wrapped
             while i >= 0:
-                vals[i] += 1
-                if vals[i] < p:
-                    base[free[i][0]][free[i][1]] = vals[i]
-                    break
-                vals[i] = 0
-                base[free[i][0]][free[i][1]] = 0
-                i -= 1
+                if keep is None or keep(base, profile):
+                    rank = 0
+                    for r, j in free:
+                        rank = rank * p + base[r][j]
+                    yield offset + rank + 1, tuple(map(tuple, base)), profile
+                i = len(steps) - 1
+                while i >= 0:
+                    for r, j, c in steps[i]:
+                        base[r][j] = (base[r][j] + c) % p
+                    digits[i] += 1
+                    if digits[i] < p:
+                        break
+                    digits[i] = 0
+                    i -= 1
+        offset += p ** len(free)
 
 
 def enumerate_subspaces(m: int, k: int, p: int):
@@ -110,7 +173,7 @@ def enumerate_subspaces(m: int, k: int, p: int):
     if not (0 <= k <= m):
         raise InvalidParameterError(f"k must be in 0..{m}, got {k}")
     fld = GF(p)
-    for rows, profile in _iter_level(m, k, p):
+    for _, rows, profile in _iter_level(m, k, p):
         yield subspace_from_rref_rows(fld, m, rows, profile)
 
 
@@ -199,32 +262,29 @@ PREDICATES = {
 }
 
 
-def subspace_hits(L: NLieAlgebra, k, mode):
+def subspace_hits(L: NLieAlgebra, k, mode, containing=None):
     """Yield (position, rows, profile) for every k-dimensional subspace of
-    GF(p)^dim that satisfies ``PREDICATES[mode]``, in canonical order;
-    position is the subspace's 1-based index in its level."""
-    predicate = PREDICATES[mode]
-    position = 0
-    for rows, profile in _iter_level(L.dim, k, L.field.p):
-        position += 1
-        if predicate(L, rows, profile):
-            yield position, rows, profile
+    GF(p)^dim that contains ``containing`` (when given) and satisfies
+    ``PREDICATES[mode]``, in canonical order; position is the subspace's
+    1-based index in its whole level."""
+    return _iter_level(L.dim, k, L.field.p, containing, partial(PREDICATES[mode], L))
 
 
-def first_hit(L: NLieAlgebra, levels, mode, budget):
+def first_hit(L: NLieAlgebra, levels, mode, budget, containing=None):
     """Walk whole levels k, in the given order, to the canonically first
-    subspace that satisfies ``PREDICATES[mode]``; a level is entered only
-    when the subspaces scanned so far plus its size are within ``budget``.
-    Returns (k, (rows, profile), scanned) at a hit, (k, None, scanned) when
-    the budget stopped the walk before level k, and (None, None, scanned)
-    without a hit."""
+    subspace that contains ``containing`` (when given) and satisfies
+    ``PREDICATES[mode]``; a level is entered only when the subspaces scanned
+    so far plus its whole size are within ``budget``.  Returns (k, (rows,
+    profile), scanned) at a hit, (k, None, scanned) when the budget stopped
+    the walk before level k, and (None, None, scanned) without a hit; scanned
+    counts whole levels and the hit's position in its level."""
     m, p = L.dim, L.field.p
     scanned = 0
     for k in levels:
         size = gaussian_binomial(m, k, p)
         if scanned + size > budget:
             return k, None, scanned
-        for position, rows, profile in subspace_hits(L, k, mode):
+        for position, rows, profile in subspace_hits(L, k, mode, containing):
             return k, (rows, profile), scanned + position
         scanned += size
     return None, None, scanned
@@ -234,8 +294,13 @@ def _scan_down(L, budget, notes):
     """Alpha by a scan down from dim: the largest k with an abelian
     k-dimensional subalgebra; returns (k or None when the budget stopped it,
     the canonically first witness or None at k = 0, the subspaces scanned).
-    The zero subspace is abelian, so some level always hits."""
-    k, hit, scanned = first_hit(L, range(L.dim, -1, -1), "abelian-subalgebra", budget)
+
+    The scan tests only the subspaces that contain the centre Z but counts
+    whole levels and positions in them, so value, witness and count are
+    those of a scan of every subspace (see the module docstring).  Z itself
+    is abelian, so the scan hits at level dim Z at the latest."""
+    k, hit, scanned = first_hit(L, range(L.dim, -1, -1), "abelian-subalgebra", budget,
+                                center(L))
     if hit is None:
         notes.append(f"alpha scan stopped before dimension {k}: budget")
         return None, None, scanned
@@ -577,136 +642,3 @@ def reduce_mod_p(L: NLieAlgebra, p: int) -> NLieAlgebra:
     # relation among the constants
     return NLieAlgebra(fld, L.arity, L.dim, tuple(sorted(entries)),
                        fi_checked=L.fi_checked, labels=L.labels)
-
-
-# ---------------------------------------------------------------------------
-# claim verification
-
-
-@dataclass(frozen=True)
-class Claims:
-    derived_dim: int | None = None
-    center_dim: int | None = None
-    alpha: int | None = None
-    beta: int | None = None
-    nilpotent: bool | None = None
-    solvable: tuple = ()       # ((s, expected_flag), ...)
-
-
-@dataclass(frozen=True)
-class ClaimCheck:
-    name: str
-    expected: object
-    computed: object
-    status: str                # "pass" | "fail" | "unverifiable"
-    method: str
-
-    def to_dict(self):
-        return {"name": self.name, "expected": self.expected,
-                "computed": self.computed, "status": self.status,
-                "method": self.method}
-
-
-@dataclass(frozen=True)
-class ClaimsReport:
-    checks: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    @property
-    def any_fail(self) -> bool:
-        return any(c.status == "fail" for c in self.checks)
-
-    def to_dict(self):
-        return {"checks": [c.to_dict() for c in self.checks],
-                "all_pass": self.all_pass}
-
-
-def verify_claims(L: NLieAlgebra, claims: Claims, *, primes=(2, 3),
-                  budget: int = DEFAULT_BUDGET) -> ClaimsReport:
-    """Check expected invariants with the strongest method available.
-
-    Structural dimensions and flags are exact over the algebra's own field.
-    alpha/beta over a prime field are exact; over Q they are corroborated by
-    exhaustive enumeration after reduction at several primes (agreement
-    required) together with the certified Q bounds -- evidence, not proof,
-    and flagged as such in the method string.
-    """
-    checks = []
-    rep = invariant_report(L)
-    for name, method in (("derived_dim", "exact rank"), ("center_dim", "exact kernel"),
-                         ("nilpotent", "exact series")):
-        expected, got = getattr(claims, name), getattr(rep, name)
-        if expected is not None:
-            checks.append(ClaimCheck(name, expected, got,
-                                     "pass" if got == expected else "fail", method))
-    solv = dict(rep.solvable)
-    for s, expected in claims.solvable:
-        got = solv.get(s)
-        if got is None:
-            checks.append(ClaimCheck(f"solvable[{s}]", expected, None,
-                                     "unverifiable", "s out of range"))
-        else:
-            checks.append(ClaimCheck(f"solvable[{s}]", expected, got,
-                                     "pass" if got == expected else "fail",
-                                     "exact series"))
-
-    if claims.alpha is not None or claims.beta is not None:
-        if L.field.p is not None:
-            res = alpha_beta_exact_fp(L, budget=budget)
-            for name, expected, got, exact in (
-                    ("alpha", claims.alpha, res.alpha, res.alpha_exact),
-                    ("beta", claims.beta, res.beta, res.beta_exact)):
-                if expected is None:
-                    continue
-                if not exact:
-                    checks.append(ClaimCheck(name, expected, got, "unverifiable",
-                                             "budget exceeded"))
-                else:
-                    checks.append(ClaimCheck(name, expected, got,
-                                             "pass" if got == expected else "fail",
-                                             f"exhaustive GF({L.field.p})"))
-        else:
-            bounds = abelian_bounds_q(L)
-            runs = {}
-            for p in primes:
-                try:
-                    Lp = reduce_mod_p(L, p)
-                except InvalidParameterError:
-                    continue
-                runs[p] = alpha_beta_exact_fp(Lp, budget=budget)
-            for name, expected in (("alpha", claims.alpha), ("beta", claims.beta)):
-                if expected is None:
-                    continue
-                lower = getattr(bounds, name)
-                upper = getattr(bounds, f"{name}_upper")
-                if lower is not None and lower > expected:
-                    checks.append(ClaimCheck(name, expected, lower, "fail",
-                                             "certified Q lower bound exceeds claim"))
-                    continue
-                if upper is not None and expected > upper:
-                    checks.append(ClaimCheck(name, expected, upper, "fail",
-                                             "claim exceeds certified Q upper bound"))
-                    continue
-                # each invariant is judged by the runs in which its own scan finished
-                used = [p for p, res in runs.items() if getattr(res, f"{name}_exact")]
-                stopped = [p for p in runs if p not in used]
-                note = (f"; budget {budget} stopped the {name} scan at p in {stopped}"
-                        if stopped else "")
-                values = {getattr(runs[p], name) for p in used}
-                if len(values) == 1 and len(used) >= 2:
-                    got = values.pop()
-                    status = "pass" if got == expected else "fail"
-                    checks.append(ClaimCheck(
-                        name, expected, got, status,
-                        f"exhaustive mod p agreement at p in {used} "
-                        f"(heuristic corroboration of the characteristic-0 claim) "
-                        f"+ Q bounds [{lower}, {upper}]{note}"))
-                else:
-                    checks.append(ClaimCheck(
-                        name, expected, sorted(values) if values else None,
-                        "unverifiable",
-                        f"modular results disagree or too few primes ({used}){note}"))
-    return ClaimsReport(tuple(checks))

@@ -4,8 +4,9 @@ These deliberately avoid the library's evaluation paths: the bracket oracle
 (shipped as ``nlie.oracle``, which criterion 1 also uses) expands through an
 explicitly antisymmetrized all-orderings table, membership oracles enumerate
 whole vector spaces over GF(p), the counting oracle is the q-Pascal
-recurrence rather than the product formula, and the elimination oracles are
-textbook RREF and cofactor expansion on Fractions.  The reference of the Q lower
+recurrence rather than the product formula, the level walk is
+``itertools.product`` over each profile's free entries, and the elimination
+oracles are textbook RREF and cofactor expansion on Fractions.  The reference of the Q lower
 bounds is their first implementation: flags read off whole bracket spans and
 every growth run from scratch.
 """
@@ -54,6 +55,20 @@ def gauss_count_recursive(m, k, p, _cache={}):
         _cache[key] = (gauss_count_recursive(m - 1, k - 1, p)
                        + p ** k * gauss_count_recursive(m - 1, k, p))
     return _cache[key]
+
+
+def level_walk(m, k, p):
+    """(rows, profile) of every k-dimensional subspace of GF(p)^m in the
+    canonical order, by enumeration: pivot profiles lexicographic, then the
+    free entries (row by row, left to right) lexicographic."""
+    for profile in combinations(range(m), k):
+        free = [(r, j) for r, c in enumerate(profile)
+                for j in range(c + 1, m) if j not in profile]
+        for values in product(range(p), repeat=len(free)):
+            rows = [[int(j == c) for j in range(m)] for c in profile]
+            for (r, j), x in zip(free, values):
+                rows[r][j] = x
+            yield tuple(map(tuple, rows)), profile
 
 
 def rref_fractions(rows):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,23 +16,22 @@ from nlie.errors import InvalidParameterError, UnsupportedRequestError
 from nlie.fields import GF, QQ
 from nlie.invariants import center, classify_subspace
 from nlie.iso import random_basis_change
-from nlie.linalg import coordinate_subspace, full_subspace, unit_vector
+from nlie.linalg import coordinate_subspace, full_subspace, span, unit_vector, zero_subspace
 from nlie import search
 from nlie.search import (
     PREDICATES,
-    Claims,
     abelian_bounds_q,
     alpha_beta_exact_fp,
     enumerate_subspaces,
     gaussian_binomial,
     reduce_mod_p,
     subspace_hits,
-    verify_claims,
 )
 
 from oracles import (
     abelian_bounds_q_reference,
     gauss_count_recursive,
+    level_walk,
     naive_bracket,
     span_members_fp,
 )
@@ -79,6 +79,40 @@ def test_enumeration_rejects_bad_arguments():
         list(enumerate_subspaces(3, 4, 2))
     with pytest.raises(InvalidParameterError):
         list(enumerate_subspaces(3, 1, 4))
+
+
+def _subspaces_to_contain(m, p):
+    """Subspaces Z of GF(p)^m: zero, whole, coordinate, and a random
+    non-coordinate one (an RREF row with two nonzero entries) of each
+    dimension 1..m-1."""
+    f = GF(p)
+    rng = random.Random(10 * m + p)
+    out = [zero_subspace(f, m), full_subspace(f, m), coordinate_subspace(f, m, (0,)),
+           coordinate_subspace(f, m, (m - 1,)), coordinate_subspace(f, m, range(1, m, 2))]
+    for d in range(1, m):
+        Z = zero_subspace(f, m)
+        while Z.dim != d or all(sum(map(bool, row)) == 1 for row in Z.basis):
+            Z = span(f, m, [[rng.randrange(p) for _ in range(m)] for _ in range(d)])
+        out.append(Z)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_walk_containing_a_subspace_matches_filtered_enumeration(p):
+    """``_iter_level`` given a subspace Z yields exactly the subspaces of
+    ``enumerate_subspaces`` that contain Z, in its order and each with its
+    1-based position in the whole level.  Without Z it yields the whole
+    level in the order of the brute-force ``oracles.level_walk``."""
+    for m in range(1, 6):
+        for k in range(m + 1):
+            walk = [(pos, rows, profile)
+                    for pos, (rows, profile) in enumerate(level_walk(m, k, p), 1)]
+            assert list(search._iter_level(m, k, p)) == walk, (m, k)
+            level = list(enumerate(enumerate_subspaces(m, k, p), 1))
+            assert [(pos, S.basis, S.pivots) for pos, S in level] == walk, (m, k)
+            for Z in _subspaces_to_contain(m, p):
+                expected = [(pos, S.basis, S.pivots) for pos, S in level if S.contains(Z)]
+                assert list(search._iter_level(m, k, p, Z)) == expected, (m, k, Z.basis)
 
 
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 4), (2, 5)], ids=["2", "3", "2-m5"])
@@ -179,19 +213,24 @@ def test_alpha_beta_match_brute_force_walk(p):
     assert sum(beta_counts) == {2: 464, 3: 1120}[p]
 
 
-def _max_abelian_ideals(L):
-    """Brute force: beta and every abelian ideal of dimension beta, in the
+def _largest_abelian(L):
+    """Brute force: (beta, every abelian ideal of dimension beta) and
+    (alpha, every abelian subalgebra of dimension alpha), each list in the
     canonical order of ``enumerate_subspaces``."""
+    found = {}
     for k in range(L.dim, -1, -1):
-        hits = [S for S in enumerate_subspaces(L.dim, k, L.field.p)
-                if classify_subspace(L, S).is_abelian_ideal]
-        if hits:
-            return k, hits
+        level = [(S, classify_subspace(L, S)) for S in enumerate_subspaces(L.dim, k, L.field.p)]
+        for flag in ("is_abelian_ideal", "is_abelian_subalgebra"):
+            hits = [S for S, cls in level if getattr(cls, flag)]
+            if hits and flag not in found:
+                found[flag] = (k, hits)
+        if len(found) == 2:
+            return found["is_abelian_ideal"], found["is_abelian_subalgebra"]
 
 
 @pytest.fixture(scope="module")
 def beta_walks():
-    """(label, L, brute-force walk of L) for every catalog family over GF(2)
+    """(label, L, brute-force walks of L) for every catalog family over GF(2)
     at m = 4, 5 and over GF(3) at m = 4, Lie fixtures over GF(2) and GF(3),
     and A(4) over GF(3); each as published and after a dense basis change."""
     algebras = list(entries_for_dims((4, 5), GF(2))) + list(entries_for_dims((4,), GF(3)))
@@ -204,7 +243,7 @@ def beta_walks():
     for label, L in algebras:
         for name, Lx in ((f"{label} GF({L.field.p})", L),
                          (f"{label} GF({L.field.p}) conj", random_basis_change(L, 5))):
-            out.append((name, Lx, _max_abelian_ideals(Lx)))
+            out.append((name, Lx) + _largest_abelian(Lx))
     return out
 
 
@@ -212,7 +251,7 @@ def test_beta_search_matches_brute_force_walk(beta_walks):
     """The branch and bound from the centre gives the beta and the witness
     (the canonically first abelian ideal of the largest dimension) of a walk
     through every subspace."""
-    for label, L, (beta, hits) in beta_walks:
+    for label, L, (beta, hits), _ in beta_walks:
         res = alpha_beta_exact_fp(L, compute="beta")
         assert res.beta_exact, label
         assert (res.beta, res.beta_witness) == (beta, hits[0] if beta else None), label
@@ -222,9 +261,36 @@ def test_every_largest_abelian_ideal_contains_the_center(beta_walks):
     """J + Z is an abelian ideal whenever J is one, so every abelian ideal of
     the largest dimension contains the centre: the fact the beta search
     starts from."""
-    for label, L, (_, hits) in beta_walks:
+    for label, L, (_, hits), _ in beta_walks:
         z = center(L)
         assert all(J.contains(z) for J in hits), label
+
+
+def test_every_largest_abelian_subalgebra_contains_the_center(beta_walks):
+    """S + Z is an abelian subalgebra whenever S is one, so every abelian
+    subalgebra of the largest dimension contains the centre: the fact the
+    alpha scan rests on, which tests only the subspaces that contain Z.  Its
+    value and witness are those of the walk through every subspace."""
+    for label, L, _, (alpha, hits) in beta_walks:
+        z = center(L)
+        assert all(S.contains(z) for S in hits), label
+        res = alpha_beta_exact_fp(L, compute="alpha")
+        assert (res.alpha, res.alpha_witness) == (alpha, hits[0] if alpha else None), label
+
+
+@pytest.mark.parametrize("p,m,alpha,scanned", [(5, 5, 3, 19_533), (3, 6, 4, 10_815),
+                                               (2, 7, 5, 2_593)])
+def test_alpha_deep_hits_are_pinned(p, m, alpha, scanned):
+    """T44-3 meets its first abelian subspace deep in the alpha level (at
+    GF(5), m = 5, after 18,751 three-dimensional subspaces, of which 806
+    contain the centre).  The scan through the subspaces that contain the
+    centre keeps the value, the witness and the count of the scan through
+    every subspace: whole levels above alpha plus the witness's position."""
+    L = catalog_build("T44-3", GF(p), m=m)
+    res = alpha_beta_exact_fp(L, compute="alpha")
+    assert center(L) == coordinate_subspace(GF(p), m, tuple(range(4, m)))
+    witness = coordinate_subspace(GF(p), m, (0, 1) + tuple(range(4, m)))
+    assert (res.alpha, res.alpha_witness, res.subspaces_scanned) == (alpha, witness, scanned)
 
 
 def test_beta_search_on_a_table_that_violates_the_identity():
@@ -233,7 +299,7 @@ def test_beta_search_on_a_table_that_violates_the_identity():
     so the witness is an abelian ideal and equals the brute-force walk's."""
     L = make_algebra(GF(3), 3, 5, {(1, 3, 5): {2: 1}, (2, 4, 5): {4: 1}})
     assert not check_fundamental_identity(L).holds
-    beta, hits = _max_abelian_ideals(L)
+    (beta, hits), _ = _largest_abelian(L)
     res = alpha_beta_exact_fp(L, compute="beta")
     assert (res.beta, res.beta_witness) == (beta, hits[0]) == (1, hits[0])
     assert classify_subspace(L, res.beta_witness).is_abelian_ideal
@@ -390,8 +456,8 @@ def test_upper_bounds_of_lie_algebras_allow_codimension_1_abelian_ideals():
     affine = lie_catalog_build("affine", QQ, dim=2)
     res = abelian_bounds_q(affine)
     assert (res.beta, res.alpha_upper, res.beta_upper) == (1, 1, 1)
-    report = verify_claims(affine, Claims(beta=1))
-    assert report.all_pass, report.to_dict()
+    for p in (2, 3):
+        assert alpha_beta_exact_fp(lie_catalog_build("affine", GF(p), dim=2)).beta == 1
     L = reduce_mod_p(associated_lie(catalog_build("EX42", QQ, m=6), (1, 0, 0, 0, 0, 0)), 2)
     res = alpha_beta_exact_fp(L)
     assert (res.beta, res.alpha_upper, res.beta_upper) == (5, 5, 5)
@@ -412,58 +478,6 @@ def test_exact_values_within_upper_bounds_on_lie_catalog():
 def test_bounds_q_requires_rationals():
     with pytest.raises(UnsupportedRequestError):
         abelian_bounds_q(catalog_build("EX33", GF(2)))
-
-
-# ---------------------------------------------------------------------------
-# claim verification
-
-
-def test_verify_claims_ex32_families():
-    L1 = catalog_build("EX32-1", QQ)
-    rep = verify_claims(L1, Claims(alpha=3, beta=0, derived_dim=3))
-    assert rep.all_pass
-
-    L2 = catalog_build("EX32-2", QQ)
-    rep = verify_claims(L2, Claims(alpha=3, beta=2))
-    assert rep.all_pass
-
-
-def test_verify_claims_catches_wrong_beta():
-    L = catalog_build("EX33", QQ)
-    rep = verify_claims(L, Claims(beta=3))
-    assert rep.any_fail
-
-
-def test_verify_claims_exact_on_prime_field():
-    L = catalog_build("EX41", GF(3))
-    rep = verify_claims(L, Claims(alpha=4, beta=1, derived_dim=1,
-                                  solvable=((2, True),)))
-    assert rep.all_pass
-    methods = {c.name: c.method for c in rep.checks}
-    assert "exhaustive GF(3)" in methods["alpha"]
-
-
-def test_verify_claims_nilpotency_flags():
-    L = catalog_build("EX42", QQ, m=5)
-    rep = verify_claims(L, Claims(nilpotent=True, solvable=((2, True), (3, True))))
-    assert rep.all_pass
-    rep = verify_claims(L, Claims(nilpotent=False))
-    assert rep.any_fail
-
-
-def test_verify_claims_judges_each_invariant_by_its_own_scans():
-    """Over Q a prime counts for alpha when its alpha scan finished, whether
-    or not the budget stopped its beta scan; the stopped primes are named
-    together with the budget."""
-    L = catalog_build("EX33", QQ)
-    check, = verify_claims(L, Claims(alpha=3), primes=(2, 3, 5), budget=60).checks
-    assert (check.status, check.computed) == ("pass", 3)
-    assert "agreement at p in [2, 3]" in check.method
-    assert check.method.endswith("; budget 60 stopped the alpha scan at p in [5]")
-    check, = verify_claims(L, Claims(alpha=3), primes=(2, 3, 5), budget=10).checks
-    assert (check.status, check.computed) == ("unverifiable", None)
-    assert check.method == ("modular results disagree or too few primes ([]); "
-                            "budget 10 stopped the alpha scan at p in [2, 3, 5]")
 
 
 def test_q_bounds_test_each_beta_candidate_once(monkeypatch):
