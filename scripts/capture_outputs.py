@@ -5,18 +5,20 @@ Builds the documents of the three benchmark workloads (structure-q, scan-fp,
 identify-fp) in a temporary directory through ``bench/tasks.py``, then runs
 through ``nlie.cli.main``, in process: every timed task, every
 ``tasks.ISO_PROBES`` search and ``verify-paper``.  Prints one line per output
-(key, exit code, SHA-256 of stdout, SHA-256 of stderr), then one final digest
-over those lines.  The temporary directory's path is replaced by a fixed
-token before hashing, so two checkouts with the same outputs print the same
-digest.  Work counts in the ``--json`` documents are part of stdout and so of
-the digest.  A second final digest is taken over the same lines with the work
+(key, exit code, SHA-256 of stdout, SHA-256 of stderr, SHA-256 of stdout
+without work counts), then one final digest over the first four columns of
+those lines.  The temporary directory's path is replaced by a fixed token
+before hashing, so two checkouts with the same outputs print the same digest.
+Work counts in the ``--json`` documents are part of stdout and so of the
+digest.  A second final digest is taken over the same lines with the work
 counts (the keys ``WORK_KEYS`` of ``bench/checks.py``) deleted from every
 ``--json`` document first, so a change that only moves work counts can still
-show that everything else is byte-identical.  A third digest covers
-``alphabeta --q-bounds --json`` on the Q documents at m = 6 and 7, which the
-benchmark does not time (its ``--q-bounds`` tasks stop at m = 5) and whose
-growth paths run deepest; it is kept apart so that the first two digests
-stay comparable with earlier checkouts.
+show that everything else is byte-identical; the fifth column shows which
+outputs moved.  A third digest covers ``alphabeta --q-bounds --json`` on the Q
+documents at m = 6 and 7, which the benchmark does not time (its
+``--q-bounds`` tasks stop at m = 5) and whose growth paths run deepest; it is
+kept apart so that the first two digests stay comparable with earlier
+checkouts.
 
 Usage (from the root of a source checkout): python3 scripts/capture_outputs.py
 """
@@ -67,8 +69,9 @@ def main():
             rc, out, err = tasks.run_cli(cli, argv)
             out, err = (s.replace(tmp, "<work>") for s in (out, err))
             line = f"{key}\t{rc}\t{sha(out)}\t{sha(err)}"
-            print(line, flush=True)
-            return line, f"{key}\t{rc}\t{sha(work_free(out))}\t{sha(err)}"
+            free = sha(work_free(out))
+            print(f"{line}\t{free}", flush=True)
+            return line, f"{key}\t{rc}\t{free}\t{sha(err)}"
 
         def capture(key, argv):
             line, work_free_line = run(key, argv)

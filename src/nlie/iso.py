@@ -7,11 +7,11 @@ fingerprints is necessary for isomorphism.
 
 ``are_isomorphic`` is exact.  Its certificates, in order: identical tables
 (``yes``), a fingerprint mismatch (``no``), over GF(p) unequal numbers of 1-
-or 2-dimensional ideals (``no``), and a forward-checked backtracking search
-whose ``yes`` carries a witness matrix re-verified entry by entry and whose
-exhaustion over GF(p) is a ``no``.  Over Q the search only tries small-entry
-candidate columns, so the outcome there is ``yes`` or ``unknown`` (or ``no``
-via fingerprints); general isomorphism over Q is deliberately left undecided.
+or 2-dimensional ideals (``no``), and a backtracking search that checks each
+bracket relation at its earliest depth; its ``yes`` carries a witness matrix
+re-verified entry by entry and its exhaustion over GF(p) is a ``no``.  Over Q
+the search tries small-entry columns and forced images only, so the outcome
+there is ``yes`` or ``unknown`` (or ``no`` via fingerprints).
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def ideal_count_difference(L1: NLieAlgebra, L2: NLieAlgebra) -> str | None:
 def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
                    budget: int = 2_000_000) -> IsoResult:
     """Decide isomorphism where feasible.  Certificates, in order: identical
-    tables, fingerprint, ideal counts (GF(p) only), forward-checked search."""
+    tables, fingerprint, ideal counts (GF(p) only), backtracking search."""
     if L1.arity != L2.arity or L1.dim != L2.dim or L1.field != L2.field:
         raise InvalidParameterError("isomorphism requires equal arity, dimension and field")
     m = L1.dim
@@ -192,11 +192,13 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
     the two algebras; an isomorphism maps each subspace of L1 onto its mate.
 
     Images of basis vectors are assigned most-constrained index first, with
-    candidates in lexicographic order, pruned by linear independence,
-    invariant-subspace containment and bracket constraints, each checked
-    once, at the depth where the last of its variables is assigned (forward
-    checking).  A candidate pool larger than ``budget`` gives ``unknown``
-    before any node is visited.
+    candidates in lexicographic order, pruned by linear independence and
+    invariant-subspace containment.  A relation plan, made once from L1,
+    checks each linear relation among the assigned e_i and their brackets
+    at the depth where its last vector is known, and gives an e_i in the
+    span of those vectors its forced image as the only candidate (over Q
+    too, whatever its entries).  A candidate pool larger than ``budget``
+    gives ``unknown`` before any node is visited.
     """
     m = L1.dim
     f = L1.field
@@ -219,16 +221,32 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
     degree = Counter(i for cols, _ in L1.entries for i in cols)
     order = sorted(range(m), key=lambda i: (
         -degree[i], min((w.dim for w in targets[i]), default=m), i))
-    position = {i: d for d, i in enumerate(order)}
 
-    # forward checking: each constraint [e_key] = sum c_t e_t waits in the
-    # list of the depth at which the last of its variables is assigned
-    checks_at = [[] for _ in range(m)]
-    for key in combinations(range(m), L1.arity):
-        c = bracket_basis(L1, key)
-        support = tuple((t, x) for t, x in enumerate(c) if x != f.zero)
-        last = max(position[i] for i in key + tuple(t for t, _ in support))
-        checks_at[last].append((key, support))
+    # the relation plan, from L1 alone: by one echelon, each known vector at a
+    # depth (e_i, then each [e_key] with all indices assigned) is a new slot, whose
+    # image is recorded, or a relation sum lam_k slot_k with image sum lam_k image_k
+    ech_rows, ech_piv, read = [], [], set()
+
+    def place(v):
+        """Slot number of known vector v, or its relation [(k, lam_k), ...]."""
+        w = reduce_vector(ech_rows, ech_piv, list(v) + [f.zero] * m, f.p)
+        if any(w[:m]):
+            ech_piv.append(next(j for j, x in enumerate(w) if x))
+            w[m + len(ech_rows)] = f.one
+            ech_rows.append([f.mul(f.inv(w[ech_piv[-1]]), x) for x in w])
+            return len(ech_rows) - 1
+        comb = [(k, f.neg(x)) for k, x in enumerate(w[m:]) if x]
+        read.update(k for k, _ in comb)
+        return comb
+
+    # heads[d]: e_i's slot, or the relation that forces its image
+    heads, steps = [], []
+    for d, i in enumerate(order):
+        heads.append(place(unit[i]))
+        steps.append([(key, place(bracket_basis(L1, key)))
+                      for key in combinations(sorted(order[:d + 1]), L1.arity) if i in key])
+    # a slot that no relation reads is never computed
+    steps = [[(key, s) for key, s in st if not isinstance(s, int) or s in read] for st in steps]
 
     # static per-index candidate pools, in lexicographic order
     candidates_all = [c for c in product(vals, repeat=m) if any(c)]
@@ -237,32 +255,31 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
                        for i in range(m)]
 
     zero = [f.zero] * m
-    # assigned[order[d]] is the image chosen at depth d; deeper slots are stale
+    # assigned[order[d]] is the image chosen at depth d, images[k] that of
+    # slot k; deeper entries are stale
     assigned = [None] * m
+    images = [None] * len(ech_rows)
     nodes = 0
     budget_hit = False
 
-    def check_constraints(depth):
-        for key, support in checks_at[depth]:
-            lhs = bracket_rows(L2, [assigned[i] for i in key])
-            rhs = [f.zero] * m
-            for t, coeff in support:
-                for r, x in enumerate(assigned[t]):
-                    if x:
-                        rhs[r] += coeff * x
-            if f.p is not None:
-                rhs = [x % f.p for x in rhs]
-            if (lhs or zero) != rhs:
-                return False
-        return True
+    def combine(comb):
+        out = zero
+        for k, lam in comb:
+            out = [a + lam * b for a, b in zip(out, images[k])]
+        return out if f.p is None else [x % f.p for x in out]
 
     def extend(depth, rows, pivots):
         """Assign order[depth..]; rows/pivots: echelon form of the columns so far."""
         nonlocal nodes, budget_hit
         if depth == m:
             return True
-        i = order[depth]
-        for cand in pool_candidates[i]:
+        i, head = order[depth], heads[depth]
+        cands = pool_candidates[i]
+        if not isinstance(head, int):
+            forced = tuple(combine(head))
+            ok = any(forced) and all(w.contains_vector(forced) for w in targets[i])
+            cands = [forced] if ok else []
+        for cand in cands:
             nodes += 1
             if nodes > budget:
                 budget_hit = True
@@ -271,7 +288,15 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
             if not any(residual):
                 continue
             assigned[i] = cand
-            if check_constraints(depth):
+            if isinstance(head, int):
+                images[head] = cand
+            for key, s in steps[depth]:
+                img = bracket_rows(L2, [assigned[j] for j in key]) or zero
+                if isinstance(s, int):
+                    images[s] = img
+                elif img != combine(s):
+                    break
+            else:
                 piv = next(j for j, x in enumerate(residual) if x)
                 inv = f.inv(residual[piv])
                 row = tuple(f.mul(inv, x) for x in residual)

@@ -8,11 +8,14 @@ recurrence rather than the product formula, the level walk is
 ``itertools.product`` over each profile's free entries, and the elimination
 oracles are textbook RREF and cofactor expansion on Fractions.  The reference of the Q lower
 bounds is their first implementation: flags read off whole bracket spans and
-every growth run from scratch.
+every growth run from scratch.  The isomorphism oracle over GF(2) tries every
+invertible matrix and checks each bracket directly.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import xor
 
 from nlie.core import bracket_rows, bracket_subspaces
 from nlie.invariants import center
@@ -165,3 +168,79 @@ def abelian_bounds_q_reference(L):
     return (best_alpha.dim, best_beta.dim, best_alpha if best_alpha.dim else None,
             best_beta if best_beta.dim else None, len(seeds) + len(candidates),
             ("lower bounds only; exact maxima over Q are not computed",), paths)
+
+
+def _bracket_bits_gf2(L):
+    """Bracket of an arity-tuple of GF(2) vectors stored as bit masks (bit t
+    is coordinate t), expanded by multilinearity from ``naive_bracket`` on
+    basis vectors; memoized."""
+    m = L.dim
+    memo = {}
+
+    def br(xs):
+        if xs not in memo:
+            s = next((s for s, x in enumerate(xs) if x & (x - 1)), None)
+            if not all(xs):
+                memo[xs] = 0
+            elif s is None:
+                w = naive_bracket(L, [tuple(x >> t & 1 for t in range(m)) for x in xs])
+                memo[xs] = sum(1 << t for t, c in enumerate(w) if c)
+            else:
+                low = xs[s] & -xs[s]
+                memo[xs] = (br(xs[:s] + (low,) + xs[s + 1:])
+                            ^ br(xs[:s] + (xs[s] ^ low,) + xs[s + 1:]))
+        return memo[xs]
+    return br
+
+
+def isomorphism_gf2(L1, L2):
+    """Rows of the first invertible matrix P over GF(2), with columns in
+    lexicographic order of their bit masks, such that
+    [P e_i1, .., P e_in] = P [e_i1, .., e_in] on every basis tuple (an
+    isomorphism L1 -> L2 whose columns are the images of the basis); None
+    if there is none.
+
+    Every invertible matrix is enumerated column by column, each column over
+    the nonzero masks outside the span of the earlier ones.  A basis tuple is
+    checked once the columns of its indices and of its bracket's support are
+    all chosen, and a failed check drops every matrix with those columns."""
+    m, n = L1.dim, L1.arity
+    br1, br2 = _bracket_bits_gf2(L1), _bracket_bits_gf2(L2)
+    checks = [[] for _ in range(m)]
+    for key in combinations(range(m), n):
+        w = br1(tuple(1 << i for i in key))
+        support = [t for t in range(m) if w >> t & 1]
+        checks[max(key + tuple(support))].append((key, support))
+
+    def extend(cols, span):
+        if len(cols) == m:
+            return cols
+        for c in range(1, 1 << m):
+            if c in span:
+                continue
+            new = cols + (c,)
+            for key, support in checks[len(cols)]:
+                if br2(tuple(new[i] for i in key)) != reduce(xor, (new[t] for t in support), 0):
+                    break
+            else:
+                found = extend(new, span | {s ^ c for s in span})
+                if found:
+                    return found
+        return None
+
+    cols = extend((), {0})
+    return None if cols is None else tuple(tuple(c >> r & 1 for c in cols) for r in range(m))
+
+
+def is_isomorphism_gf2(L1, L2, rows):
+    """Whether the GF(2) matrix with these rows maps L1 onto L2, checked
+    directly on every bracket of basis vectors with ``naive_bracket``, and
+    whether it is invertible."""
+    m = L1.dim
+    cols = [tuple(rows[r][j] for r in range(m)) for j in range(m)]
+    for key in combinations(range(m), L1.arity):
+        w = naive_bracket(L1, [tuple(int(t == i) for t in range(m)) for i in key])
+        image = [sum(c * cols[t][r] for t, c in enumerate(w)) % 2 for r in range(m)]
+        if list(naive_bracket(L2, [cols[i] for i in key])) != image:
+            return False
+    return len(span_members_fp(cols, m, 2)) == 2 ** m
