@@ -141,6 +141,12 @@ def require_arity(L: NLieAlgebra, n: int, what: str = "operation") -> None:
         raise InvalidParameterError(f"{what} requires arity {n}, got {L.arity}")
 
 
+def require_subspace(L: NLieAlgebra, S: Subspace) -> None:
+    same_field(L.field, S.field)
+    if S.ambient_dim != L.dim:
+        raise DimensionMismatchError("subspace ambient dimension mismatch")
+
+
 def make_algebra(field: Field, arity: int, dim: int, entries, labels=None) -> NLieAlgebra:
     """Build an algebra from 1-based table entries.
 
@@ -225,42 +231,34 @@ def bracket(L: NLieAlgebra, vectors) -> tuple:
     return zero_vector(f, L.dim) if w is None else tuple(w)
 
 
-def bracket_vectors(L: NLieAlgebra, subspaces):
-    """Yield the nonzero brackets, as raw scalar lists, of the basis tuples of
-    the given subspaces; they span ``bracket_subspaces(L, subspaces)``.
+def bracket_subspaces(L: NLieAlgebra, subspaces) -> Subspace:
+    """Span of brackets over all basis tuples of the given subspaces.
 
     Whole-space arguments contribute the basis tuples y of ``L.maps``, so
     only the proper subspaces are enumerated.  Proper arguments with equal
     bases are grouped: by antisymmetry each unordered choice of distinct
     basis vectors within a group contributes one generator (up to sign), so
-    combinations replace full products there.  The arguments are checked
-    when the first vector is asked for.
+    combinations replace full products there.
     """
     f = L.field
     n = L.arity
     if len(subspaces) != n:
         raise DimensionMismatchError(f"need {n} subspaces, got {len(subspaces)}")
     for s in subspaces:
-        same_field(f, s.field)
-        if s.ambient_dim != L.dim:
-            raise DimensionMismatchError("subspace ambient dimension mismatch")
-    if any(s.is_zero for s in subspaces):
-        return
-    # bases compared with ==, not hashed: a hash would visit every scalar
+        require_subspace(L, s)
+    # bases compared with ==, not hashed: a hash would visit every scalar;
+    # a zero argument has no basis tuples, so it gives no bracket
     proper = [s.basis for s in subspaces if s.dim < L.dim]
     groups = [(b, proper.count(b)) for i, b in enumerate(proper) if b not in proper[:i]]
     by_y = L.maps[len(proper)]
+    vectors = []
     for picks in product(*(combinations(b, c) for b, c in groups)):
         rows = [row for pick in picks for row in pick]
         for y in by_y:
             w = bracket_rows(L, rows, y)
             if w is not None:
-                yield w
-
-
-def bracket_subspaces(L: NLieAlgebra, subspaces) -> Subspace:
-    """Span of brackets over all basis tuples of the given subspaces."""
-    return span(L.field, L.dim, bracket_vectors(L, subspaces))
+                vectors.append(w)
+    return span(f, L.dim, vectors)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,22 @@ classification (subalgebra / ideal / abelian / hypo-abelian), and the
 aggregated invariant report.  Everything is exact; over Q these values proxy
 the algebraically closed characteristic-zero case because they are rank
 conditions, stable under field extension.
+
+The subspace predicates ``abelian_subalgebra``, ``ideal`` and
+``abelian_ideal`` take RREF rows and pivots and are the only ones, for Q
+(p = None) and GF(p) alike; the scans and the beta spin of ``search`` call
+them directly.  They sum each bracket of ``L.maps`` exactly, reduce it mod p
+only after the sum, and stop at the first bracket that decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .core import NLieAlgebra, bracket_subspaces, bracket_vectors
+from .core import NLieAlgebra, bracket_subspaces, require_subspace
 from .errors import InvalidParameterError, NotAnIdealError
-from .linalg import Subspace, full_subspace, reduce_vector, span
+from .linalg import Subspace, full_subspace, minor_det, reduce_vector, span
 
 _SERIES_HARD_CAP_EXTRA = 2  # guard for tables that do not satisfy the identity
 
@@ -51,48 +58,118 @@ class SubspaceClass:
         }
 
 
-def _brackets_in(L: NLieAlgebra, S: Subspace, subspaces) -> bool:
-    """Every bracket of basis tuples of ``subspaces`` lies in S; stops at the
-    first that leaves it."""
-    p = L.field.p
-    return not any(any(reduce_vector(S.basis, S.pivots, w, p))
-                   for w in bracket_vectors(L, subspaces))
+def image(contribs, v, p, m):
+    """[v, e_y] for the items ``contribs`` of one y of ``L.maps[1]``, as a
+    raw list reduced mod p, or None when no item meets the support of v."""
+    w = None
+    for (t,), sparse in contribs:
+        c = v[t]
+        if c:
+            if w is None:
+                w = [0] * m
+            for tt, cc in sparse:
+                w[tt] += c * cc
+    if w is not None and p is not None:
+        for (t,), sparse in contribs:  # only the entries the sum reached
+            if v[t]:
+                for tt, _ in sparse:
+                    w[tt] %= p
+    return w
 
 
-def _brackets_vanish(L: NLieAlgebra, subspaces) -> bool:
-    """Every bracket of basis tuples of ``subspaces`` is zero; stops at the
-    first that is not."""
-    return next(bracket_vectors(L, subspaces), None) is None
+def commute(by_y2, u, v, p, m):
+    """[u, v, e_y] = 0 for every y of ``L.maps[2]`` (given as its values)."""
+    for contribs in by_y2:
+        w = None
+        for (c0, c1), sparse in contribs:
+            d = u[c0] * v[c1] - u[c1] * v[c0]
+            if d:
+                if w is None:
+                    w = [0] * m
+                for tt, cc in sparse:
+                    w[tt] += d * cc
+        if w is not None:
+            for x in w:  # a loop, not a reduced copy: most of these brackets are zero
+                if x and (p is None or x % p):
+                    return False
+    return True
 
 
-def _pair_vanishes(L: NLieAlgebra, S: Subspace) -> bool:
-    """[S, S, L, .., L] = 0."""
-    return _brackets_vanish(L, (S, S) + (full_space(L),) * (L.arity - 2))
+def _brackets_within(L, rows, target, target_pivots):
+    """Every bracket of n of ``rows`` lies in span(target), given in RREF."""
+    n = L.arity
+    if len(rows) < n:
+        return True
+    p, m = L.field.p, L.dim
+    table = L.maps[n].get((), ())
+    for combo in combinations(rows, n):
+        w = None
+        for cols, sparse in table:
+            d = minor_det(combo, cols, p)
+            if d:
+                if w is None:
+                    w = [0] * m
+                for t, c in sparse:
+                    w[t] += d * c
+        if w is not None:
+            if p is not None:
+                w = [x % p for x in w]
+            if any(w) and (not target or any(reduce_vector(target, target_pivots, w, p))):
+                return False
+    return True
+
+
+def abelian_subalgebra(L: NLieAlgebra, rows, pivots) -> bool:
+    """[S, .., S] = 0 for S = span(rows)."""
+    return _brackets_within(L, rows, (), ())
+
+
+def ideal(L: NLieAlgebra, rows, pivots) -> bool:
+    """[S, L, .., L] lies in S = span(rows)."""
+    p, m = L.field.p, L.dim
+    by_y = L.maps[1].values()
+    for v in rows:
+        for contribs in by_y:
+            w = image(contribs, v, p, m)
+            if w is not None and any(w) and any(reduce_vector(rows, pivots, w, p)):
+                return False
+    return True
+
+
+def abelian_ideal(L: NLieAlgebra, rows, pivots) -> bool:
+    """An ideal S = span(rows) with [S, S, L, .., L] = 0."""
+    p, m = L.field.p, L.dim
+    by_y2 = L.maps[2].values()
+    for u, v in combinations(rows, 2):
+        if not commute(by_y2, u, v, p, m):
+            return False
+    return ideal(L, rows, pivots)
 
 
 def is_abelian_subalgebra(L: NLieAlgebra, S: Subspace) -> bool:
-    """[S, .., S] = 0."""
-    return _brackets_vanish(L, (S,) * L.arity)
+    require_subspace(L, S)
+    return abelian_subalgebra(L, S.basis, S.pivots)
 
 
 def is_ideal(L: NLieAlgebra, S: Subspace) -> bool:
-    """[S, L, .., L] lies in S."""
-    return _brackets_in(L, S, (S,) + (full_space(L),) * (L.arity - 1))
+    require_subspace(L, S)
+    return ideal(L, S.basis, S.pivots)
 
 
 def is_abelian_ideal(L: NLieAlgebra, S: Subspace) -> bool:
-    """An ideal S with [S, S, L, .., L] = 0."""
-    return _pair_vanishes(L, S) and is_ideal(L, S)
+    require_subspace(L, S)
+    return abelian_ideal(L, S.basis, S.pivots)
 
 
 def classify_subspace(L: NLieAlgebra, S: Subspace) -> SubspaceClass:
     """Flags for S: closure under brackets with itself and with the whole algebra."""
-    abelian_sub = is_abelian_subalgebra(L, S)
-    subalgebra = abelian_sub or _brackets_in(L, S, (S,) * L.arity)
-    ideal = is_ideal(L, S)
-    pair_zero = ideal and _pair_vanishes(L, S)  # is_abelian_ideal, the ideal test done
-    return SubspaceClass(subalgebra, ideal, abelian_sub, pair_zero,
-                         ideal and abelian_sub and not pair_zero)
+    require_subspace(L, S)
+    rows, pivots = S.basis, S.pivots
+    abelian_sub = abelian_subalgebra(L, rows, pivots)
+    abelian_id = abelian_ideal(L, rows, pivots)
+    is_id = abelian_id or ideal(L, rows, pivots)
+    return SubspaceClass(abelian_sub or _brackets_within(L, rows, rows, pivots), is_id,
+                         abelian_sub, abelian_id, is_id and abelian_sub and not abelian_id)
 
 
 @dataclass(frozen=True)

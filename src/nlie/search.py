@@ -29,14 +29,9 @@ The alpha scan, the ideal counts of ``iso`` and the classifier of
 ``first_hit`` (whole levels under the budget), both on ``_iter_level``,
 which can walk only the subspaces that contain a given one.
 
-The scan predicates read the compiled table ``L.maps`` like every other
-layer, but keep their own raw-int loops with the reduction mod p at every
-step: sent through the field-generic ``core.bracket_rows`` instead, a scan
-took 1.6-2.7x as long.  The tested reference for them is
-``invariants.classify_subspace``, whose flags are the field-generic
-predicates of ``invariants``: they read the generators of
-``core.bracket_vectors`` and stop at the first that decides; the tests check
-both against a brute-force oracle.  The Q bounds call those predicates too.
+The scans, the beta spin and the Q bounds test subspaces with the one set
+of subspace predicates, in ``invariants``; the tests check it against a
+brute-force oracle.
 """
 
 from __future__ import annotations
@@ -48,12 +43,18 @@ from itertools import combinations, product
 from .core import NLieAlgebra, bracket_rows
 from .errors import InvalidParameterError, UnsupportedRequestError
 from .fields import GF, QQ, is_prime
-from .invariants import center, is_abelian_ideal, is_abelian_subalgebra
+from .invariants import (
+    abelian_ideal,
+    abelian_subalgebra,
+    center,
+    commute,
+    ideal,
+    image,
+)
 from .linalg import (
     Subspace,
     coordinate_subspace,
     full_subspace,
-    minor_det,
     null_basis,
     reduce_vector,
     rref,
@@ -177,88 +178,10 @@ def enumerate_subspaces(m: int, k: int, p: int):
         yield subspace_from_rref_rows(fld, m, rows, profile)
 
 
-# ---------------------------------------------------------------------------
-# fast GF(p) kernels
-
-
-def _fp_is_abelian_subalgebra(L, rows, pivots):
-    n = L.arity
-    if len(rows) < n:
-        return True
-    p = L.field.p
-    m = L.dim
-    table = L.maps[n].get((), ())
-    for combo in combinations(rows, n):
-        w = None
-        for cols, sparse in table:
-            d = minor_det(combo, cols, p)
-            if d:
-                if w is None:
-                    w = [0] * m
-                for t, c in sparse:
-                    w[t] = (w[t] + d * c) % p
-        if w is not None and any(w):
-            return False
-    return True
-
-
-def _fp_image(contribs, v, p, m):
-    """[v, e_y] for the items ``contribs`` of one y of ``L.maps[1]``, as a
-    raw int list mod p, or None when no item meets the support of v."""
-    w = None
-    for (t,), sparse in contribs:
-        c = v[t]
-        if c:
-            if w is None:
-                w = [0] * m
-            for tt, cc in sparse:
-                w[tt] = (w[tt] + c * cc) % p
-    return w
-
-
-def _fp_commute(by_y2, u, v, p, m):
-    """[u, v, e_y] = 0 for every y of ``L.maps[2]`` (given as its values)."""
-    for contribs in by_y2:
-        w = None
-        for (c0, c1), sparse in contribs:
-            d = (u[c0] * v[c1] - u[c1] * v[c0]) % p
-            if d:
-                if w is None:
-                    w = [0] * m
-                for tt, cc in sparse:
-                    w[tt] = (w[tt] + d * cc) % p
-        if w is not None and any(w):
-            return False
-    return True
-
-
-def _fp_is_ideal(L, rows, pivots):
-    p = L.field.p
-    m = L.dim
-    by_y = L.maps[1].values()
-    for v in rows:
-        for contribs in by_y:
-            w = _fp_image(contribs, v, p, m)
-            if w is not None and any(w) and any(reduce_vector(rows, pivots, w, p)):
-                return False
-    return True
-
-
-def _fp_is_abelian_ideal(L, rows, pivots):
-    """An ideal S with [S, S, L, .., L] = 0."""
-    p = L.field.p
-    m = L.dim
-    by_y = L.maps[2].values()
-    for u, v in combinations(rows, 2):
-        if not _fp_commute(by_y, u, v, p, m):
-            return False
-    return _fp_is_ideal(L, rows, pivots)
-
-
 PREDICATES = {
-    "abelian-subalgebra": _fp_is_abelian_subalgebra,
-    "abelian-ideal": _fp_is_abelian_ideal,
-    "ideal": _fp_is_ideal,
+    "abelian-subalgebra": abelian_subalgebra,
+    "abelian-ideal": abelian_ideal,
+    "ideal": ideal,
 }
 
 
@@ -369,7 +292,7 @@ def _fp_spin(L, rows, pivots, cons, v, limit):
             return True
         if (len(rows) == limit
                 or any(sum(a * b for a, b in zip(row, w)) % p for row in cons)
-                or not all(_fp_commute(by_y2, u, w, p, m) for u in new)):
+                or not all(commute(by_y2, u, w, p, m) for u in new)):
             return False
         inv = pow(w[c], p - 2, p)
         w = [x * inv % p for x in w]
@@ -382,8 +305,8 @@ def _fp_spin(L, rows, pivots, cons, v, limit):
         return None
     for w in new:  # grows while it is read: every new vector is spun in turn
         for contribs in L.maps[1].values():
-            image = _fp_image(contribs, w, p, m)
-            if image is not None and not adjoin(image):
+            img = image(contribs, w, p, m)
+            if img is not None and not adjoin(img):
                 return None
     return rows, rref(rows, m, p), new
 
@@ -584,7 +507,7 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
     best_alpha = None
     memo = {}
     for seed in seeds:
-        if not is_abelian_subalgebra(L, seed):
+        if not abelian_subalgebra(L, seed.basis, seed.pivots):
             continue
         grown = _grow_abelian(L, seed, memo)
         grown_list.append(grown)
@@ -603,7 +526,7 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
     for S in candidates:
         if S.dim > best_beta.dim and S.basis not in tested:
             tested.add(S.basis)
-            if is_abelian_ideal(L, S):
+            if abelian_ideal(L, S.basis, S.pivots):
                 best_beta = S
 
     alpha_upper, beta_upper = _upper_bounds(L)

@@ -226,7 +226,7 @@ def criterion_3() -> CheckResult:
         checks += 1
         if res.beta is None or res.beta > m - 2:
             failures.append(f"{label}: beta={res.beta} exceeds dim-2={m - 2}")
-        # independent codimension-1 sweep through the generic classifier
+        # codimension-1 sweep, independent of the beta branch and bound
         checks += 1
         bad = None
         for S in enumerate_subspaces(m, m - 1, 2):

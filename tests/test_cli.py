@@ -192,11 +192,17 @@ def test_derived_s_above_arity_is_unsupported(capsys, tmp_path):
     assert "arity" in err
 
 
-def test_classify_field_mismatch_is_usage_error(capsys, tmp_path, ex33_path):
-    sub_path = tmp_path / "sub_gf2.json"
-    sub_path.write_text(serialize_subspace(coordinate_subspace(GF(2), 4, (0,))))
+@pytest.mark.parametrize("field,ambient,message", [
+    (GF(2), 4, "field mismatch"),
+    (QQ, 5, "ambient dimension mismatch"),
+], ids=["field", "ambient"])
+def test_classify_field_mismatch_is_usage_error(capsys, tmp_path, ex33_path,
+                                                field, ambient, message):
+    sub_path = tmp_path / "sub.json"
+    sub_path.write_text(serialize_subspace(coordinate_subspace(field, ambient, (0,))))
     code, _, err = run(capsys, "classify", ex33_path, str(sub_path))
     assert code == 2
+    assert message in err
 
 
 def test_missing_file_is_usage_error(capsys):

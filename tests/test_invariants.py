@@ -26,8 +26,8 @@ from nlie.invariants import (
     lower_central_series,
     s_derived_series,
 )
-from nlie.iso import are_isomorphic, fingerprint, random_basis_change
-from nlie.linalg import coordinate_subspace, span, unit_vector
+from nlie.iso import are_isomorphic, change_basis, fingerprint, random_basis_change
+from nlie.linalg import Matrix, coordinate_subspace, span, unit_vector
 
 from oracles import all_vectors_fp, naive_bracket, rref_fractions, span_members_fp
 
@@ -218,13 +218,25 @@ def _flags_by_naive_spans(L, S):
 def test_subspace_predicates_match_spans_of_naive_brackets(field):
     """The early-exit predicates and classify_subspace against whole spans of
     oracle brackets, on every coordinate subspace and on seeded random
-    subspaces, at arities 2 and 3; EX41 violates the identity."""
+    subspaces, at arities 2 and 3; EX41 violates the identity.  Over Q, four
+    tables also go through an upper-triangular basis change of determinant
+    2^m, which makes the constants of EX33, A(3) and EX41 non-integral
+    fractions."""
     rng = random.Random(11)
     algebras = [catalog_build(fid, field, **params) for fid, params in (
         ("A(n)", {"n": 3}), ("EX32-1", {}), ("EX33", {}), ("EX41", {}),
         ("T35-b2", {"m": 5}))]
     algebras += [lie_catalog_build("heisenberg", field, dim=3),
                  lie_catalog_build("upper", field, n=2)]
+    if field.p is None:
+        conjugates = []
+        for L in [algebras[i] for i in (2, 0, 4, 3)]:  # EX33, A(3), T35-b2, EX41
+            m = L.dim
+            conjugates.append(change_basis(L, Matrix.from_rows(QQ, [
+                [2 if j == i else 1 if j == i + 1 else 0 for j in range(m)] for i in range(m)])))
+        assert [any(isinstance(c, Fraction) for _, val in D.entries for c in val)
+                for D in conjugates] == [True, True, False, True]
+        algebras += conjugates
     for L in algebras:
         m = L.dim
         subspaces = [coordinate_subspace(field, m, idx)

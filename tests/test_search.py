@@ -117,11 +117,11 @@ def test_walk_containing_a_subspace_matches_filtered_enumeration(p):
 
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 4), (2, 5)], ids=["2", "3", "2-m5"])
 def test_fast_predicates_match_classifier_and_brute_force(p, m):
-    """Raw-int scan predicates, classify_subspace flags and brute-force
-    membership agree on every subspace of every arity-(m-1) catalog family
-    (at m = 4 all of them, at m = 5 the arity-4 L21-* and A(n), whose pair
-    brackets read 2-tuple keys of ``L.maps[2]``), as published and after a
-    dense basis change (which exposes sign errors)."""
+    """The scan predicates, classify_subspace flags (which share their code)
+    and brute-force membership agree on every subspace of every arity-(m-1)
+    catalog family (at m = 4 all of them, at m = 5 the arity-4 L21-* and
+    A(n), whose pair brackets read 2-tuple keys of ``L.maps[2]``), as
+    published and after a dense basis change (which exposes sign errors)."""
     zero = (0,) * m
     algebras = []
     for label, L in entries_for_dims((m,), GF(p)):
@@ -481,16 +481,16 @@ def test_bounds_q_requires_rationals():
 
 
 def test_q_bounds_test_each_beta_candidate_once(monkeypatch):
-    """Within one abelian_bounds_q call no subspace goes to is_abelian_ideal
+    """Within one abelian_bounds_q call no subspace goes to abelian_ideal
     twice: a repeated candidate cannot win again."""
     tested = []
-    test = search.is_abelian_ideal
+    test = search.abelian_ideal
 
-    def recorded(L, S):
-        tested.append(S.basis)
-        return test(L, S)
+    def recorded(L, rows, pivots):
+        tested.append(rows)
+        return test(L, rows, pivots)
 
-    monkeypatch.setattr(search, "is_abelian_ideal", recorded)
+    monkeypatch.setattr(search, "abelian_ideal", recorded)
     for label, L in entries_for_dims((4, 5), QQ):
         tested.clear()
         abelian_bounds_q(L)
