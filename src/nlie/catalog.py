@@ -597,7 +597,7 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
         Lp = reduce_mod_p(L, p_used)
 
     if m == 4 and rep.terms[1].dim == 4:  # [L, L, L] = L
-        k, hit, scanned = first_hit(Lp, (1, 2, 3), "ideal", budget)
+        k, hit, scanned, _ = first_hit(Lp, (1, 2, 3), "ideal", budget)
         if k is None:
             return Theorem44Verdict("simple-A4", {
                 "p": p_used, "proper_subspaces_checked": scanned,

@@ -11,14 +11,19 @@ dim Z an abelian k-subspace exists exactly when one contains Z, so the value,
 the witness and the count (whole levels above the hit plus the hit's
 position in its level) are those of a scan of every subspace.
 
-Beta is a branch and bound over abelian ideals that starts at Z.  An abelian
-ideal J containing an ideal I lies in K(I) = {v : [v, i, x_1, .., x_{n-2}]
-= 0 for all i in I and all x}, a kernel linear in v, so dim K(I) bounds
-every branch below I.
-Nodes grow by the ideal closure of one vector of K(I)/I (the spinning closure
-of the MeatAxe; Lux, Mueller & Ringe 1994), and a node is pruned by dim K(I)
-as a maximum-clique search is pruned by the size of its candidate set
-(Carraghan & Pardalos 1990).
+Beta is a branch and bound over abelian ideals that starts at Z.  Every
+abelian ideal J lies in the radical T of the trace forms tr([v, ., e_y'] o
+M), M the identity or an operator [., e_y]: for v in J the product maps L
+into J and J to 0, so it is nilpotent (the Killing-form argument of Cartan's
+criterion, carried to n-Lie algebras by Kasymov 1987).  An abelian ideal J
+containing an ideal I also lies in K(I) = {v : [v, i, x_1, .., x_{n-2}] = 0
+for all i in I and all x}.  Both are kernels linear in v, so dim K(I) n T
+bounds every branch below I; the root is Z in T (K(Z) = L), and where T = Z
+the search tries no closure at all.
+Nodes grow by the ideal closure of one vector of (K(I) n T)/I (the spinning
+closure of the MeatAxe; Lux, Mueller & Ringe 1994), and a node is pruned by
+dim K(I) n T as a maximum-clique search is pruned by the size of its
+candidate set (Carraghan & Pardalos 1990).
 Both report the canonically first subspace of the largest dimension.  Over Q
 only certified lower bounds are produced, plus the universal upper bounds of
 ``_upper_bounds`` (dim for abelian algebras; else dim-1 for alpha, and dim-1
@@ -26,8 +31,8 @@ for beta at arity 2, dim-2 at arity >= 3).
 
 The alpha scan, the ideal counts of ``iso`` and the classifier of
 ``catalog`` walk the Grassmannian through ``subspace_hits`` (one level) and
-``first_hit`` (whole levels under the budget), both on ``_iter_level``,
-which can walk only the subspaces that contain a given one.
+``first_hit`` (whole levels under the budget, which can walk only the
+subspaces that contain a given one), both on ``_iter_level``.
 
 The scans, the beta spin and the Q bounds test subspaces with the one set
 of subspace predicates, in ``invariants``; the tests check it against a
@@ -185,50 +190,61 @@ PREDICATES = {
 }
 
 
-def subspace_hits(L: NLieAlgebra, k, mode, containing=None):
+def subspace_hits(L: NLieAlgebra, k, mode):
     """Yield (position, rows, profile) for every k-dimensional subspace of
-    GF(p)^dim that contains ``containing`` (when given) and satisfies
-    ``PREDICATES[mode]``, in canonical order; position is the subspace's
-    1-based index in its whole level."""
-    return _iter_level(L.dim, k, L.field.p, containing, partial(PREDICATES[mode], L))
+    GF(p)^dim that satisfies ``PREDICATES[mode]``, in canonical order;
+    position is the subspace's 1-based index in its level."""
+    return _iter_level(L.dim, k, L.field.p, keep=partial(PREDICATES[mode], L))
 
 
 def first_hit(L: NLieAlgebra, levels, mode, budget, containing=None):
     """Walk whole levels k, in the given order, to the canonically first
     subspace that contains ``containing`` (when given) and satisfies
-    ``PREDICATES[mode]``; a level is entered only when the subspaces scanned
-    so far plus its whole size are within ``budget``.  Returns (k, (rows,
-    profile), scanned) at a hit, (k, None, scanned) when the budget stopped
-    the walk before level k, and (None, None, scanned) without a hit; scanned
-    counts whole levels and the hit's position in its level."""
+    ``PREDICATES[mode]``; a level is entered only when the subspaces tested
+    so far plus the level's subspaces that contain ``containing`` are within
+    ``budget``.  Returns (k, (rows, profile), scanned, tested) at a hit, (k,
+    None, scanned, tested) when the budget stopped the walk before level k,
+    and (None, None, scanned, tested) without a hit; scanned counts whole
+    levels and the hit's position in its level, tested the subspaces the
+    predicate was called on."""
     m, p = L.dim, L.field.p
-    scanned = 0
+    z = containing.dim if containing is not None else 0
+    predicate = partial(PREDICATES[mode], L)
+    scanned = tested = 0
+
+    def keep(rows, profile):
+        nonlocal tested
+        tested += 1
+        return predicate(rows, profile)
+
     for k in levels:
-        size = gaussian_binomial(m, k, p)
-        if scanned + size > budget:
-            return k, None, scanned
-        for position, rows, profile in subspace_hits(L, k, mode, containing):
-            return k, (rows, profile), scanned + position
-        scanned += size
-    return None, None, scanned
+        if tested + gaussian_binomial(m - z, k - z, p) > budget:
+            return k, None, scanned, tested
+        for position, rows, profile in _iter_level(m, k, p, containing, keep):
+            return k, (rows, profile), scanned + position, tested
+        scanned += gaussian_binomial(m, k, p)
+    return None, None, scanned, tested
 
 
 def _scan_down(L, budget, notes):
     """Alpha by a scan down from dim: the largest k with an abelian
     k-dimensional subalgebra; returns (k or None when the budget stopped it,
-    the canonically first witness or None at k = 0, the subspaces scanned).
+    the canonically first witness or None at k = 0, the subspaces scanned,
+    the subspaces tested).
 
-    The scan tests only the subspaces that contain the centre Z but counts
-    whole levels and positions in them, so value, witness and count are
-    those of a scan of every subspace (see the module docstring).  Z itself
-    is abelian, so the scan hits at level dim Z at the latest."""
-    k, hit, scanned = first_hit(L, range(L.dim, -1, -1), "abelian-subalgebra", budget,
-                                center(L))
+    The scan tests only the subspaces that contain the centre Z, and the
+    budget bounds those, but it counts whole levels and positions in them,
+    so value, witness and count are those of a scan of every subspace (see
+    the module docstring).  Z itself is abelian, so the scan hits at level
+    dim Z at the latest."""
+    k, hit, scanned, tested = first_hit(L, range(L.dim, -1, -1), "abelian-subalgebra",
+                                        budget, center(L))
     if hit is None:
         notes.append(f"alpha scan stopped before dimension {k}: budget")
-        return None, None, scanned
+        return None, None, scanned, tested
     rows, profile = hit
-    return k, subspace_from_rref_rows(L.field, L.dim, rows, profile) if k else None, scanned
+    witness = subspace_from_rref_rows(L.field, L.dim, rows, profile) if k else None
+    return k, witness, scanned, tested
 
 
 def _upper_bounds(L: NLieAlgebra) -> tuple:
@@ -260,6 +276,36 @@ def _fp_constraints(by_y2, vectors, p, m):
     return rows
 
 
+def _fp_trace_rows(L):
+    """RREF rows and pivots of the linear conditions tr([v, ., e_y'] o M) = 0
+    on v, one for each y' of ``L.maps[2]`` and each M in {identity} and the
+    operators [., e_y] of ``L.maps[1]``.  Every abelian ideal J lies in
+    their kernel T: for v in J, R = [v, ., e_y'] maps L into J and J to 0,
+    and M maps J into J, so (R o M)^2 = 0 and its trace is 0, in every
+    characteristic and whether or not the fundamental identity holds."""
+    p, m = L.field.p, L.dim
+    # M as {(i, j): coefficient of e_i in M(e_j)}
+    operators = [{(i, i): 1 for i in range(m)}]
+    operators += [{(tt, t): cc for (t,), sparse in contribs for tt, cc in sparse}
+                  for contribs in L.maps[1].values()]
+    rows = []
+    for contribs in L.maps[2].values():
+        for op in operators:
+            # [e_c0, e_c1, e_y'] = sum cc e_tt puts cc at (tt, c1) of R(e_c0) and
+            # -cc at (tt, c0) of R(e_c1); tr(R o M) = sum R(i, j) M(j, i)
+            row = [0] * m
+            for (c0, c1), sparse in contribs:
+                for tt, cc in sparse:
+                    row[c0] += cc * op.get((c1, tt), 0)
+                    row[c1] -= cc * op.get((c0, tt), 0)
+            row = [x % p for x in row]
+            if any(row):
+                rows.append(row)
+    pivots = rref(rows, m, p)
+    del rows[len(pivots):]
+    return rows, pivots
+
+
 def _fp_points(basis, p):
     """One nonzero vector of each line of span(basis): the first nonzero
     coefficient is 1, in a fixed order."""
@@ -277,9 +323,10 @@ def _fp_spin(L, rows, pivots, cons, v, limit):
     """Ideal closure of the ideal span(rows) + <v>, spun under the operators
     [., e_y] of ``L.maps[1]``: (RREF rows, pivots, the new vectors), or None
     as soon as a new vector leaves K = {x : cons . x = 0}, two new vectors
-    fail to commute, or the dimension would pass ``limit``.  K(I) is an
-    ideal when the fundamental identity holds; on a table that violates it
-    the spin can leave K(I), and the closure would not be abelian."""
+    fail to commute, or the dimension would pass ``limit``.  K is K(I) n T
+    (see ``_beta_search``), which is not an ideal in general, so the spin
+    can leave it; then no abelian ideal contains span(rows) + <v>, as every
+    one lies in K and contains the closure."""
     p, m = L.field.p, L.dim
     by_y2 = L.maps[2].values()
     rows, pivots = [list(r) for r in rows], list(pivots)
@@ -311,17 +358,20 @@ def _fp_spin(L, rows, pivots, cons, v, limit):
     return rows, rref(rows, m, p), new
 
 
-def _beta_search(L, budget, scanned, notes):
+def _beta_search(L, budget, spent, notes):
     """Largest abelian ideal by branch and bound from the centre Z; returns
     (beta or None when the budget stopped it, the canonically first witness
-    or None at beta = 0, the new scanned total).
+    or None at beta = 0, the closures tried).
 
     A node is an abelian ideal I containing Z, kept with the RREF rows
-    ``cons`` of the conditions that cut out K(I) = {v : [v, I, L, .., L] =
-    0}.  Its children are the ideal closures of I + <v>, one per line of
-    K(I)/I.  Each closure tried counts one against ``budget``; a closure met
-    before is not expanded again, and a node with dim K(I) < best is pruned,
-    so every abelian ideal of the largest dimension is reached.
+    ``cons`` of the conditions that cut out K(I) n T, where K(I) = {v : [v,
+    I, L, .., L] = 0} and T is the kernel of ``_fp_trace_rows``; every
+    abelian ideal containing I lies in both.  The root is Z with the trace
+    rows alone, as K(Z) = L.  The children of I are the ideal closures of
+    I + <v>, one per line of (K(I) n T)/I.  Each closure tried counts one
+    against what ``budget`` leaves after ``spent``; a closure met before is
+    not expanded again, and a node with dim K(I) n T < best is pruned, so
+    every abelian ideal of the largest dimension is reached.
     """
     p, m = L.field.p, L.dim
     by_y2 = L.maps[2].values()
@@ -340,7 +390,7 @@ def _beta_search(L, budget, scanned, notes):
         for v in _fp_points(quotient, p):
             if m - len(cons) < best[0]:
                 return True
-            if scanned + tried >= budget:
+            if spent + tried >= budget:
                 return False
             tried += 1
             closure = _fp_spin(L, rows, pivots, cons, v, limit)
@@ -362,12 +412,11 @@ def _beta_search(L, budget, scanned, notes):
                 return False
         return True
 
-    # every vector of L commutes with Z in every bracket: K(Z) = L
-    if not expand(z.basis, z.pivots, [], []):
+    if not expand(z.basis, z.pivots, *_fp_trace_rows(L)):
         notes.append(f"beta search stopped after {tried} candidate ideals: budget {budget}")
-        return None, None, scanned + tried
+        return None, None, tried
     k, pivots, rows = best
-    return k, subspace_from_rref_rows(L.field, m, rows, pivots) if k else None, scanned + tried
+    return k, subspace_from_rref_rows(L.field, m, rows, pivots) if k else None, tried
 
 
 @dataclass(frozen=True)
@@ -413,10 +462,12 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
     """Exact alpha by a downward scan and beta by branch and bound over GF(p).
 
     Each witness is the canonically first subspace of maximal dimension.  The
-    budget bounds ``subspaces_scanned``: the subspaces of the alpha scan plus
-    the candidate closures of the beta search.  The alpha scan enters a level
-    only when all of it fits; a value the budget stopped is None, reported
-    inexact, and named in the notes.
+    budget bounds the work: the subspaces the alpha scan tests (those that
+    contain the centre) plus the candidate closures of the beta search.  The
+    alpha scan enters a level only when all its tested subspaces fit; a
+    value the budget stopped is None, reported inexact, and named in the
+    notes.  ``subspaces_scanned`` counts alpha's whole levels (see
+    ``_scan_down``) plus the closures.
     """
     if L.field.p is None:
         raise UnsupportedRequestError(
@@ -433,11 +484,12 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
 
     notes = []
     alpha = beta = alpha_w = beta_w = None
-    scanned = 0
+    scanned = tested = 0
     if compute in ("both", "alpha"):
-        alpha, alpha_w, scanned = _scan_down(L, budget, notes)
+        alpha, alpha_w, scanned, tested = _scan_down(L, budget, notes)
     if compute in ("both", "beta"):
-        beta, beta_w, scanned = _beta_search(L, budget, scanned, notes)
+        beta, beta_w, tried = _beta_search(L, budget, tested, notes)
+        scanned += tried
     return AlphaBetaResult(alpha, beta, alpha_w, beta_w, f"exact-fp({p})", p,
                            scanned, alpha is not None, beta is not None,
                            alpha_upper=alpha_upper, beta_upper=beta_upper,

@@ -5,11 +5,13 @@ These deliberately avoid the library's evaluation paths: the bracket oracle
 explicitly antisymmetrized all-orderings table, membership oracles enumerate
 whole vector spaces over GF(p), the counting oracle is the q-Pascal
 recurrence rather than the product formula, the level walk is
-``itertools.product`` over each profile's free entries, and the elimination
-oracles are textbook RREF and cofactor expansion on Fractions.  The reference of the Q lower
-bounds is their first implementation: flags read off whole bracket spans and
-every growth run from scratch.  The isomorphism oracle over GF(2) tries every
-invertible matrix and checks each bracket directly.
+``itertools.product`` over each profile's free entries, the trace radical
+is read off dense operator matrices by a search of every vector, and the
+elimination oracles are textbook RREF and cofactor expansion on Fractions.
+The reference of the Q lower bounds is their first implementation: flags
+read off whole bracket spans and every growth run from scratch.  The
+isomorphism oracle over GF(2) tries every invertible matrix and checks each
+bracket directly.
 """
 
 from fractions import Fraction
@@ -168,6 +170,31 @@ def abelian_bounds_q_reference(L):
     return (best_alpha.dim, best_beta.dim, best_alpha if best_alpha.dim else None,
             best_beta if best_beta.dim else None, len(seeds) + len(candidates),
             ("lower bounds only; exact maxima over Q are not computed",), paths)
+
+
+def trace_radical_fp(L):
+    """The vectors v of GF(p)^m with tr([v, ., e_y'] M) = 0 for every
+    (n-2)-tuple y' and every M in {identity} and the operators [., e_y],
+    (n-1)-tuples y, by enumeration: each operator a dense m x m matrix of
+    ``naive_bracket`` values, each trace a sum over the matrix product."""
+    p, m, n = L.field.p, L.dim, L.arity
+    unit = [tuple(int(t == i) for t in range(m)) for i in range(m)]
+
+    def matrix(args_of):  # M[i][j] = coordinate i of the image of e_j
+        images = [naive_bracket(L, args_of(unit[j])) for j in range(m)]
+        return [[images[j][i] for j in range(m)] for i in range(m)]
+
+    operators = [[list(r) for r in unit]]
+    operators += [matrix(lambda x, y=y: [x] + [unit[i] for i in y])
+                  for y in combinations(range(m), n - 1)]
+    conditions = set()
+    for y in combinations(range(m), n - 2):
+        Rs = [matrix(lambda x, a=a: [unit[a], x] + [unit[i] for i in y]) for a in range(m)]
+        for op in operators:
+            conditions.add(tuple(sum(R[i][j] * op[j][i] for i in range(m) for j in range(m)) % p
+                                 for R in Rs))
+    return {v for v in all_vectors_fp(m, p)
+            if all(sum(c * x for c, x in zip(row, v)) % p == 0 for row in conditions)}
 
 
 def _bracket_bits_gf2(L):

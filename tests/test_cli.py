@@ -272,30 +272,42 @@ def test_other_modulus_on_prime_field_document_is_usage_error(capsys, ex33_gf2_p
 
 def test_alphabeta_budget_stop_is_undecided(capsys, ex33_path, ex33_gf2_path):
     """A search stopped by its budget leaves alpha/beta undecided: exit 3, the
-    stopped searches named, and no claim that the primes agree.  On EX33 the
-    alpha scan needs whole levels of 1 + 15 subspaces at p = 2 and 1 + 40 at
-    p = 3 and hits after 10 and 29; the beta search then tries 7 and 13
-    candidate ideals."""
-    code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--budget", "10")
+    stopped searches named, and no claim that the primes agree.  The budget
+    bounds the subspaces tested, not the count reported: on EX33 the alpha
+    scan tests, of the subspaces that contain the centre, levels of 1 + 7 at
+    p = 2 and 1 + 13 at p = 3 and hits at the second it tests (10 and 29
+    subspaces in the count of whole levels); the beta search then tries 7
+    and 13 candidate ideals."""
+    code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--budget", "7")
     assert code == 3
     assert "primes agree" not in out
     assert "undecided: alpha scan stopped before dimension 3: budget" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3",
-                       "--budget", "41", "--json")
+                       "--budget", "14", "--json")
     assert code == 3
     runs = json.loads(out)["result"]["runs"]
     assert [(r["alpha_exact"], r["beta_exact"]) for r in runs] == [(True, True), (True, False)]
-    assert runs[1]["notes"] == ["beta search stopped after 12 candidate ideals: budget 41"]
-    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "16")
+    assert runs[1]["notes"] == ["beta search stopped after 12 candidate ideals: budget 14"]
+    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "8")
     assert code == 3
     assert "alpha = 3, beta = None" in out
-    assert "undecided: beta search stopped after 6 candidate ideals: budget 16" in out
-    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "17")
+    assert "undecided: beta search stopped after 6 candidate ideals: budget 8" in out
+    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "9")
     assert code == 0
     assert "alpha = 3, beta = 2 (exact over GF(2); 17 subspaces)" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3")
     assert code == 0
     assert "primes agree: True" in out
+
+
+def test_alphabeta_budget_counts_only_the_subspaces_tested(capsys, tmp_path):
+    """T44-3 over GF(3) at m = 10 reports 72,626,505 subspaces, over the
+    default budget, but its alpha scan tests 42 of them: it is decided."""
+    path = tmp_path / "t44_3.json"
+    path.write_text(serialize_algebra(catalog_build("T44-3", GF(3), m=10)))
+    code, out, _ = run(capsys, "alphabeta", str(path))
+    assert code == 0
+    assert "alpha = 8, beta = 6 (exact over GF(3); 72626505 subspaces)" in out
 
 
 @pytest.mark.parametrize("verb", [["alphabeta", "D"], ["verify-paper"]])

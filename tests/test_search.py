@@ -16,7 +16,14 @@ from nlie.errors import InvalidParameterError, UnsupportedRequestError
 from nlie.fields import GF, QQ
 from nlie.invariants import center, classify_subspace
 from nlie.iso import random_basis_change
-from nlie.linalg import coordinate_subspace, full_subspace, span, unit_vector, zero_subspace
+from nlie.linalg import (
+    coordinate_subspace,
+    full_subspace,
+    null_basis,
+    span,
+    unit_vector,
+    zero_subspace,
+)
 from nlie import search
 from nlie.search import (
     PREDICATES,
@@ -34,6 +41,7 @@ from oracles import (
     level_walk,
     naive_bracket,
     span_members_fp,
+    trace_radical_fp,
 )
 
 
@@ -210,7 +218,7 @@ def test_alpha_beta_match_brute_force_walk(p):
             assert (res.beta, res.beta_witness) == (beta, beta_w), label
             beta_counts.append(res.subspaces_scanned - alpha_n)
             assert res.complete
-    assert sum(beta_counts) == {2: 464, 3: 1120}[p]
+    assert sum(beta_counts) == {2: 380, 3: 224}[p]
 
 
 def _largest_abelian(L):
@@ -293,16 +301,75 @@ def test_alpha_deep_hits_are_pinned(p, m, alpha, scanned):
     assert (res.alpha, res.alpha_witness, res.subspaces_scanned) == (alpha, witness, scanned)
 
 
+def _fi_violating_table():
+    return make_algebra(GF(3), 3, 5, {(1, 3, 5): {2: 1}, (2, 4, 5): {4: 1}})
+
+
 def test_beta_search_on_a_table_that_violates_the_identity():
     """K(I) is an ideal only when the fundamental identity holds; on a table
     that violates it the search still checks every new vector against K(I),
     so the witness is an abelian ideal and equals the brute-force walk's."""
-    L = make_algebra(GF(3), 3, 5, {(1, 3, 5): {2: 1}, (2, 4, 5): {4: 1}})
+    L = _fi_violating_table()
     assert not check_fundamental_identity(L).holds
     (beta, hits), _ = _largest_abelian(L)
     res = alpha_beta_exact_fp(L, compute="beta")
     assert (res.beta, res.beta_witness) == (beta, hits[0]) == (1, hits[0])
     assert classify_subspace(L, res.beta_witness).is_abelian_ideal
+
+
+def test_trace_rows_match_a_dense_oracle(beta_walks):
+    """The kernel T of the trace rows the beta search starts from equals the
+    trace radical read off dense operator matrices, on every algebra of
+    ``beta_walks`` and on a table that violates the fundamental identity;
+    and every abelian ideal of those algebras, of any dimension, lies in T,
+    so starting the search in T loses none."""
+    algebras = [(label, L) for label, L, _, _ in beta_walks]
+    algebras.append(("FI-violating", _fi_violating_table()))
+    cut = 0
+    for label, L in algebras:
+        p, m = L.field.p, L.dim
+        rows, pivots = search._fp_trace_rows(L)
+        kernel = span_members_fp(null_basis(rows, pivots, m, p), m, p)
+        assert kernel == trace_radical_fp(L), label
+        cut += len(kernel) < p ** m
+        for k in range(1, m + 1):
+            for S in enumerate_subspaces(m, k, p):
+                if classify_subspace(L, S).is_abelian_ideal:
+                    assert set(S.basis) <= kernel, (label, S)
+    assert cut >= 10
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_trace_rows_pin_the_simple_algebras(p):
+    """Over GF(3) and GF(5) the trace rows of A(n), n = 3..6, and of EX31
+    cut L to 0, so beta = 0 is decided with no closure tried: the beta share
+    of ``subspaces_scanned`` is 0.  Over GF(2) the trace forms of these
+    algebras vanish and T = L, a limit of characteristic 2."""
+    algebras = [catalog_build("A(n)", GF(p), n=n) for n in range(3, 7)]
+    for L in algebras + [catalog_build("EX31", GF(p))]:
+        rows, _ = search._fp_trace_rows(L)
+        assert len(rows) == (0 if p == 2 else L.dim)
+        res = alpha_beta_exact_fp(L, compute="beta")
+        assert (res.beta, res.beta_witness, res.beta_exact) == (0, None, True)
+        if p != 2:
+            assert res.subspaces_scanned == 0
+
+
+def test_budget_bounds_the_subspaces_the_alpha_scan_tests():
+    """The budget counts the subspaces the alpha scan tests (those that
+    contain the centre) and the closures of the beta search, not the whole
+    levels that ``subspaces_scanned`` reports.  T44-3 over GF(3) at m = 10
+    has a 6-dimensional centre: its scan tests levels of 1, 40 and 130
+    subspaces and reports 72,626,505; a budget of 170 cannot enter the third
+    level."""
+    L = catalog_build("T44-3", GF(3), m=10)
+    res = alpha_beta_exact_fp(L)
+    assert (res.alpha, res.beta, res.complete) == (8, 6, True)
+    assert res.subspaces_scanned == 72_626_505 > search.DEFAULT_BUDGET
+    assert alpha_beta_exact_fp(L, budget=171).complete
+    res = alpha_beta_exact_fp(L, budget=170)
+    assert (res.alpha, res.alpha_exact) == (None, False)
+    assert res.notes == ("alpha scan stopped before dimension 8: budget",)
 
 
 def test_enumerated_bases_are_rref():
