@@ -20,9 +20,16 @@ documents at m = 6 and 7, which the benchmark does not time (its
 kept apart so that the first two digests stay comparable with earlier
 checkouts.
 
-Usage (from the root of a source checkout): python3 scripts/capture_outputs.py
+With ``--compare OLD``, where OLD is the saved stdout of an earlier run, it
+then prints, for each column, the keys whose hash moved, and the keys that
+only one of the two runs has, so "only the work counts of these outputs
+moved" is read off one command.
+
+Usage (from the root of a source checkout):
+    python3 scripts/capture_outputs.py [--compare OLD]
 """
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -59,7 +66,39 @@ def work_free(out):
     return json.dumps(without_work_counts(doc), indent=2, sort_keys=True)
 
 
-def main():
+COLUMNS = ("exit code", "stdout", "stderr", "stdout without work counts")
+
+
+def read_rows(lines):
+    """{key: its column values} of the per-output lines of a run."""
+    rows = {}
+    for line in lines:
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) == 1 + len(COLUMNS):
+            rows[fields[0]] = fields[1:]
+    return rows
+
+
+def compare(old, new):
+    """Print, per column, the keys whose value moved from ``old`` to ``new``."""
+    for name, keys in (("only in the old run", sorted(old.keys() - new.keys())),
+                       ("only in the new run", sorted(new.keys() - old.keys()))):
+        print(f"{name}: {len(keys)}")
+        for key in keys:
+            print(f"  {key}")
+    for c, column in enumerate(COLUMNS):
+        moved = [key for key in old if key in new and old[key][c] != new[key][c]]
+        print(f"{column} moved: {len(moved)}")
+        for key in moved:
+            print(f"  {key}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", metavar="OLD",
+                        help="saved output of an earlier run to compare against")
+    args = parser.parse_args(argv)
+    printed = []
     lines = []
     work_free_lines = []
     q_bounds_lines = []
@@ -70,7 +109,8 @@ def main():
             out, err = (s.replace(tmp, "<work>") for s in (out, err))
             line = f"{key}\t{rc}\t{sha(out)}\t{sha(err)}"
             free = sha(work_free(out))
-            print(f"{line}\t{free}", flush=True)
+            printed.append(f"{line}\t{free}")
+            print(printed[-1], flush=True)
             return line, f"{key}\t{rc}\t{free}\t{sha(err)}"
 
         def capture(key, argv):
@@ -97,6 +137,9 @@ def main():
     print(f"without work counts, digest {sha(chr(10).join(work_free_lines))}")
     print(f"q-bounds at m = 6, 7: {len(q_bounds_lines)} outputs, "
           f"digest {sha(chr(10).join(q_bounds_lines))}")
+    if args.compare:
+        with open(args.compare, encoding="utf-8") as old:
+            compare(read_rows(old), read_rows(printed))
     return 0
 
 

@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import FundamentalIdentityError, InvalidParameterError
 from .fields import QQ, Field, same_field
-from .invariants import classify_subspace, full_space, s_derived_series
+from .invariants import center, classify_subspace, full_space, s_derived_series
 from .linalg import Subspace, subspace_from_rref_rows, validate_vector
 from .search import enumerate_subspaces, first_hit, gaussian_binomial, reduce_mod_p, subspace_hits
 
@@ -611,14 +611,15 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     if m < 4:
         return Theorem44Verdict("unknown", {"reason": "not solvable and dim < 4"})
 
-    # tau runs over the abelian ideals of dimension m - 4, S over the
+    # tau runs over the abelian ideals of dimension m - 4 that contain Z (L/tau
+    # is the simple S, whose centre 0 holds the image of Z), S over the
     # 4-dimensional subspaces; both count towards the budget
     k_tau = m - 4
     n_tau, n_block = gaussian_binomial(m, k_tau, p_used), gaussian_binomial(m, 4, p_used)
     if n_tau > budget:
         return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
     blocks = 0
-    for position, rows, profile in subspace_hits(Lp, k_tau, "abelian-ideal"):
+    for position, rows, profile in subspace_hits(Lp, k_tau, "abelian-ideal", center(Lp)):
         if position + blocks + n_block > budget:
             return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
         tau = subspace_from_rref_rows(Lp.field, m, rows, profile)

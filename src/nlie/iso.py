@@ -210,12 +210,15 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
                          f"candidate pool of {pool_size} columns exceeds "
                          f"the node budget {budget}", 0)
 
+    def inside(w, v):  # v in the subspace w, without validating v
+        return not any(reduce_vector(w.basis, w.pivots, v, f.p))
+
     # the image of e_i must lie in every invariant subspace of L2 whose mate
     # contains e_i; mates are aligned per series, the center first
     pairs = [(u, w) for t1, t2 in zip(subspaces1, subspaces2) for u, w in zip(t1, t2)
              if u.dim == w.dim and u.dim < m]
     unit = [tuple(f.one if t == i else f.zero for t in range(m)) for i in range(m)]
-    targets = [[w for u, w in pairs if u.contains_vector(unit[i])] for i in range(m)]
+    targets = [[w for u, w in pairs if inside(u, unit[i])] for i in range(m)]
 
     # most-constrained first: high bracket degree, then small image pool
     degree = Counter(i for cols, _ in L1.entries for i in cols)
@@ -251,7 +254,7 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
     # static per-index candidate pools, in lexicographic order
     candidates_all = [c for c in product(vals, repeat=m) if any(c)]
     pool_candidates = [[c for c in candidates_all
-                        if all(w.contains_vector(c) for w in targets[i])]
+                        if all(inside(w, c) for w in targets[i])]
                        for i in range(m)]
 
     zero = [f.zero] * m
@@ -277,7 +280,7 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
         cands = pool_candidates[i]
         if not isinstance(head, int):
             forced = tuple(combine(head))
-            ok = any(forced) and all(w.contains_vector(forced) for w in targets[i])
+            ok = any(forced) and all(inside(w, forced) for w in targets[i])
             cands = [forced] if ok else []
         for cand in cands:
             nodes += 1

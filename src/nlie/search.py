@@ -6,10 +6,11 @@ abelian subalgebra or ideal of the largest dimension contains Z.
 
 Alpha is an exhaustive scan of the subspaces that contain Z, in canonical
 RREF order (profiles of pivot columns in lexicographic order, free entries
-in odometer order), dimensions downward with early exit.  At a level k >=
-dim Z an abelian k-subspace exists exactly when one contains Z, so the value,
-the witness and the count (whole levels above the hit plus the hit's
-position in its level) are those of a scan of every subspace.
+in odometer order), dimensions downward from the alpha bound of
+``_derived_bounds`` with early exit.  At a level k >= dim Z an abelian
+k-subspace exists exactly when one contains Z, and none exists above the
+bound, so the value, the witness and the count (whole levels above the hit
+plus the hit's position in its level) are those of a scan of every subspace.
 
 Beta is a branch and bound over abelian ideals that starts at Z.  Every
 abelian ideal J lies in the radical T of the trace forms tr([v, ., e_y'] o
@@ -19,7 +20,7 @@ criterion, carried to n-Lie algebras by Kasymov 1987).  An abelian ideal J
 containing an ideal I also lies in K(I) = {v : [v, i, x_1, .., x_{n-2}] = 0
 for all i in I and all x}.  Both are kernels linear in v, so dim K(I) n T
 bounds every branch below I; the root is Z in T (K(Z) = L), and where T = Z
-the search tries no closure at all.
+or the beta bound of ``_derived_bounds`` is dim Z it tries no closure at all.
 Nodes grow by the ideal closure of one vector of (K(I) n T)/I (the spinning
 closure of the MeatAxe; Lux, Mueller & Ringe 1994), and a node is pruned by
 dim K(I) n T as a maximum-clique search is pruned by the size of its
@@ -31,8 +32,8 @@ for beta at arity 2, dim-2 at arity >= 3).
 
 The alpha scan, the ideal counts of ``iso`` and the classifier of
 ``catalog`` walk the Grassmannian through ``subspace_hits`` (one level) and
-``first_hit`` (whole levels under the budget, which can walk only the
-subspaces that contain a given one), both on ``_iter_level``.
+``first_hit`` (whole levels under the budget), both on ``_iter_level`` and
+both able to walk only the subspaces that contain a given one.
 
 The scans, the beta spin and the Q bounds test subspaces with the one set
 of subspace predicates, in ``invariants``; the tests check it against a
@@ -44,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
+from math import comb
 
 from .core import NLieAlgebra, bracket_rows
 from .errors import InvalidParameterError, UnsupportedRequestError
@@ -53,6 +55,7 @@ from .invariants import (
     abelian_subalgebra,
     center,
     commute,
+    derived_algebra,
     ideal,
     image,
 )
@@ -190,11 +193,12 @@ PREDICATES = {
 }
 
 
-def subspace_hits(L: NLieAlgebra, k, mode):
+def subspace_hits(L: NLieAlgebra, k, mode, containing=None):
     """Yield (position, rows, profile) for every k-dimensional subspace of
-    GF(p)^dim that satisfies ``PREDICATES[mode]``, in canonical order;
-    position is the subspace's 1-based index in its level."""
-    return _iter_level(L.dim, k, L.field.p, keep=partial(PREDICATES[mode], L))
+    GF(p)^dim that contains ``containing`` (when given) and satisfies
+    ``PREDICATES[mode]``, in canonical order; position is the subspace's
+    1-based index in its whole level."""
+    return _iter_level(L.dim, k, L.field.p, containing, partial(PREDICATES[mode], L))
 
 
 def first_hit(L: NLieAlgebra, levels, mode, budget, containing=None):
@@ -227,18 +231,20 @@ def first_hit(L: NLieAlgebra, levels, mode, budget, containing=None):
 
 
 def _scan_down(L, budget, notes):
-    """Alpha by a scan down from dim: the largest k with an abelian
-    k-dimensional subalgebra; returns (k or None when the budget stopped it,
-    the canonically first witness or None at k = 0, the subspaces scanned,
-    the subspaces tested).
+    """Alpha by a scan down from the alpha bound of ``_derived_bounds``: the
+    largest k with an abelian k-dimensional subalgebra; returns (k or None
+    when the budget stopped it, the canonically first witness or None at k =
+    0, the subspaces scanned, the subspaces tested).
 
     The scan tests only the subspaces that contain the centre Z, and the
     budget bounds those, but it counts whole levels and positions in them,
-    so value, witness and count are those of a scan of every subspace (see
-    the module docstring).  Z itself is abelian, so the scan hits at level
-    dim Z at the latest."""
-    k, hit, scanned, tested = first_hit(L, range(L.dim, -1, -1), "abelian-subalgebra",
+    the levels above the bound included, so value, witness and count are
+    those of a scan of every subspace (see the module docstring).  Z itself
+    is abelian, so the scan hits at level dim Z at the latest."""
+    top = _derived_bounds(L)[0]
+    k, hit, scanned, tested = first_hit(L, range(top, -1, -1), "abelian-subalgebra",
                                         budget, center(L))
+    scanned += sum(gaussian_binomial(L.dim, j, L.field.p) for j in range(top + 1, L.dim + 1))
     if hit is None:
         notes.append(f"alpha scan stopped before dimension {k}: budget")
         return None, None, scanned, tested
@@ -256,6 +262,22 @@ def _upper_bounds(L: NLieAlgebra) -> tuple:
     if not L.entries:
         return m, m
     return m - 1, m - 1 if L.arity == 2 else m - 2
+
+
+def _derived_bounds(L: NLieAlgebra) -> tuple:
+    """Bounds (alpha, beta), the largest k allowed (beta's within
+    ``_upper_bounds``) by d = dim [L, .., L], z = dim Z, m = dim L and the
+    arity n, in every characteristic and without the fundamental identity.
+    An abelian subalgebra S of dim k containing Z gives d <= C(m - z, n) -
+    C(k - z, n): in a basis through Z, then S, then a complement, a basis
+    bracket vanishes when an argument is central or all lie in S.  An abelian
+    ideal J of dim k gives d <= k + C(m - k, n): a bracket with two arguments
+    in J vanishes, and one with one argument in J lies in J."""
+    m, n, z = L.dim, L.arity, center(L).dim
+    d = derived_algebra(L).dim
+    alpha = max(k for k in range(z, m + 1) if comb(k - z, n) <= comb(m - z, n) - d)
+    beta = max(k for k in range(_upper_bounds(L)[1] + 1) if d <= k + comb(m - k, n))
+    return alpha, beta
 
 
 def _fp_constraints(by_y2, vectors, p, m):
@@ -371,11 +393,13 @@ def _beta_search(L, budget, spent, notes):
     I + <v>, one per line of (K(I) n T)/I.  Each closure tried counts one
     against what ``budget`` leaves after ``spent``; a closure met before is
     not expanded again, and a node with dim K(I) n T < best is pruned, so
-    every abelian ideal of the largest dimension is reached.
+    every abelian ideal of the largest dimension is reached.  A closure is
+    given up once it passes the beta bound of ``_derived_bounds``; where
+    that bound is dim Z, beta is dim Z and no closure is tried.
     """
     p, m = L.field.p, L.dim
     by_y2 = L.maps[2].values()
-    limit = _upper_bounds(L)[1]
+    limit = _derived_bounds(L)[1]
     z = center(L)
     best = (z.dim, z.pivots, z.basis)  # dimension, then the scan's order key
     seen = set()
@@ -412,7 +436,7 @@ def _beta_search(L, budget, spent, notes):
                 return False
         return True
 
-    if not expand(z.basis, z.pivots, *_fp_trace_rows(L)):
+    if limit > z.dim and not expand(z.basis, z.pivots, *_fp_trace_rows(L)):
         notes.append(f"beta search stopped after {tried} candidate ideals: budget {budget}")
         return None, None, tried
     k, pivots, rows = best

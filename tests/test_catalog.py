@@ -30,6 +30,7 @@ from nlie.invariants import (
 )
 from nlie.iso import change_basis
 from nlie.linalg import Matrix, coordinate_subspace
+from nlie import search
 from nlie.search import alpha_beta_exact_fp, reduce_mod_p
 
 
@@ -299,11 +300,19 @@ def test_classify44_works_on_prime_field_input():
     assert classify_theorem44(catalog_build("A(n)", GF(3), n=3)).case == "simple-A4"
 
 
-@pytest.mark.parametrize("m,scanned", [(5, 32), (6, 652)])
-def test_classify44_t44_3_over_gf2_is_pinned(m, scanned):
+@pytest.mark.parametrize("m,scanned", [(5, 32), (6, 652), (7, 11_812)])
+def test_classify44_t44_3_over_gf2_is_pinned(monkeypatch, m, scanned):
     """tau is the first abelian ideal in canonical order that has a simple
-    complement; the block is the first such complement."""
+    complement; the block is the first such complement.  tau is walked only
+    over the subspaces that contain the centre, here Z itself, the one
+    tested, but its position counts the whole level: at m = 7, tau = Z is
+    the last of 11,811 subspaces."""
+    tested = []
+    predicate = search.PREDICATES["abelian-ideal"]
+    monkeypatch.setitem(search.PREDICATES, "abelian-ideal",
+                        lambda L, rows, pivots: tested.append(rows) or predicate(L, rows, pivots))
     v = classify_theorem44(catalog_build("T44-3", GF(2), m=m))
+    assert len(tested) == 1
     assert v.case == "A4-semidirect"
     assert v.evidence == {"p": 2, "tau_dim": m - 4, "subspaces_scanned": scanned}
     assert v.tau == coordinate_subspace(GF(2), m, range(4, m))

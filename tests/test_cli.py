@@ -274,25 +274,25 @@ def test_alphabeta_budget_stop_is_undecided(capsys, ex33_path, ex33_gf2_path):
     """A search stopped by its budget leaves alpha/beta undecided: exit 3, the
     stopped searches named, and no claim that the primes agree.  The budget
     bounds the subspaces tested, not the count reported: on EX33 the alpha
-    scan tests, of the subspaces that contain the centre, levels of 1 + 7 at
-    p = 2 and 1 + 13 at p = 3 and hits at the second it tests (10 and 29
-    subspaces in the count of whole levels); the beta search then tries 7
-    and 13 candidate ideals."""
-    code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--budget", "7")
+    scan starts at the alpha bound 3 and enters, of the subspaces that
+    contain the centre, a level of 7 at p = 2 and of 13 at p = 3, and hits at
+    the first it tests (10 and 29 subspaces in the count of whole levels);
+    the beta search then tries 7 and 13 candidate ideals."""
+    code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--budget", "6")
     assert code == 3
     assert "primes agree" not in out
     assert "undecided: alpha scan stopped before dimension 3: budget" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3",
-                       "--budget", "14", "--json")
+                       "--budget", "13", "--json")
     assert code == 3
     runs = json.loads(out)["result"]["runs"]
     assert [(r["alpha_exact"], r["beta_exact"]) for r in runs] == [(True, True), (True, False)]
-    assert runs[1]["notes"] == ["beta search stopped after 12 candidate ideals: budget 14"]
-    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "8")
+    assert runs[1]["notes"] == ["beta search stopped after 12 candidate ideals: budget 13"]
+    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "7")
     assert code == 3
     assert "alpha = 3, beta = None" in out
-    assert "undecided: beta search stopped after 6 candidate ideals: budget 8" in out
-    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "9")
+    assert "undecided: beta search stopped after 6 candidate ideals: budget 7" in out
+    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "8")
     assert code == 0
     assert "alpha = 3, beta = 2 (exact over GF(2); 17 subspaces)" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3")
@@ -302,7 +302,8 @@ def test_alphabeta_budget_stop_is_undecided(capsys, ex33_path, ex33_gf2_path):
 
 def test_alphabeta_budget_counts_only_the_subspaces_tested(capsys, tmp_path):
     """T44-3 over GF(3) at m = 10 reports 72,626,505 subspaces, over the
-    default budget, but its alpha scan tests 42 of them: it is decided."""
+    default budget, but its alpha scan starts at the alpha bound 8 and tests
+    1 of them: it is decided."""
     path = tmp_path / "t44_3.json"
     path.write_text(serialize_algebra(catalog_build("T44-3", GF(3), m=10)))
     code, out, _ = run(capsys, "alphabeta", str(path))

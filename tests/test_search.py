@@ -218,7 +218,7 @@ def test_alpha_beta_match_brute_force_walk(p):
             assert (res.beta, res.beta_witness) == (beta, beta_w), label
             beta_counts.append(res.subspaces_scanned - alpha_n)
             assert res.complete
-    assert sum(beta_counts) == {2: 380, 3: 224}[p]
+    assert sum(beta_counts) == {2: 260, 3: 224}[p]
 
 
 def _largest_abelian(L):
@@ -342,34 +342,69 @@ def test_trace_rows_match_a_dense_oracle(beta_walks):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_trace_rows_pin_the_simple_algebras(p):
     """Over GF(3) and GF(5) the trace rows of A(n), n = 3..6, and of EX31
-    cut L to 0, so beta = 0 is decided with no closure tried: the beta share
-    of ``subspaces_scanned`` is 0.  Over GF(2) the trace forms of these
-    algebras vanish and T = L, a limit of characteristic 2."""
+    cut L to 0.  Over GF(2) the trace forms of these algebras vanish and T =
+    L, a limit of characteristic 2, but their derived algebra is L, so the
+    beta bound is 0 = dim Z.  Either way beta = 0 is decided with no closure
+    tried: the beta share of ``subspaces_scanned`` is 0."""
     algebras = [catalog_build("A(n)", GF(p), n=n) for n in range(3, 7)]
     for L in algebras + [catalog_build("EX31", GF(p))]:
         rows, _ = search._fp_trace_rows(L)
         assert len(rows) == (0 if p == 2 else L.dim)
+        assert search._derived_bounds(L) == (L.dim - 2, 0)
         res = alpha_beta_exact_fp(L, compute="beta")
         assert (res.beta, res.beta_witness, res.beta_exact) == (0, None, True)
-        if p != 2:
-            assert res.subspaces_scanned == 0
+        assert res.subspaces_scanned == 0
+
+
+def test_derived_bounds_hold_on_brute_force_walks(beta_walks):
+    """Alpha and beta of a walk through every subspace lie within the bounds
+    of ``_derived_bounds``, on every algebra of ``beta_walks`` and on tables
+    that violate the fundamental identity (EX41 as published, and a small
+    table); the bounds use neither the identity nor the characteristic."""
+    walks = [(label, L, beta, alpha) for label, L, (beta, _), (alpha, _) in beta_walks]
+    for label, L in [(f"EX41 GF({p})", catalog_build("EX41", GF(p))) for p in (2, 3)] + [
+            ("FI-violating", _fi_violating_table())]:
+        assert not check_fundamental_identity(L).holds, label
+        (beta, _), (alpha, _) = _largest_abelian(L)
+        walks.append((label, L, beta, alpha))
+    for label, L, beta, alpha in walks:
+        bound_alpha, bound_beta = search._derived_bounds(L)
+        assert alpha <= bound_alpha and beta <= bound_beta, label
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_alpha_scan_tests_only_level_alpha(monkeypatch, p):
+    """On A(n) (m = 4..6) and T44-3 (m = 5..7) the alpha bound is alpha =
+    m - 2, so the scan tests subspaces of that level only: the levels above
+    it are counted in ``subspaces_scanned`` but not tested."""
+    levels = []
+    predicate = search.PREDICATES["abelian-subalgebra"]
+    monkeypatch.setitem(search.PREDICATES, "abelian-subalgebra",
+                        lambda L, rows, pivots: levels.append(len(rows)) or predicate(L, rows, pivots))
+    algebras = [catalog_build("A(n)", GF(p), n=n) for n in (3, 4, 5)]
+    algebras += [catalog_build("T44-3", GF(p), m=m) for m in (5, 6, 7)]
+    for L in algebras:
+        levels.clear()
+        res = alpha_beta_exact_fp(L, compute="alpha")
+        assert res.alpha == L.dim - 2
+        assert set(levels) == {res.alpha}
 
 
 def test_budget_bounds_the_subspaces_the_alpha_scan_tests():
     """The budget counts the subspaces the alpha scan tests (those that
-    contain the centre) and the closures of the beta search, not the whole
-    levels that ``subspaces_scanned`` reports.  T44-3 over GF(3) at m = 10
-    has a 6-dimensional centre: its scan tests levels of 1, 40 and 130
-    subspaces and reports 72,626,505; a budget of 170 cannot enter the third
-    level."""
-    L = catalog_build("T44-3", GF(3), m=10)
-    res = alpha_beta_exact_fp(L)
-    assert (res.alpha, res.beta, res.complete) == (8, 6, True)
-    assert res.subspaces_scanned == 72_626_505 > search.DEFAULT_BUDGET
-    assert alpha_beta_exact_fp(L, budget=171).complete
-    res = alpha_beta_exact_fp(L, budget=170)
+    contain the centre, from the alpha bound down), not the whole levels
+    that ``subspaces_scanned`` reports.  The Heisenberg Lie algebra of
+    dimension 5 over GF(3) has a 1-dimensional centre and alpha bound 4
+    (alpha is 3): its scan skips level 5, tests levels of 40 and 130
+    subspaces, hits at the 13th of the second and reports 1,107; a budget
+    of 169 cannot enter the second level."""
+    L = lie_catalog_build("heisenberg", GF(3), dim=5)
+    assert search._derived_bounds(L)[0] == 4
+    res = alpha_beta_exact_fp(L, budget=170, compute="alpha")
+    assert (res.alpha, res.alpha_exact, res.subspaces_scanned) == (3, True, 1_107)
+    res = alpha_beta_exact_fp(L, budget=169, compute="alpha")
     assert (res.alpha, res.alpha_exact) == (None, False)
-    assert res.notes == ("alpha scan stopped before dimension 8: budget",)
+    assert res.notes == ("alpha scan stopped before dimension 3: budget",)
 
 
 def test_enumerated_bases_are_rref():
