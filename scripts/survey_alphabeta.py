@@ -3,7 +3,7 @@
 
 Prints one row per (family, dimension, prime) with the exact values, the
 canonical witnesses' dimensions, and whether the table satisfies the
-fundamental identity.  Useful for eyeballing how the invariants move with
+fundamental identity.  A value the default budget stopped prints as None.  Useful for eyeballing how the invariants move with
 the dimension parameters.
 
 Usage: python scripts/survey_alphabeta.py [--dims 4 5 6] [--primes 2 3]
@@ -36,7 +36,7 @@ def main():
             rep = invariant_report(L)
             res = alpha_beta_exact_fp(L)
             print(f"{label:28s} {p:2d} {L.dim:3d} {rep.derived_dim:3d} "
-                  f"{rep.center_dim:3d} {res.alpha:5d} {res.beta:4d} "
+                  f"{rep.center_dim:3d} {res.alpha!s:>5s} {res.beta!s:>4s} "
                   f"{str(rep.nilpotent)[0]:>4s} {'y' if L.fi_checked else 'N':>3s}")
     return 0
 

@@ -27,9 +27,16 @@ from .core import (
 )
 from .errors import FundamentalIdentityError, InvalidParameterError
 from .fields import QQ, Field, same_field
-from .invariants import center, classify_subspace, full_space, s_derived_series
+from .invariants import (
+    abelian_ideal,
+    center,
+    classify_subspace,
+    full_space,
+    ideal,
+    s_derived_series,
+)
 from .linalg import Subspace, subspace_from_rref_rows, validate_vector
-from .search import enumerate_subspaces, first_hit, gaussian_binomial, reduce_mod_p, subspace_hits
+from .search import enumerate_subspaces, reduce_mod_p, walk_subspaces
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +587,9 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     prime field, or the reduction of a Q input at ``p``; integral reduction
     preserves ideals, so a clean mod-p search certifies the verdict for
     integral tables).  A semidirect block must itself classify as
-    simple-A4.  ``unknown`` is returned when the budget is exhausted.
+    simple-A4.  The budget bounds the subspaces tested (proper ideals, tau
+    and blocks), each charged before it is tested; ``unknown`` is returned
+    at the first test past it.  The evidence counts the subspaces tested.
     """
     require_arity(L, 3, "trichotomy classification")
     m = L.dim
@@ -596,42 +605,46 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
         p_used = p if p is not None else 2
         Lp = reduce_mod_p(L, p_used)
 
+    over_budget = Theorem44Verdict("unknown", {"reason": "budget exceeded"})
+    tested = 0
     if m == 4 and rep.terms[1].dim == 4:  # [L, L, L] = L
-        k, hit, scanned, _ = first_hit(Lp, (1, 2, 3), "ideal", budget)
-        if k is None:
-            return Theorem44Verdict("simple-A4", {
-                "p": p_used, "proper_subspaces_checked": scanned,
-                "derived_dim": 4})
-        if hit is None:
-            return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
-        return Theorem44Verdict("unknown", {
-            "reason": "dimension 4, perfect, but a proper ideal exists mod p",
-            "p": p_used})
+        for k in (1, 2, 3):
+            for rows, profile in walk_subspaces(m, k, p_used):
+                if tested >= budget:
+                    return over_budget
+                tested += 1
+                if ideal(Lp, rows, profile):
+                    return Theorem44Verdict("unknown", {
+                        "reason": "dimension 4, perfect, but a proper ideal exists mod p",
+                        "p": p_used})
+        return Theorem44Verdict("simple-A4", {
+            "p": p_used, "proper_subspaces_checked": tested, "derived_dim": 4})
 
     if m < 4:
         return Theorem44Verdict("unknown", {"reason": "not solvable and dim < 4"})
 
     # tau runs over the abelian ideals of dimension m - 4 that contain Z (L/tau
     # is the simple S, whose centre 0 holds the image of Z), S over the
-    # 4-dimensional subspaces; both count towards the budget
+    # 4-dimensional subspaces; every subspace tested counts towards the budget
     k_tau = m - 4
-    n_tau, n_block = gaussian_binomial(m, k_tau, p_used), gaussian_binomial(m, 4, p_used)
-    if n_tau > budget:
-        return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
-    blocks = 0
-    for position, rows, profile in subspace_hits(Lp, k_tau, "abelian-ideal", center(Lp)):
-        if position + blocks + n_block > budget:
-            return Theorem44Verdict("unknown", {"reason": "budget exceeded"})
+    for rows, profile in walk_subspaces(m, k_tau, p_used, center(Lp)):
+        if tested >= budget:
+            return over_budget
+        tested += 1
+        if not abelian_ideal(Lp, rows, profile):
+            continue
         tau = subspace_from_rref_rows(Lp.field, m, rows, profile)
         for S in enumerate_subspaces(m, 4, p_used):
-            blocks += 1
+            if tested >= budget:
+                return over_budget
+            tested += 1
             if S.intersect(tau).dim != 0 or not classify_subspace(Lp, S).is_subalgebra:
                 continue
             if classify_theorem44(restrict_to_subalgebra(Lp, S)).case == "simple-A4":
                 return Theorem44Verdict(
                     "A4-semidirect",
-                    {"p": p_used, "tau_dim": k_tau, "subspaces_scanned": position + blocks},
+                    {"p": p_used, "tau_dim": k_tau, "subspaces_scanned": tested},
                     tau=tau, block=S)
     return Theorem44Verdict("unknown", {
         "reason": "no simple block + abelian ideal decomposition found mod p",
-        "p": p_used, "subspaces_scanned": n_tau + blocks})
+        "p": p_used, "subspaces_scanned": tested})

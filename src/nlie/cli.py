@@ -317,6 +317,17 @@ def _arg(*names, **options):
     return names, options
 
 
+def _budget(text):
+    """The value of ``--budget``, a count of work: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 _ALGEBRA = _arg("algebra")
 _OUT = _arg("--out")
 
@@ -336,7 +347,7 @@ VERBS = {
         _arg("--p", type=int, action="append",
              help="reduce mod p and enumerate exhaustively (repeatable)"),
         _arg("--q-bounds", action="store_true", help="certified lower bounds over Q"),
-        _arg("--budget", type=int, default=10_000_000)]),
+        _arg("--budget", type=_budget, default=10_000_000)]),
     "assoc-lie": (cmd_assoc_lie, "associated binary algebra at w", [
         _ALGEBRA, _arg("--w", required=True, help="comma-separated coordinates of w"),
         _OUT]),
@@ -356,9 +367,9 @@ VERBS = {
     "iso": (cmd_iso, "isomorphism semidecision", [
         _arg("algebra1"), _arg("algebra2"),
         _arg("--p", type=int, help="compare reductions mod p"),
-        _arg("--budget", type=int, default=2_000_000)]),
+        _arg("--budget", type=_budget, default=2_000_000)]),
     "classify44": (cmd_classify44, "trichotomy: 3-solvable / simple 4-dim / semidirect", [
-        _ALGEBRA, _arg("--p", type=int), _arg("--budget", type=int, default=2_000_000)]),
+        _ALGEBRA, _arg("--p", type=int), _arg("--budget", type=_budget, default=2_000_000)]),
     "verify-paper": (cmd_verify_paper, "run the full verification suite", [
         _arg("--only", type=int, action="append",
              help="run a single criterion (repeatable)"),

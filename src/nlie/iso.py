@@ -24,9 +24,9 @@ from itertools import combinations, product
 from .core import NLieAlgebra, bracket, bracket_basis, bracket_rows, make_algebra
 from .errors import DimensionMismatchError, InvalidParameterError
 from .fields import QQ, Field
-from .invariants import InvariantReport, invariant_report
+from .invariants import InvariantReport, ideal, invariant_report
 from .linalg import Matrix, reduce_vector
-from .search import alpha_beta_exact_fp, gaussian_binomial, subspace_hits
+from .search import alpha_beta_exact_fp, gaussian_binomial, walk_subspaces
 
 _AB_AUTO_LIMIT = 200_000
 # largest level (number of subspaces) that the ideal counts of are_isomorphic scan
@@ -154,7 +154,8 @@ def ideal_count_difference(L1: NLieAlgebra, L2: NLieAlgebra) -> str | None:
     for k in (1, 2):
         if k >= m or gaussian_binomial(m, k, p) > _COUNT_LIMIT:
             continue
-        c1, c2 = (sum(1 for _ in subspace_hits(L, k, "ideal")) for L in (L1, L2))
+        c1, c2 = (sum(ideal(L, rows, profile) for rows, profile in walk_subspaces(m, k, p))
+                  for L in (L1, L2))
         if c1 != c2:
             return f"ideal count in dimension {k}: {c1} vs {c2}"
     return None

@@ -9,8 +9,7 @@ RREF order (profiles of pivot columns in lexicographic order, free entries
 in odometer order), dimensions downward from the alpha bound of
 ``_derived_bounds`` with early exit.  At a level k >= dim Z an abelian
 k-subspace exists exactly when one contains Z, and none exists above the
-bound, so the value, the witness and the count (whole levels above the hit
-plus the hit's position in its level) are those of a scan of every subspace.
+bound, so the value and the witness are those of a scan of every subspace.
 
 Beta is a branch and bound over abelian ideals that starts at Z.  Every
 abelian ideal J lies in the radical T of the trace forms tr([v, ., e_y'] o
@@ -31,9 +30,12 @@ only certified lower bounds are produced, plus the universal upper bounds of
 for beta at arity 2, dim-2 at arity >= 3).
 
 The alpha scan, the ideal counts of ``iso`` and the classifier of
-``catalog`` walk the Grassmannian through ``subspace_hits`` (one level) and
-``first_hit`` (whole levels under the budget), both on ``_iter_level`` and
-both able to walk only the subspaces that contain a given one.
+``catalog`` walk the Grassmannian through ``walk_subspaces``, which can walk
+only the subspaces that contain a given one.  The work of a search is the
+subspaces a predicate is called on plus the beta closures tried: that is
+what ``subspaces_scanned`` reports and what a budget bounds.  Each test is
+charged before it is made, and a search stops at the first untested
+subspace once its budget is spent, in the middle of a level if need be.
 
 The scans, the beta spin and the Q bounds test subspaces with the one set
 of subspace predicates, in ``invariants``; the tests check it against a
@@ -43,7 +45,6 @@ brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, product
 from math import comb
 
@@ -56,7 +57,6 @@ from .invariants import (
     center,
     commute,
     derived_algebra,
-    ideal,
     image,
 )
 from .linalg import (
@@ -124,55 +124,48 @@ def _containing_solutions(m, profile, free, z_basis, p):
     return x0, directions
 
 
-def _iter_level(m, k, p, containing=None, keep=None):
-    """(position, RREF rows, pivot profile) of every k-dimensional subspace
-    of GF(p)^m that contains the subspace ``containing`` and passes
-    ``keep(rows as lists, profile)``, each when given, in canonical order:
-    profiles lexicographic, free entries in odometer order.  The position is
-    the subspace's 1-based index in the whole level.
+def walk_subspaces(m, k, p, containing=None):
+    """(RREF rows, pivot profile) of every k-dimensional subspace of GF(p)^m
+    that contains the subspace ``containing`` (when given), in canonical
+    order: profiles lexicographic, free entries in odometer order.  The rows
+    are lists the walk goes on to change: read them, or copy them, before
+    the next step.
 
     A profile that misses a pivot of Z holds no subspace containing Z and
     is skipped.  Otherwise the free entries are x0 + t.D (see
     ``_containing_solutions``): as D is in RREF and x0 is zero at its
     pivots, the lexicographic order of t is the odometer order of the free
     entries, so an odometer over t adds one row of D per digit it moves (a
-    wrap too, as p.d = 0).  Without Z, D is the unit vectors and x0 = 0.
-    The position, the mixed-radix value of the free entries, is read only
-    for a subspace that is yielded."""
+    wrap too, as p.d = 0).  Without Z, D is the unit vectors and x0 = 0."""
     z_basis = containing.basis if containing is not None else ()
     z_pivots = set(containing.pivots) if containing is not None else set()
-    offset = 0  # the subspaces of the earlier profiles
     for profile in combinations(range(m), k):
+        if not z_pivots <= set(profile):
+            continue
         free = _profile_free_positions(m, profile)
-        if z_pivots <= set(profile):
-            base = [[0] * m for _ in range(k)]
-            for r, c in enumerate(profile):
-                base[r][c] = 1
-            if z_basis:
-                x0, directions = _containing_solutions(m, profile, free, z_basis, p)
-                for (r, j), c in zip(free, x0):
-                    base[r][j] = c
-                steps = [[(r, j, c) for (r, j), c in zip(free, d) if c] for d in directions]
-            else:
-                steps = [[(r, j, 1)] for r, j in free]
-            digits = [0] * len(steps)
-            i = 0  # the odometer digit that moved last; -1 once all of them wrapped
+        base = [[0] * m for _ in range(k)]
+        for r, c in enumerate(profile):
+            base[r][c] = 1
+        if z_basis:
+            x0, directions = _containing_solutions(m, profile, free, z_basis, p)
+            for (r, j), c in zip(free, x0):
+                base[r][j] = c
+            steps = [[(r, j, c) for (r, j), c in zip(free, d) if c] for d in directions]
+        else:
+            steps = [[(r, j, 1)] for r, j in free]
+        digits = [0] * len(steps)
+        i = 0  # the odometer digit that moved last; -1 once all of them wrapped
+        while i >= 0:
+            yield base, profile
+            i = len(steps) - 1
             while i >= 0:
-                if keep is None or keep(base, profile):
-                    rank = 0
-                    for r, j in free:
-                        rank = rank * p + base[r][j]
-                    yield offset + rank + 1, tuple(map(tuple, base)), profile
-                i = len(steps) - 1
-                while i >= 0:
-                    for r, j, c in steps[i]:
-                        base[r][j] = (base[r][j] + c) % p
-                    digits[i] += 1
-                    if digits[i] < p:
-                        break
-                    digits[i] = 0
-                    i -= 1
-        offset += p ** len(free)
+                for r, j, c in steps[i]:
+                    base[r][j] = (base[r][j] + c) % p
+                digits[i] += 1
+                if digits[i] < p:
+                    break
+                digits[i] = 0
+                i -= 1
 
 
 def enumerate_subspaces(m: int, k: int, p: int):
@@ -182,75 +175,32 @@ def enumerate_subspaces(m: int, k: int, p: int):
     if not (0 <= k <= m):
         raise InvalidParameterError(f"k must be in 0..{m}, got {k}")
     fld = GF(p)
-    for _, rows, profile in _iter_level(m, k, p):
+    for rows, profile in walk_subspaces(m, k, p):
         yield subspace_from_rref_rows(fld, m, rows, profile)
-
-
-PREDICATES = {
-    "abelian-subalgebra": abelian_subalgebra,
-    "abelian-ideal": abelian_ideal,
-    "ideal": ideal,
-}
-
-
-def subspace_hits(L: NLieAlgebra, k, mode, containing=None):
-    """Yield (position, rows, profile) for every k-dimensional subspace of
-    GF(p)^dim that contains ``containing`` (when given) and satisfies
-    ``PREDICATES[mode]``, in canonical order; position is the subspace's
-    1-based index in its whole level."""
-    return _iter_level(L.dim, k, L.field.p, containing, partial(PREDICATES[mode], L))
-
-
-def first_hit(L: NLieAlgebra, levels, mode, budget, containing=None):
-    """Walk whole levels k, in the given order, to the canonically first
-    subspace that contains ``containing`` (when given) and satisfies
-    ``PREDICATES[mode]``; a level is entered only when the subspaces tested
-    so far plus the level's subspaces that contain ``containing`` are within
-    ``budget``.  Returns (k, (rows, profile), scanned, tested) at a hit, (k,
-    None, scanned, tested) when the budget stopped the walk before level k,
-    and (None, None, scanned, tested) without a hit; scanned counts whole
-    levels and the hit's position in its level, tested the subspaces the
-    predicate was called on."""
-    m, p = L.dim, L.field.p
-    z = containing.dim if containing is not None else 0
-    predicate = partial(PREDICATES[mode], L)
-    scanned = tested = 0
-
-    def keep(rows, profile):
-        nonlocal tested
-        tested += 1
-        return predicate(rows, profile)
-
-    for k in levels:
-        if tested + gaussian_binomial(m - z, k - z, p) > budget:
-            return k, None, scanned, tested
-        for position, rows, profile in _iter_level(m, k, p, containing, keep):
-            return k, (rows, profile), scanned + position, tested
-        scanned += gaussian_binomial(m, k, p)
-    return None, None, scanned, tested
 
 
 def _scan_down(L, budget, notes):
     """Alpha by a scan down from the alpha bound of ``_derived_bounds``: the
     largest k with an abelian k-dimensional subalgebra; returns (k or None
     when the budget stopped it, the canonically first witness or None at k =
-    0, the subspaces scanned, the subspaces tested).
+    0, the subspaces tested).
 
-    The scan tests only the subspaces that contain the centre Z, and the
-    budget bounds those, but it counts whole levels and positions in them,
-    the levels above the bound included, so value, witness and count are
-    those of a scan of every subspace (see the module docstring).  Z itself
-    is abelian, so the scan hits at level dim Z at the latest."""
-    top = _derived_bounds(L)[0]
-    k, hit, scanned, tested = first_hit(L, range(top, -1, -1), "abelian-subalgebra",
-                                        budget, center(L))
-    scanned += sum(gaussian_binomial(L.dim, j, L.field.p) for j in range(top + 1, L.dim + 1))
-    if hit is None:
-        notes.append(f"alpha scan stopped before dimension {k}: budget")
-        return None, None, scanned, tested
-    rows, profile = hit
-    witness = subspace_from_rref_rows(L.field, L.dim, rows, profile) if k else None
-    return k, witness, scanned, tested
+    The scan tests only the subspaces that contain the centre Z (see the
+    module docstring), each charged to ``budget``; it stops at the first
+    untested one once the budget is spent.  Z itself is abelian, so the scan
+    hits at level dim Z at the latest."""
+    z = center(L)
+    tested = 0
+    for k in range(_derived_bounds(L)[0], z.dim - 1, -1):
+        for rows, profile in walk_subspaces(L.dim, k, L.field.p, z):
+            if tested >= budget:
+                notes.append(f"alpha scan stopped in dimension {k} after {tested} "
+                             f"subspaces: budget {budget}")
+                return None, None, tested
+            tested += 1
+            if abelian_subalgebra(L, rows, profile):
+                witness = subspace_from_rref_rows(L.field, L.dim, rows, profile) if k else None
+                return k, witness, tested
 
 
 def _upper_bounds(L: NLieAlgebra) -> tuple:
@@ -485,13 +435,12 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
                         compute: str = "both") -> AlphaBetaResult:
     """Exact alpha by a downward scan and beta by branch and bound over GF(p).
 
-    Each witness is the canonically first subspace of maximal dimension.  The
-    budget bounds the work: the subspaces the alpha scan tests (those that
-    contain the centre) plus the candidate closures of the beta search.  The
-    alpha scan enters a level only when all its tested subspaces fit; a
-    value the budget stopped is None, reported inexact, and named in the
-    notes.  ``subspaces_scanned`` counts alpha's whole levels (see
-    ``_scan_down``) plus the closures.
+    Each witness is the canonically first subspace of maximal dimension.
+    ``subspaces_scanned`` counts the work, and the budget bounds it: the
+    subspaces the alpha scan tests (those that contain the centre) plus the
+    candidate closures of the beta search, which gets what alpha left.  A
+    search stops at the first test past the budget; the value it stopped is
+    None, reported inexact, and the note names where it stopped.
     """
     if L.field.p is None:
         raise UnsupportedRequestError(
@@ -508,11 +457,11 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
 
     notes = []
     alpha = beta = alpha_w = beta_w = None
-    scanned = tested = 0
+    scanned = 0
     if compute in ("both", "alpha"):
-        alpha, alpha_w, scanned, tested = _scan_down(L, budget, notes)
+        alpha, alpha_w, scanned = _scan_down(L, budget, notes)
     if compute in ("both", "beta"):
-        beta, beta_w, tried = _beta_search(L, budget, tested, notes)
+        beta, beta_w, tried = _beta_search(L, budget, scanned, notes)
         scanned += tried
     return AlphaBetaResult(alpha, beta, alpha_w, beta_w, f"exact-fp({p})", p,
                            scanned, alpha is not None, beta is not None,

@@ -30,8 +30,7 @@ from nlie.invariants import (
 )
 from nlie.iso import change_basis
 from nlie.linalg import Matrix, coordinate_subspace
-from nlie import search
-from nlie.search import alpha_beta_exact_fp, reduce_mod_p
+from nlie.search import alpha_beta_exact_fp, enumerate_subspaces, reduce_mod_p
 
 
 def entries_1based(L):
@@ -292,8 +291,14 @@ def test_classify44_three_cases():
 
 
 def test_classify44_budget_exhaustion_returns_unknown():
-    v = classify_theorem44(semidirect_A4(QQ, 6), budget=3)
+    """The budget counts the subspaces tested: semidirect_A4(Q, 6) mod 2 is
+    decided by its first tau and its first block, so a budget of 2 decides
+    it and a budget of 1 stops it."""
+    v = classify_theorem44(semidirect_A4(QQ, 6), budget=1)
     assert v.case == "unknown"
+    assert v.evidence == {"reason": "budget exceeded"}
+    v = classify_theorem44(semidirect_A4(QQ, 6), budget=2)
+    assert (v.case, v.evidence["subspaces_scanned"]) == ("A4-semidirect", 2)
 
 
 def test_classify44_works_on_prime_field_input():
@@ -301,22 +306,32 @@ def test_classify44_works_on_prime_field_input():
 
 
 @pytest.mark.parametrize("m,scanned", [(5, 32), (6, 652), (7, 11_812)])
-def test_classify44_t44_3_over_gf2_is_pinned(monkeypatch, m, scanned):
+def test_classify44_t44_3_over_gf2_is_pinned(m, scanned):
     """tau is the first abelian ideal in canonical order that has a simple
-    complement; the block is the first such complement.  tau is walked only
-    over the subspaces that contain the centre, here Z itself, the one
-    tested, but its position counts the whole level: at m = 7, tau = Z is
-    the last of 11,811 subspaces."""
-    tested = []
-    predicate = search.PREDICATES["abelian-ideal"]
-    monkeypatch.setitem(search.PREDICATES, "abelian-ideal",
-                        lambda L, rows, pivots: tested.append(rows) or predicate(L, rows, pivots))
+    complement; the block is the first such complement.  tau = Z is the last
+    subspace of its level, so a walk through the whole level would test
+    ``scanned`` - 1 candidates, and the first block one more.  The walk over
+    the subspaces that contain Z tests Z first, and the evidence counts 1
+    tau and 1 block."""
     v = classify_theorem44(catalog_build("T44-3", GF(2), m=m))
-    assert len(tested) == 1
     assert v.case == "A4-semidirect"
-    assert v.evidence == {"p": 2, "tau_dim": m - 4, "subspaces_scanned": scanned}
+    assert v.evidence == {"p": 2, "tau_dim": m - 4, "subspaces_scanned": 2}
     assert v.tau == coordinate_subspace(GF(2), m, range(4, m))
     assert v.block == coordinate_subspace(GF(2), m, range(4))
+    level = list(enumerate_subspaces(m, m - 4, 2))
+    assert level.index(v.tau) + 1 == len(level) == scanned - 1
+
+
+@pytest.mark.parametrize("m", [8, 9, 10])
+def test_classify44_t44_3_over_gf3_fits_the_default_budget(m):
+    """At m = 8..10 over GF(3) the tau level holds 75,913,222 subspaces and
+    more, far over the default budget of 2,000,000, but tau = Z is the first
+    tested, so the classifier decides after 2 tests."""
+    v = classify_theorem44(catalog_build("T44-3", GF(3), m=m))
+    assert v.case == "A4-semidirect"
+    assert v.evidence == {"p": 3, "tau_dim": m - 4, "subspaces_scanned": 2}
+    assert v.tau == coordinate_subspace(GF(3), m, range(4, m))
+    assert v.block == coordinate_subspace(GF(3), m, range(4))
 
 
 def test_classify44_simple_evidence_is_pinned():

@@ -273,20 +273,20 @@ def test_other_modulus_on_prime_field_document_is_usage_error(capsys, ex33_gf2_p
 def test_alphabeta_budget_stop_is_undecided(capsys, ex33_path, ex33_gf2_path):
     """A search stopped by its budget leaves alpha/beta undecided: exit 3, the
     stopped searches named, and no claim that the primes agree.  The budget
-    bounds the subspaces tested, not the count reported: on EX33 the alpha
-    scan starts at the alpha bound 3 and enters, of the subspaces that
-    contain the centre, a level of 7 at p = 2 and of 13 at p = 3, and hits at
-    the first it tests (10 and 29 subspaces in the count of whole levels);
-    the beta search then tries 7 and 13 candidate ideals."""
-    code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--budget", "6")
+    bounds the subspaces tested, the count reported: on EX33 the alpha scan
+    starts at the alpha bound 3 and hits at the first subspace it tests,
+    and the beta search then tries 7 candidate ideals at p = 2 and 13 at
+    p = 3."""
+    code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--budget", "0")
     assert code == 3
     assert "primes agree" not in out
-    assert "undecided: alpha scan stopped before dimension 3: budget" in out
+    assert "undecided: alpha scan stopped in dimension 3 after 0 subspaces: budget 0" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3",
                        "--budget", "13", "--json")
     assert code == 3
     runs = json.loads(out)["result"]["runs"]
     assert [(r["alpha_exact"], r["beta_exact"]) for r in runs] == [(True, True), (True, False)]
+    assert [r["subspaces_scanned"] for r in runs] == [8, 13]
     assert runs[1]["notes"] == ["beta search stopped after 12 candidate ideals: budget 13"]
     code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "7")
     assert code == 3
@@ -294,21 +294,38 @@ def test_alphabeta_budget_stop_is_undecided(capsys, ex33_path, ex33_gf2_path):
     assert "undecided: beta search stopped after 6 candidate ideals: budget 7" in out
     code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "8")
     assert code == 0
-    assert "alpha = 3, beta = 2 (exact over GF(2); 17 subspaces)" in out
+    assert "alpha = 3, beta = 2 (exact over GF(2); 8 subspaces)" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3")
     assert code == 0
     assert "primes agree: True" in out
 
 
 def test_alphabeta_budget_counts_only_the_subspaces_tested(capsys, tmp_path):
-    """T44-3 over GF(3) at m = 10 reports 72,626,505 subspaces, over the
-    default budget, but its alpha scan starts at the alpha bound 8 and tests
-    1 of them: it is decided."""
+    """T44-3 over GF(3) at m = 10 has 72,636,421 subspaces in its alpha
+    level, but the alpha scan starts at the alpha bound 8 and its first test
+    hits, and beta needs no closure: a budget of 1 decides both."""
     path = tmp_path / "t44_3.json"
     path.write_text(serialize_algebra(catalog_build("T44-3", GF(3), m=10)))
-    code, out, _ = run(capsys, "alphabeta", str(path))
-    assert code == 0
-    assert "alpha = 8, beta = 6 (exact over GF(3); 72626505 subspaces)" in out
+    for budget in ([], ["--budget", "1"]):
+        code, out, _ = run(capsys, "alphabeta", str(path), *budget)
+        assert code == 0
+        assert out == "alpha = 8, beta = 6 (exact over GF(3); 1 subspaces)\n"
+    code, out, _ = run(capsys, "alphabeta", str(path), "--budget", "0")
+    assert code == 3
+    assert "undecided: alpha scan stopped in dimension 8 after 0 subspaces: budget 0" in out
+
+
+@pytest.mark.parametrize("verb", [["alphabeta", "D"], ["iso", "D", "D"], ["classify44", "D"]])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_budget_must_be_a_count(capsys, ex33_path, verb, value):
+    """``--budget`` is a count of work: a negative or non-integer value is a
+    usage error (exit 2), in every verb that takes it."""
+    argv = [ex33_path if a == "D" else a for a in verb]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --budget: must be an integer >= 0, got '{value}'" in err
 
 
 @pytest.mark.parametrize("verb", [["alphabeta", "D"], ["verify-paper"]])

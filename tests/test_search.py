@@ -24,15 +24,14 @@ from nlie.linalg import (
     unit_vector,
     zero_subspace,
 )
-from nlie import search
+from nlie import invariants, search
 from nlie.search import (
-    PREDICATES,
     abelian_bounds_q,
     alpha_beta_exact_fp,
     enumerate_subspaces,
     gaussian_binomial,
     reduce_mod_p,
-    subspace_hits,
+    walk_subspaces,
 )
 
 from oracles import (
@@ -105,22 +104,27 @@ def _subspaces_to_contain(m, p):
     return out
 
 
+def _walk(m, k, p, containing=None):
+    """``walk_subspaces`` with each step's rows copied as tuples."""
+    return [(tuple(map(tuple, rows)), profile)
+            for rows, profile in walk_subspaces(m, k, p, containing)]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_walk_containing_a_subspace_matches_filtered_enumeration(p):
-    """``_iter_level`` given a subspace Z yields exactly the subspaces of
-    ``enumerate_subspaces`` that contain Z, in its order and each with its
-    1-based position in the whole level.  Without Z it yields the whole
-    level in the order of the brute-force ``oracles.level_walk``."""
+    """``walk_subspaces`` given a subspace Z yields exactly the subspaces of
+    ``enumerate_subspaces`` that contain Z, in its order.  Without Z it
+    yields the whole level in the order of the brute-force
+    ``oracles.level_walk``."""
     for m in range(1, 6):
         for k in range(m + 1):
-            walk = [(pos, rows, profile)
-                    for pos, (rows, profile) in enumerate(level_walk(m, k, p), 1)]
-            assert list(search._iter_level(m, k, p)) == walk, (m, k)
-            level = list(enumerate(enumerate_subspaces(m, k, p), 1))
-            assert [(pos, S.basis, S.pivots) for pos, S in level] == walk, (m, k)
+            walk = list(level_walk(m, k, p))
+            assert _walk(m, k, p) == walk, (m, k)
+            level = list(enumerate_subspaces(m, k, p))
+            assert [(S.basis, S.pivots) for S in level] == walk, (m, k)
             for Z in _subspaces_to_contain(m, p):
-                expected = [(pos, S.basis, S.pivots) for pos, S in level if S.contains(Z)]
-                assert list(search._iter_level(m, k, p, Z)) == expected, (m, k, Z.basis)
+                expected = [(S.basis, S.pivots) for S in level if S.contains(Z)]
+                assert _walk(m, k, p, Z) == expected, (m, k, Z.basis)
 
 
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 4), (2, 5)], ids=["2", "3", "2-m5"])
@@ -149,8 +153,9 @@ def test_fast_predicates_match_classifier_and_brute_force(p, m):
         for k in range(m + 1):
             for S in enumerate_subspaces(m, k, p):
                 rows, pivots = S.basis, S.pivots
-                fast = tuple(PREDICATES[mode](L, rows, pivots) for mode in
-                             ("abelian-subalgebra", "ideal", "abelian-ideal"))
+                fast = tuple(predicate(L, rows, pivots) for predicate in
+                             (invariants.abelian_subalgebra, invariants.ideal,
+                              invariants.abelian_ideal))
                 cls = classify_subspace(L, S)
                 generic = (cls.is_abelian_subalgebra, cls.is_ideal,
                            cls.is_abelian_ideal)
@@ -169,18 +174,21 @@ def test_fast_predicates_match_classifier_and_brute_force(p, m):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_ideal_counts_match_classifier_and_basis_change(p):
-    """The ideal counts that certify ``no`` in are_isomorphic: the hits of
-    ``subspace_hits`` are, in order and with their positions, the ideals
-    that classify_subspace finds on every m = 4 catalog family, and their
-    number is unchanged by a basis change."""
+    """The ideal counts that certify ``no`` in are_isomorphic: the subspaces
+    of ``walk_subspaces`` that pass ``ideal`` are, in order, the ideals that
+    classify_subspace finds on every m = 4 catalog family, and their number
+    is unchanged by a basis change."""
     for label, L in entries_for_dims((4,), GF(p)):
         Lc = random_basis_change(L, 2)
         for k in (1, 2):
-            brute = [(pos, S.basis, S.pivots)
-                     for pos, S in enumerate(enumerate_subspaces(4, k, p), 1)
+            brute = [(S.basis, S.pivots) for S in enumerate_subspaces(4, k, p)
                      if classify_subspace(L, S).is_ideal]
-            assert list(subspace_hits(L, k, "ideal")) == brute, (label, k)
-            assert len(list(subspace_hits(Lc, k, "ideal"))) == len(brute), (label, k)
+            hits = [(rows, profile) for rows, profile in _walk(4, k, p)
+                    if invariants.ideal(L, rows, profile)]
+            assert hits == brute, (label, k)
+            count = sum(invariants.ideal(Lc, rows, profile)
+                        for rows, profile in walk_subspaces(4, k, p))
+            assert count == len(brute), (label, k)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -189,8 +197,8 @@ def test_alpha_beta_match_brute_force_walk(p):
     alpha, beta and the witnesses (the canonically first subspace of the
     maximal dimension, None at dimension 0) equal a walk through
     ``enumerate_subspaces`` and ``classify_subspace``; alpha's share of
-    ``subspaces_scanned`` is the walk's count from dim (whole levels above the
-    hit plus the hit's 1-based position in its level), and the candidate
+    ``subspaces_scanned`` is the walk's count of the subspaces that contain
+    the centre, from the alpha bound down to the hit, and the candidate
     closures of the beta search add up to a pinned total."""
     m = 4
     beta_counts = []
@@ -199,17 +207,21 @@ def test_alpha_beta_match_brute_force_walk(p):
             levels = [[(S, classify_subspace(L, S)) for S in enumerate_subspaces(m, k, p)]
                       for k in range(m + 1)]
 
-            def first_max(top, flag):
+            def first_max(top, flag, keep=lambda S: True):
                 scanned = 0
                 for k in range(top, -1, -1):
-                    for pos, (S, cls) in enumerate(levels[k], 1):
-                        if getattr(cls, flag):
-                            return k, S if k else None, scanned + pos
-                    scanned += len(levels[k])
+                    for S, cls in levels[k]:
+                        if keep(S):
+                            scanned += 1
+                            if getattr(cls, flag):
+                                return k, S if k else None, scanned
 
             res = alpha_beta_exact_fp(L)
-            alpha, alpha_w, alpha_n = first_max(m, "is_abelian_subalgebra")
+            alpha, alpha_w, _ = first_max(m, "is_abelian_subalgebra")
             assert (res.alpha, res.alpha_witness) == (alpha, alpha_w), label
+            z = center(L)
+            _, _, alpha_n = first_max(search._derived_bounds(L)[0], "is_abelian_subalgebra",
+                                      lambda S: S.contains(z))
             assert alpha_beta_exact_fp(L, compute="alpha").subspaces_scanned == alpha_n
             if not L.entries:  # abelian: answered without a scan
                 assert (res.beta, res.subspaces_scanned) == (m, 0), label
@@ -289,16 +301,24 @@ def test_every_largest_abelian_subalgebra_contains_the_center(beta_walks):
 @pytest.mark.parametrize("p,m,alpha,scanned", [(5, 5, 3, 19_533), (3, 6, 4, 10_815),
                                                (2, 7, 5, 2_593)])
 def test_alpha_deep_hits_are_pinned(p, m, alpha, scanned):
-    """T44-3 meets its first abelian subspace deep in the alpha level (at
-    GF(5), m = 5, after 18,751 three-dimensional subspaces, of which 806
-    contain the centre).  The scan through the subspaces that contain the
-    centre keeps the value, the witness and the count of the scan through
-    every subspace: whole levels above alpha plus the witness's position."""
+    """T44-3 meets its first abelian subspace deep in a walk through every
+    subspace from dimension m down: that walk tests ``scanned`` subspaces,
+    the whole levels above alpha and then the alpha level up to the hit (at
+    GF(5), m = 5, the 18,751st three-dimensional subspace).  The hit is the
+    first subspace of the alpha level that contains the centre, and the alpha
+    bound is alpha, so the scan tests one subspace and reports 1, with the
+    value and the witness of the walk through every subspace."""
     L = catalog_build("T44-3", GF(p), m=m)
     res = alpha_beta_exact_fp(L, compute="alpha")
     assert center(L) == coordinate_subspace(GF(p), m, tuple(range(4, m)))
     witness = coordinate_subspace(GF(p), m, (0, 1) + tuple(range(4, m)))
-    assert (res.alpha, res.alpha_witness, res.subspaces_scanned) == (alpha, witness, scanned)
+    level = list(enumerate_subspaces(m, alpha, p))
+    position = level.index(witness) + 1
+    assert sum(gaussian_binomial(m, k, p) for k in range(alpha + 1, m + 1)) + position == scanned
+    assert not any(classify_subspace(L, S).is_abelian_subalgebra for S in level[:position - 1])
+    assert next(S for S in level if S.contains(center(L))) == witness
+    assert search._derived_bounds(L)[0] == alpha
+    assert (res.alpha, res.alpha_witness, res.subspaces_scanned) == (alpha, witness, 1)
 
 
 def _fi_violating_table():
@@ -375,11 +395,11 @@ def test_derived_bounds_hold_on_brute_force_walks(beta_walks):
 @pytest.mark.parametrize("p", [2, 3])
 def test_alpha_scan_tests_only_level_alpha(monkeypatch, p):
     """On A(n) (m = 4..6) and T44-3 (m = 5..7) the alpha bound is alpha =
-    m - 2, so the scan tests subspaces of that level only: the levels above
-    it are counted in ``subspaces_scanned`` but not tested."""
+    m - 2, so the scan tests subspaces of that level only, and
+    ``subspaces_scanned`` is the number it tests."""
     levels = []
-    predicate = search.PREDICATES["abelian-subalgebra"]
-    monkeypatch.setitem(search.PREDICATES, "abelian-subalgebra",
+    predicate = search.abelian_subalgebra
+    monkeypatch.setattr(search, "abelian_subalgebra",
                         lambda L, rows, pivots: levels.append(len(rows)) or predicate(L, rows, pivots))
     algebras = [catalog_build("A(n)", GF(p), n=n) for n in (3, 4, 5)]
     algebras += [catalog_build("T44-3", GF(p), m=m) for m in (5, 6, 7)]
@@ -388,23 +408,67 @@ def test_alpha_scan_tests_only_level_alpha(monkeypatch, p):
         res = alpha_beta_exact_fp(L, compute="alpha")
         assert res.alpha == L.dim - 2
         assert set(levels) == {res.alpha}
+        assert res.subspaces_scanned == len(levels)
 
 
 def test_budget_bounds_the_subspaces_the_alpha_scan_tests():
     """The budget counts the subspaces the alpha scan tests (those that
-    contain the centre, from the alpha bound down), not the whole levels
-    that ``subspaces_scanned`` reports.  The Heisenberg Lie algebra of
-    dimension 5 over GF(3) has a 1-dimensional centre and alpha bound 4
-    (alpha is 3): its scan skips level 5, tests levels of 40 and 130
-    subspaces, hits at the 13th of the second and reports 1,107; a budget
-    of 169 cannot enter the second level."""
+    contain the centre, from the alpha bound down), and so does
+    ``subspaces_scanned``.  The Heisenberg Lie algebra of dimension 5 over
+    GF(3) has a 1-dimensional centre and alpha bound 4 (alpha is 3): its
+    scan tests a level of 40 subspaces and hits at the 13th of the next, so
+    it needs a budget of 53 and stops in the middle of that level at 52."""
     L = lie_catalog_build("heisenberg", GF(3), dim=5)
     assert search._derived_bounds(L)[0] == 4
-    res = alpha_beta_exact_fp(L, budget=170, compute="alpha")
-    assert (res.alpha, res.alpha_exact, res.subspaces_scanned) == (3, True, 1_107)
-    res = alpha_beta_exact_fp(L, budget=169, compute="alpha")
-    assert (res.alpha, res.alpha_exact) == (None, False)
-    assert res.notes == ("alpha scan stopped before dimension 3: budget",)
+    res = alpha_beta_exact_fp(L, budget=53, compute="alpha")
+    assert (res.alpha, res.alpha_exact, res.subspaces_scanned, res.notes) == (3, True, 53, ())
+    res = alpha_beta_exact_fp(L, budget=52, compute="alpha")
+    assert (res.alpha, res.alpha_exact, res.subspaces_scanned) == (None, False, 52)
+    assert res.notes == ("alpha scan stopped in dimension 3 after 52 subspaces: budget 52",)
+
+
+@pytest.mark.parametrize("label,L", [
+    ("EX33 GF(2)", catalog_build("EX33", GF(2))),
+    ("EX33 GF(3)", catalog_build("EX33", GF(3))),
+    ("EX42 m=6 GF(3)", catalog_build("EX42", GF(3), m=6)),
+    ("heisenberg(5) GF(3)", lie_catalog_build("heisenberg", GF(3), dim=5)),
+], ids=["EX33-GF2", "EX33-GF3", "EX42-m6-GF3", "heisenberg5-GF3"])
+def test_budget_is_a_count_of_tests(label, L):
+    """For every budget from 0 to the unbudgeted work: the work never passes
+    the budget; a search stops (a note names it) exactly when the budget is
+    below the unbudgeted work, and then the work equals the budget; and a
+    decided value is the unbudgeted one, so it never changes or becomes
+    undecided as the budget grows."""
+    full = alpha_beta_exact_fp(L)
+    assert full.complete and not full.notes
+    decided = {"alpha": False, "beta": False}
+    for budget in range(full.subspaces_scanned + 1):
+        res = alpha_beta_exact_fp(L, budget=budget)
+        assert res.subspaces_scanned <= budget, (label, budget)
+        stopped = budget < full.subspaces_scanned
+        assert bool(res.notes) == stopped, (label, budget)
+        assert all(f": budget {budget}" in note for note in res.notes), (label, budget)
+        if stopped:
+            assert res.subspaces_scanned == budget, (label, budget)
+        for name in decided:
+            value = getattr(res, name)
+            if decided[name]:
+                assert value is not None, (label, budget, name)
+            if value is not None:
+                decided[name] = True
+                assert (value, getattr(res, name + "_witness")) == (
+                    getattr(full, name), getattr(full, name + "_witness")), (label, budget)
+    assert res == full
+
+
+def test_simple_algebra_alpha_is_decided_by_one_test():
+    """A(6) over GF(5): the alpha level 5 holds 12,714,681 subspaces, but the
+    first one the scan tests is abelian, and the trace rows decide beta = 0
+    with no closure, so the default budget gives both values after 1 test."""
+    L = catalog_build("A(n)", GF(5), n=6)
+    res = alpha_beta_exact_fp(L)
+    assert (res.alpha, res.beta, res.complete, res.subspaces_scanned) == (5, 0, True, 1)
+    assert classify_subspace(L, res.alpha_witness).is_abelian_subalgebra
 
 
 def test_enumerated_bases_are_rref():
