@@ -31,6 +31,7 @@ from .invariants import (
     abelian_ideal,
     center,
     classify_subspace,
+    derived_algebra,
     full_space,
     ideal,
     s_derived_series,
@@ -577,6 +578,22 @@ def restrict_to_subalgebra(L: NLieAlgebra, S: Subspace) -> NLieAlgebra:
     return make_algebra(f, L.arity, k, entries)
 
 
+def _proper_ideal_walk(L: NLieAlgebra, p: int, budget: int):
+    """Walk the proper nonzero subspaces of a 4-dimensional L over GF(p) for
+    an ideal, each charged to ``budget`` before it is tested; returns (True
+    at the first ideal, False when there is none, or None at the first test
+    past the budget; the subspaces tested)."""
+    tested = 0
+    for k in (1, 2, 3):
+        for rows, profile in walk_subspaces(4, k, p):
+            if tested >= budget:
+                return None, tested
+            tested += 1
+            if ideal(L, rows, profile):
+                return True, tested
+    return False, tested
+
+
 def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
                        budget: int = 2_000_000) -> Theorem44Verdict:
     """Trichotomy for ternary algebras: 3-solvable, simple 4-dim, or a
@@ -587,9 +604,11 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     prime field, or the reduction of a Q input at ``p``; integral reduction
     preserves ideals, so a clean mod-p search certifies the verdict for
     integral tables).  A semidirect block must itself classify as
-    simple-A4.  The budget bounds the subspaces tested (proper ideals, tau
-    and blocks), each charged before it is tested; ``unknown`` is returned
-    at the first test past it.  The evidence counts the subspaces tested.
+    simple-A4: perfect, with no proper ideal mod p.  The budget bounds the
+    subspaces tested (proper ideals, tau, blocks and the proper ideals of
+    each perfect block), each charged before it is tested; ``unknown`` is
+    returned at the first test past it.  The evidence counts the subspaces
+    tested.
     """
     require_arity(L, 3, "trichotomy classification")
     m = L.dim
@@ -608,15 +627,13 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     over_budget = Theorem44Verdict("unknown", {"reason": "budget exceeded"})
     tested = 0
     if m == 4 and rep.terms[1].dim == 4:  # [L, L, L] = L
-        for k in (1, 2, 3):
-            for rows, profile in walk_subspaces(m, k, p_used):
-                if tested >= budget:
-                    return over_budget
-                tested += 1
-                if ideal(Lp, rows, profile):
-                    return Theorem44Verdict("unknown", {
-                        "reason": "dimension 4, perfect, but a proper ideal exists mod p",
-                        "p": p_used})
+        found, tested = _proper_ideal_walk(Lp, p_used, budget)
+        if found is None:
+            return over_budget
+        if found:
+            return Theorem44Verdict("unknown", {
+                "reason": "dimension 4, perfect, but a proper ideal exists mod p",
+                "p": p_used})
         return Theorem44Verdict("simple-A4", {
             "p": p_used, "proper_subspaces_checked": tested, "derived_dim": 4})
 
@@ -640,7 +657,14 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
             tested += 1
             if S.intersect(tau).dim != 0 or not classify_subspace(Lp, S).is_subalgebra:
                 continue
-            if classify_theorem44(restrict_to_subalgebra(Lp, S)).case == "simple-A4":
+            block = restrict_to_subalgebra(Lp, S)
+            if derived_algebra(block).dim < 4:  # not perfect, so not simple
+                continue
+            found, block_tested = _proper_ideal_walk(block, p_used, budget - tested)
+            tested += block_tested
+            if found is None:
+                return over_budget
+            if not found:
                 return Theorem44Verdict(
                     "A4-semidirect",
                     {"p": p_used, "tau_dim": k_tau, "subspaces_scanned": tested},

@@ -25,11 +25,13 @@ from .errors import (
 )
 from .fields import GF, QQ, Field, same_field
 from .linalg import (
-    Matrix,
     Subspace,
     full_subspace,
     minor_det,
+    null_basis,
+    rref,
     span,
+    subspace_from_rref_rows,
     validate_vector,
     vec_is_zero,
     zero_vector,
@@ -103,7 +105,11 @@ class NLieAlgebra:
             rows += block.values()
         if not rows:
             return full_subspace(f, m)
-        return Matrix.from_rows(f, rows, m).kernel()
+        # the rows hold canonical scalars already; RREF is unique, so one
+        # elimination of the null basis gives the canonical kernel
+        kernel = null_basis(rows, rref(rows, m, f.p), m, f.p)
+        pivots = rref(kernel, m, f.p)
+        return subspace_from_rref_rows(f, m, kernel, pivots)
 
 
 class CompiledTable(dict):

@@ -3,7 +3,8 @@
 The fingerprint collects exactly the invariants used in non-isomorphism
 arguments (dimensions of derived objects, series dimension profiles,
 solvability/nilpotency flags, and alpha/beta over prime fields).  Equality of
-fingerprints is necessary for isomorphism.
+fingerprints is necessary for isomorphism.  It compares values only, so its
+alpha/beta come from the value-only search, which reports no witness.
 
 ``are_isomorphic`` is exact.  Its certificates, in order: identical tables
 (``yes``), a fingerprint mismatch (``no``), over GF(p) unequal numbers of 1-
@@ -11,7 +12,9 @@ or 2-dimensional ideals (``no``), and a backtracking search that checks each
 bracket relation at its earliest depth; its ``yes`` carries a witness matrix
 re-verified entry by entry and its exhaustion over GF(p) is a ``no``.  Over Q
 the search tries small-entry columns and forced images only, so the outcome
-there is ``yes`` or ``unknown`` (or ``no`` via fingerprints).
+there is ``yes`` or ``unknown`` (or ``no`` via fingerprints).  The ideal
+counts come from the centre Z and the derived algebra D, as every ideal J
+has [J, L, .., L] in J n D: they walk the lines and planes of D only.
 """
 
 from __future__ import annotations
@@ -20,16 +23,25 @@ import random
 from collections import Counter
 from dataclasses import dataclass, fields, replace as dc_replace
 from itertools import combinations, product
+from operator import mul
 
 from .core import NLieAlgebra, bracket, bracket_basis, bracket_rows, make_algebra
 from .errors import DimensionMismatchError, InvalidParameterError
 from .fields import QQ, Field
-from .invariants import InvariantReport, ideal, invariant_report
-from .linalg import Matrix, reduce_vector
+from .invariants import (
+    InvariantReport,
+    center,
+    derived_algebra,
+    ideal,
+    invariant_report,
+)
+from .linalg import Matrix, reduce_vector, rref
 from .search import alpha_beta_exact_fp, gaussian_binomial, walk_subspaces
 
 _AB_AUTO_LIMIT = 200_000
-# largest level (number of subspaces) that the ideal counts of are_isomorphic scan
+# the ideal counts of are_isomorphic compare level k only when GF(p)^dim has at
+# most this many k-dimensional subspaces: an inclusion rule decided from (dim,
+# p), kept so that the outputs stay the same; it no longer bounds the cost
 _COUNT_LIMIT = 20_000
 
 
@@ -57,13 +69,15 @@ def fingerprint(L: NLieAlgebra) -> Fingerprint:
     alpha/beta are included for prime fields when the full scan fits
     ``_AB_AUTO_LIMIT`` (decided from (dim, p) only, so comparable inputs agree
     on inclusion); they are never included over Q, where the exact values are
-    not computed.
+    not computed.  Only the values are compared, so they come from the
+    value-only search (``witnesses=False``), which skips the tie-break of
+    the beta witness.
     """
     ab = None
     p = L.field.p
     if p is not None and 2 * sum(gaussian_binomial(L.dim, k, p)
                                  for k in range(L.dim + 1)) <= _AB_AUTO_LIMIT:
-        res = alpha_beta_exact_fp(L, budget=_AB_AUTO_LIMIT)
+        res = alpha_beta_exact_fp(L, budget=_AB_AUTO_LIMIT, witnesses=False)
         if res.complete:
             ab = (res.alpha, res.beta)
     return Fingerprint(**vars(invariant_report(L)), alpha_beta=ab)
@@ -145,17 +159,68 @@ def _verify_witness(L1, L2, P: Matrix) -> bool:
         return False
 
 
+def _ideal_counts(L: NLieAlgebra):
+    """Yield the number of 1-dimensional ideals of L over GF(p), then that
+    of the 2-dimensional ones, from the centre Z and the derived algebra D.
+
+    Every ideal J has [J, L, .., L] in J n D.  A line outside D is an ideal
+    exactly when it lies in Z, and a line inside D is tested.  A plane J
+    with J n D = 0 is a plane of Z that meets Z n D (of dimension w)
+    trivially: p^(2w) [dim Z - w, 2]_p of them.  The planes inside D are
+    tested.  A plane with J n D = <c> has [J, L, .., L] in <c>, so <c> is an
+    ideal line of D and J lies in the kernel P_c = {x : [x, L, .., L] in
+    <c>}; conversely every plane through c in P_c is an ideal, and it meets
+    D in <c> unless it lies in P_c n D.  This uses only the multilinear,
+    antisymmetric table: neither the fundamental identity nor the
+    characteristic."""
+    p, m = L.field.p, L.dim
+    z, d = center(L), derived_algebra(L)
+    w = z.intersect(d).dim
+    d_columns = list(zip(*d.basis))
+
+    def in_d(coeffs):  # rows of L from coefficient rows over the RREF basis of D
+        return [[sum(map(mul, row, col)) % p for col in d_columns] for row in coeffs]
+
+    def ideals_in_d(k):
+        for coeffs, profile in walk_subspaces(d.dim, k, p):
+            rows, pivots = in_d(coeffs), [d.pivots[q] for q in profile]
+            if ideal(L, rows, pivots):
+                yield rows, pivots
+
+    lines = list(ideals_in_d(1))
+    yield gaussian_binomial(z.dim, 1, p) + len(lines) - gaussian_binomial(w, 1, p)
+
+    ops = []  # the columns [e_t, e_y] of each operator [., e_y] of L.maps[1]
+    for contribs in L.maps[1].values():
+        ops.append([[0] * m for _ in range(m)])
+        for (t,), sparse in contribs:
+            for r, cc in sparse:
+                ops[-1][t][r] = cc
+    through_c = 0
+    for (c,), (pc,) in lines:
+        # P_c: the common kernel of the operators followed by the projection along <c>
+        rows = [list(row) for op in ops
+                for row in zip(*([(a - col[pc] * b) % p for a, b in zip(col, c)] for col in op))]
+        on_d = [[sum(map(mul, row, v)) % p for v in d.basis] for row in rows]
+        dim_p = m - len(rref(rows, m, p))
+        dim_pd = d.dim - len(rref(on_d, d.dim, p))
+        through_c += gaussian_binomial(dim_p - 1, 1, p) - gaussian_binomial(dim_pd - 1, 1, p)
+    yield (p ** (2 * w) * gaussian_binomial(z.dim - w, 2, p)
+           + sum(1 for _ in ideals_in_d(2)) + through_c)
+
+
 def ideal_count_difference(L1: NLieAlgebra, L2: NLieAlgebra) -> str | None:
     """Why two algebras over GF(p) are not isomorphic, by the numbers of their
     k-dimensional ideals (k = 1, 2, k < dim), which an isomorphism preserves;
-    None if they agree.  A level is counted when it holds at most
-    ``_COUNT_LIMIT`` subspaces, decided from (dim, p) alone."""
+    None if they agree.  The counts come from ``_ideal_counts``, which walks
+    only the lines and planes of the derived algebra.  A level is compared
+    when it holds at most ``_COUNT_LIMIT`` subspaces of L."""
     m, p = L1.dim, L1.field.p
+    counts = zip(_ideal_counts(L1), _ideal_counts(L2))
     for k in (1, 2):
         if k >= m or gaussian_binomial(m, k, p) > _COUNT_LIMIT:
-            continue
-        c1, c2 = (sum(ideal(L, rows, profile) for rows, profile in walk_subspaces(m, k, p))
-                  for L in (L1, L2))
+            break  # the rule is monotone in k
+        c1, c2 = next(counts)
         if c1 != c2:
             return f"ideal count in dimension {k}: {c1} vs {c2}"
     return None

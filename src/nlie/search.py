@@ -24,10 +24,11 @@ Nodes grow by the ideal closure of one vector of (K(I) n T)/I (the spinning
 closure of the MeatAxe; Lux, Mueller & Ringe 1994), and a node is pruned by
 dim K(I) n T as a maximum-clique search is pruned by the size of its
 candidate set (Carraghan & Pardalos 1990).
-Both report the canonically first subspace of the largest dimension.  Over Q
-only certified lower bounds are produced, plus the universal upper bounds of
-``_upper_bounds`` (dim for abelian algebras; else dim-1 for alpha, and dim-1
-for beta at arity 2, dim-2 at arity >= 3).
+Both report the canonically first subspace of the largest dimension; asked
+for values only, beta skips that tie-break and stops once it reaches its
+bound.  Over Q only certified lower bounds are produced, plus the universal
+upper bounds of ``_upper_bounds`` (dim for abelian algebras; else dim-1 for
+alpha, and dim-1 for beta at arity 2, dim-2 at arity >= 3).
 
 The alpha scan, the ideal counts of ``iso`` and the classifier of
 ``catalog`` walk the Grassmannian through ``walk_subspaces``, which can walk
@@ -179,11 +180,11 @@ def enumerate_subspaces(m: int, k: int, p: int):
         yield subspace_from_rref_rows(fld, m, rows, profile)
 
 
-def _scan_down(L, budget, notes):
-    """Alpha by a scan down from the alpha bound of ``_derived_bounds``: the
-    largest k with an abelian k-dimensional subalgebra; returns (k or None
-    when the budget stopped it, the canonically first witness or None at k =
-    0, the subspaces tested).
+def _scan_down(L, top, budget, notes):
+    """Alpha by a scan down from ``top``, the alpha bound of
+    ``_derived_bounds``: the largest k with an abelian k-dimensional
+    subalgebra; returns (k or None when the budget stopped it, the
+    canonically first witness or None at k = 0, the subspaces tested).
 
     The scan tests only the subspaces that contain the centre Z (see the
     module docstring), each charged to ``budget``; it stops at the first
@@ -191,7 +192,7 @@ def _scan_down(L, budget, notes):
     hits at level dim Z at the latest."""
     z = center(L)
     tested = 0
-    for k in range(_derived_bounds(L)[0], z.dim - 1, -1):
+    for k in range(top, z.dim - 1, -1):
         for rows, profile in walk_subspaces(L.dim, k, L.field.p, z):
             if tested >= budget:
                 notes.append(f"alpha scan stopped in dimension {k} after {tested} "
@@ -330,10 +331,10 @@ def _fp_spin(L, rows, pivots, cons, v, limit):
     return rows, rref(rows, m, p), new
 
 
-def _beta_search(L, budget, spent, notes):
+def _beta_search(L, limit, budget, spent, notes, witnesses=True):
     """Largest abelian ideal by branch and bound from the centre Z; returns
     (beta or None when the budget stopped it, the canonically first witness
-    or None at beta = 0, the closures tried).
+    or None at beta = 0 or without ``witnesses``, the closures tried).
 
     A node is an abelian ideal I containing Z, kept with the RREF rows
     ``cons`` of the conditions that cut out K(I) n T, where K(I) = {v : [v,
@@ -341,17 +342,24 @@ def _beta_search(L, budget, spent, notes):
     abelian ideal containing I lies in both.  The root is Z with the trace
     rows alone, as K(Z) = L.  The children of I are the ideal closures of
     I + <v>, one per line of (K(I) n T)/I.  Each closure tried counts one
-    against what ``budget`` leaves after ``spent``; a closure met before is
-    not expanded again, and a node with dim K(I) n T < best is pruned, so
-    every abelian ideal of the largest dimension is reached.  A closure is
-    given up once it passes the beta bound of ``_derived_bounds``; where
-    that bound is dim Z, beta is dim Z and no closure is tried.
+    against what ``budget`` leaves after ``spent``, and a closure met before
+    is not expanded again.  A closure is given up once it passes ``limit``,
+    the beta bound of ``_derived_bounds``; where that bound is dim Z, beta
+    is dim Z and no closure is tried.  So no abelian ideal below I is larger
+    than min(dim K(I) n T, limit), the bound of the branch.
+
+    With ``witnesses`` a branch is pruned when its bound is below the best
+    dimension found, so every abelian ideal of the largest dimension is
+    reached and the canonically first one is kept.  Without them only the
+    value is sought: a branch is pruned unless its bound exceeds the best
+    dimension found, and a child is expanded only when dim K(child) n T
+    does, so the search returns as soon as the best reaches ``limit``.
     """
     p, m = L.field.p, L.dim
     by_y2 = L.maps[2].values()
-    limit = _derived_bounds(L)[1]
     z = center(L)
     best = (z.dim, z.pivots, z.basis)  # dimension, then the scan's order key
+    gain = 0 if witnesses else 1  # how far a branch's bound must pass best
     seen = set()
     tried = 0
 
@@ -362,7 +370,7 @@ def _beta_search(L, budget, spent, notes):
         quotient = [r for r in kernel if any(r)]
         quotient = quotient[:len(rref(quotient, m, p))]
         for v in _fp_points(quotient, p):
-            if m - len(cons) < best[0]:
+            if min(m - len(cons), limit) < best[0] + gain:
                 return True
             if spent + tried >= budget:
                 return False
@@ -381,7 +389,7 @@ def _beta_search(L, budget, spent, notes):
             child_cons_pivots = rref(child_cons, m, p)
             del child_cons[len(child_cons_pivots):]
             dim_k = m - len(child_cons_pivots)
-            if (dim_k > len(child) and dim_k >= best[0]
+            if (dim_k > len(child) and dim_k >= best[0] + gain
                     and not expand(child, child_pivots, child_cons, child_cons_pivots)):
                 return False
         return True
@@ -390,7 +398,8 @@ def _beta_search(L, budget, spent, notes):
         notes.append(f"beta search stopped after {tried} candidate ideals: budget {budget}")
         return None, None, tried
     k, pivots, rows = best
-    return k, subspace_from_rref_rows(L.field, m, rows, pivots) if k else None, tried
+    witness = subspace_from_rref_rows(L.field, m, rows, pivots) if k and witnesses else None
+    return k, witness, tried
 
 
 @dataclass(frozen=True)
@@ -432,15 +441,19 @@ class AlphaBetaResult:
 
 
 def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
-                        compute: str = "both") -> AlphaBetaResult:
+                        compute: str = "both", witnesses: bool = True) -> AlphaBetaResult:
     """Exact alpha by a downward scan and beta by branch and bound over GF(p).
 
     Each witness is the canonically first subspace of maximal dimension.
-    ``subspaces_scanned`` counts the work, and the budget bounds it: the
-    subspaces the alpha scan tests (those that contain the centre) plus the
-    candidate closures of the beta search, which gets what alpha left.  A
-    search stops at the first test past the budget; the value it stopped is
-    None, reported inexact, and the note names where it stopped.
+    With ``witnesses=False`` only the values are computed and both witnesses
+    are None: the beta search then skips the tie-break among the abelian
+    ideals of the largest dimension and stops at the beta bound (see
+    ``_beta_search``).  ``subspaces_scanned`` counts the work, and the budget
+    bounds it: the subspaces the alpha scan tests (those that contain the
+    centre) plus the candidate closures of the beta search, which gets what
+    alpha left.  A search stops at the first test past the budget; the value
+    it stopped is None, reported inexact, and the note names where it
+    stopped.
     """
     if L.field.p is None:
         raise UnsupportedRequestError(
@@ -451,17 +464,20 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
     m = L.dim
     alpha_upper, beta_upper = _upper_bounds(L)
     if not L.entries:
-        fullspace = full_subspace(L.field, m)
+        fullspace = full_subspace(L.field, m) if witnesses else None
         return AlphaBetaResult(m, m, fullspace, fullspace, f"exact-fp({p})", p, 0,
                                True, True, alpha_upper, beta_upper)
 
     notes = []
     alpha = beta = alpha_w = beta_w = None
     scanned = 0
+    alpha_top, beta_limit = _derived_bounds(L)
     if compute in ("both", "alpha"):
-        alpha, alpha_w, scanned = _scan_down(L, budget, notes)
+        alpha, alpha_w, scanned = _scan_down(L, alpha_top, budget, notes)
+        if not witnesses:
+            alpha_w = None
     if compute in ("both", "beta"):
-        beta, beta_w, tried = _beta_search(L, budget, scanned, notes)
+        beta, beta_w, tried = _beta_search(L, beta_limit, budget, scanned, notes, witnesses)
         scanned += tried
     return AlphaBetaResult(alpha, beta, alpha_w, beta_w, f"exact-fp({p})", p,
                            scanned, alpha is not None, beta is not None,

@@ -183,6 +183,7 @@ def test_center_matches_brute_force(field):
             return all(not any(naive_bracket(L, [v] + y)) for y in ys)
 
         z = center(L)
+        assert span(field, m, z.basis) == z, L  # canonical RREF
         if field.p is None:
             assert all(killed(v) for v in z.basis)
             rows = [[naive_bracket(L, [units[t]] + y)[r] for t in range(m)]

@@ -24,7 +24,7 @@ from nlie.linalg import (
     unit_vector,
     zero_subspace,
 )
-from nlie import invariants, search
+from nlie import invariants, iso, search
 from nlie.search import (
     abelian_bounds_q,
     alpha_beta_exact_fp,
@@ -172,23 +172,59 @@ def test_fast_predicates_match_classifier_and_brute_force(p, m):
                 assert fast == generic == brute, (label, rows)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_ideal_counts_match_classifier_and_basis_change(p):
-    """The ideal counts that certify ``no`` in are_isomorphic: the subspaces
-    of ``walk_subspaces`` that pass ``ideal`` are, in order, the ideals that
-    classify_subspace finds on every m = 4 catalog family, and their number
-    is unchanged by a basis change."""
-    for label, L in entries_for_dims((4,), GF(p)):
-        Lc = random_basis_change(L, 2)
-        for k in (1, 2):
-            brute = [(S.basis, S.pivots) for S in enumerate_subspaces(4, k, p)
-                     if classify_subspace(L, S).is_ideal]
-            hits = [(rows, profile) for rows, profile in _walk(4, k, p)
-                    if invariants.ideal(L, rows, profile)]
-            assert hits == brute, (label, k)
-            count = sum(invariants.ideal(Lc, rows, profile)
-                        for rows, profile in walk_subspaces(4, k, p))
-            assert count == len(brute), (label, k)
+    """The ideal counts that certify ``no`` in are_isomorphic.  On every
+    catalog family at m = 4 and 5 (m = 4 over GF(5)), EX41 and T43-c1 with
+    t >= 2 among them, which violate the identity, on an abelian table and,
+    over GF(2) and GF(3), on heisenberg(3) + abelian(2), whose centre has
+    planes that meet the derived algebra D trivially with dim (Z n D) = 1;
+    each as published and after a basis change: the subspaces of
+    ``walk_subspaces`` that pass ``ideal`` are, in order, the ideals that
+    classify_subspace finds, and ``_ideal_counts``, which walks only the
+    lines and planes of the derived algebra, gives their numbers."""
+    dims = (4,) if p == 5 else (4, 5)
+    algebras = entries_for_dims(dims, GF(p))
+    algebras += [(f"abelian@m={m}", abelian_algebra(GF(p), 3, m)) for m in dims]
+    if p != 5:
+        H = lie_catalog_build("heisenberg", GF(p), dim=3)
+        algebras.append(("heisenberg(3) + abelian(2)", direct_sum(H, abelian_algebra(GF(p), 2, 2))))
+    assert any(label.startswith("EX41") for label, _ in algebras) == (p != 5)
+    for label, L0 in algebras:
+        for L in (L0, random_basis_change(L0, 2)):
+            m, counts = L.dim, []
+            for k in (1, 2):
+                brute = [(S.basis, S.pivots) for S in enumerate_subspaces(m, k, p)
+                         if classify_subspace(L, S).is_ideal]
+                hits = [(rows, profile) for rows, profile in _walk(m, k, p)
+                        if invariants.ideal(L, rows, profile)]
+                assert hits == brute, (label, k)
+                counts.append(len(brute))
+            assert list(iso._ideal_counts(L)) == counts, label
+
+
+def test_value_only_search_gives_the_fingerprint_values():
+    """``fingerprint`` asks ``alpha_beta_exact_fp`` for values only.  On every
+    catalog family over GF(2) at m <= 6 and over GF(3) at m <= 5, EX41 and
+    T43-c1 with t >= 2 included, that search completes under
+    ``_AB_AUTO_LIMIT`` with the (alpha, beta) of the witness mode, carries
+    no witness and tries no more beta closures.  It stops once beta reaches
+    the beta bound of ``_derived_bounds``; the closure totals are pinned."""
+    for p, dims, totals in ((2, (4, 5, 6), (515, 787)), (3, (4, 5), (116, 308))):
+        value_closures = witness_closures = 0
+        for label, L in entries_for_dims(dims, GF(p)):
+            full = alpha_beta_exact_fp(L)
+            fast = alpha_beta_exact_fp(L, budget=iso._AB_AUTO_LIMIT, witnesses=False)
+            assert fast.complete, label
+            assert (fast.alpha, fast.beta) == (full.alpha, full.beta), label
+            assert fast.alpha_witness is fast.beta_witness is None, label
+            assert iso.fingerprint(L).alpha_beta == (full.alpha, full.beta), label
+            value = alpha_beta_exact_fp(L, compute="beta", witnesses=False).subspaces_scanned
+            witness = alpha_beta_exact_fp(L, compute="beta").subspaces_scanned
+            assert value <= witness, label
+            value_closures += value
+            witness_closures += witness
+        assert (value_closures, witness_closures) == totals, p
 
 
 @pytest.mark.parametrize("p", [2, 3])
