@@ -201,11 +201,7 @@ def _build_l21_d(field, n=3, r=None):
 
 def _build_a_n(field, n=3):
     _require_n(n, "A(n)")
-    table = {}
-    for i in range(1, n + 2):
-        key = tuple(j for j in range(1, n + 2) if j != i)
-        table[key] = {i: 1}
-    return make_algebra(field, n, n + 1, table)
+    return _build_l21_d(field, n, n + 1)
 
 
 def _build_t34_a1(field, m=5):
@@ -293,7 +289,7 @@ def _build_t43_c3(field, m=5, t=None):
 
 
 def _build_ex31(field):
-    return make_algebra(field, 3, 4, _a4_table())
+    return _build_a_n(field, 3)
 
 
 def _build_ex32_1(field):

@@ -5,6 +5,10 @@ vector per strictly increasing index tuple, all other values implied by the
 sign rule.  Evaluation of the bracket on arbitrary vectors expands through
 n x n minors, one per stored tuple, so sparse tables stay cheap.
 
+The structure every computation on an algebra reads is built once, on first
+use, and cached on the algebra: the compiled table ``maps``, the operators
+[., e_y], the centre and the derived algebra [L, .., L].
+
 Indices are 0-based internally and 1-based in every external surface
 (documents, reports, CLI).
 """
@@ -16,6 +20,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, product
+from math import comb
 
 from .errors import (
     DimensionMismatchError,
@@ -89,20 +94,30 @@ class NLieAlgebra:
         return CompiledTable(self.field, self.entries)
 
     @cached_property
-    def center(self) -> Subspace:
-        """Kernel of x -> (all brackets of x against basis (n-1)-tuples),
-        computed once: a fingerprint over GF(p) reads it for beta and for
-        the invariant report."""
-        f = self.field
-        m = self.dim
-        rows = []
+    def derived(self) -> Subspace:
+        """[L, .., L], the span of the table's values."""
+        return span(self.field, self.dim, [val for _, val in self.entries])
+
+    @cached_property
+    def operators(self) -> tuple:
+        """The operators [., e_y], one for each y of ``maps[1]``, each as its
+        nonzero rows ``{r: row}``: row[t] is the coefficient of e_r in
+        [e_t, e_y]."""
+        f, m = self.field, self.dim
+        ops = []
         for contribs in self.maps[1].values():
-            # contribs give [e_t, e_y] per t; transpose into coordinate rows
-            block = {}
+            op = {}
             for (t,), sparse in contribs:
                 for r, c in sparse:
-                    block.setdefault(r, [f.zero] * m)[t] = c
-            rows += block.values()
+                    op.setdefault(r, [f.zero] * m)[t] = c
+            ops.append({r: tuple(row) for r, row in op.items()})
+        return tuple(ops)
+
+    @cached_property
+    def center(self) -> Subspace:
+        """The common kernel of the operators [., e_y]."""
+        f, m = self.field, self.dim
+        rows = [row for op in self.operators for row in op.values()]
         if not rows:
             return full_subspace(f, m)
         # the rows hold canonical scalars already; RREF is unique, so one
@@ -302,17 +317,19 @@ def check_fundamental_identity(L: NLieAlgebra) -> FIReport:
 
     The identity is multilinear and alternating in the inner tuple and in the
     outer arguments, so holding on increasing basis tuples is equivalent to
-    holding on all vectors.  Violations are reported in lexicographic order.
+    holding on all vectors.  An index in no stored tuple gives a central basis
+    vector, and every instance with a central argument vanishes, so only the
+    tuples of the other indices are visited; all instances are counted.
+    Violations are reported in lexicographic order.
     """
     f = L.field
     n = L.arity
     m = L.dim
+    used = sorted({i for key, _ in L.entries for i in key})
     violations = []
-    count = 0
-    for x in combinations(range(m), n):
+    for x in combinations(used, n):
         bx = L.table.get(x)
-        for y in combinations(range(m), n - 1):
-            count += 1
+        for y in combinations(used, n - 1):
             # lhs = [[x...], y...]; rhs term i = [x_1, .., [x_i, y...], .., x_n]
             # = (-1)^i [[x_i, y...], x without x_i]; maps[1][y] lists the
             # nonzero [e_t, y...]
@@ -335,7 +352,7 @@ def check_fundamental_identity(L: NLieAlgebra) -> FIReport:
             if any(residual):
                 violations.append(FIViolation(
                     tuple(i + 1 for i in x), tuple(j + 1 for j in y), residual))
-    return FIReport(not violations, tuple(violations), count)
+    return FIReport(not violations, tuple(violations), comb(m, n) * comb(m, n - 1))
 
 
 def with_fi_checked(L: NLieAlgebra) -> NLieAlgebra:

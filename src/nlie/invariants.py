@@ -2,15 +2,17 @@
 
 Derived algebra, derived and lower central series, center, subspace
 classification (subalgebra / ideal / abelian / hypo-abelian), and the
-aggregated invariant report.  Everything is exact; over Q these values proxy
-the algebraically closed characteristic-zero case because they are rank
-conditions, stable under field extension.
+aggregated invariant report.  The centre and the derived algebra are the
+ones ``NLieAlgebra`` computes once and caches.  Everything is exact; over Q
+these values proxy the algebraically closed characteristic-zero case because
+they are rank conditions, stable under field extension.
 
 The subspace predicates ``abelian_subalgebra``, ``ideal`` and
 ``abelian_ideal`` take RREF rows and pivots and are the only ones, for Q
 (p = None) and GF(p) alike; the scans and the beta spin of ``search`` call
 them directly.  They sum each bracket of ``L.maps`` exactly, reduce it mod p
-only after the sum, and stop at the first bracket that decides.
+only after the sum, and stop at the first bracket that decides; the brackets
+of n vectors of S come from ``core.bracket_rows``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import NLieAlgebra, bracket_subspaces, require_subspace
+from .core import NLieAlgebra, bracket_rows, bracket_subspaces, require_subspace
 from .errors import InvalidParameterError, NotAnIdealError
-from .linalg import Subspace, full_subspace, minor_det, reduce_vector, span
+from .linalg import Subspace, full_subspace, reduce_vector
 
 _SERIES_HARD_CAP_EXTRA = 2  # guard for tables that do not satisfy the identity
 
@@ -31,8 +33,7 @@ def full_space(L: NLieAlgebra) -> Subspace:
 
 def derived_algebra(L: NLieAlgebra) -> Subspace:
     """Span of all basis brackets; L is abelian iff this is zero."""
-    vectors = [val for _, val in L.entries]
-    return span(L.field, L.dim, vectors)
+    return L.derived
 
 
 def center(L: NLieAlgebra) -> Subspace:
@@ -97,25 +98,11 @@ def commute(by_y2, u, v, p, m):
 
 def _brackets_within(L, rows, target, target_pivots):
     """Every bracket of n of ``rows`` lies in span(target), given in RREF."""
-    n = L.arity
-    if len(rows) < n:
-        return True
-    p, m = L.field.p, L.dim
-    table = L.maps[n].get((), ())
-    for combo in combinations(rows, n):
-        w = None
-        for cols, sparse in table:
-            d = minor_det(combo, cols, p)
-            if d:
-                if w is None:
-                    w = [0] * m
-                for t, c in sparse:
-                    w[t] += d * c
-        if w is not None:
-            if p is not None:
-                w = [x % p for x in w]
-            if any(w) and (not target or any(reduce_vector(target, target_pivots, w, p))):
-                return False
+    p = L.field.p
+    for combo in combinations(rows, L.arity):
+        w = bracket_rows(L, combo)
+        if w is not None and (not target or any(reduce_vector(target, target_pivots, w, p))):
+            return False
     return True
 
 
@@ -185,9 +172,10 @@ class SeriesReport:
         return tuple(t.dim for t in self.terms)
 
 
-def _run_series(L, terms, step):
-    """Extend ``terms`` by ``step`` until a term is zero or repeats the one before."""
-    terms = list(terms)
+def _run_series(L, I, step):
+    """I and its terms under ``step`` until a term is zero or repeats the one
+    before; from L every series continues with the derived algebra."""
+    terms = [I, derived_algebra(L)] if I.dim == L.dim else [I]
     cap = L.dim + 1 + _SERIES_HARD_CAP_EXTRA
     while True:
         cur = terms[-1]
@@ -219,14 +207,14 @@ def s_derived_series(L: NLieAlgebra, I: Subspace, s: int) -> SeriesReport:
         raise InvalidParameterError(f"s must be in 2..{n}, got {s}")
     if I.dim < L.dim and not is_ideal(L, I):  # L itself is an ideal
         raise NotAnIdealError("series input is not an ideal")
-    return _run_series(L, [I], _derived_step(L, s))
+    return _run_series(L, I, _derived_step(L, s))
 
 
 def lower_central_series(L: NLieAlgebra, I: Subspace) -> SeriesReport:
     """I, [I, I, L..], [[I,I,L..], I, L..], ...; zero-terminating means nilpotent."""
     if I.dim < L.dim and not is_ideal(L, I):
         raise NotAnIdealError("series input is not an ideal")
-    return _run_series(L, [I], _central_step(L, I))
+    return _run_series(L, I, _central_step(L, I))
 
 
 def is_s_solvable(L: NLieAlgebra, s: int) -> bool:
@@ -275,15 +263,13 @@ class InvariantReport:
 
 def invariant_report(L: NLieAlgebra) -> InvariantReport:
     full = full_space(L)
-    # every series from L continues with [L, .., L], the derived algebra
-    head = [full, bracket_subspaces(L, (full,) * L.arity)]
-    derived = [_run_series(L, head, _derived_step(L, s)) for s in range(2, L.arity + 1)]
-    lower = _run_series(L, head, _central_step(L, full))
+    derived = [_run_series(L, full, _derived_step(L, s)) for s in range(2, L.arity + 1)]
+    lower = _run_series(L, full, _central_step(L, full))
     z = center(L)
     return InvariantReport(
         arity=L.arity,
         dim=L.dim,
-        derived_dim=head[1].dim,
+        derived_dim=derived_algebra(L).dim,
         center_dim=z.dim,
         derived_series=tuple((s, rep.dims) for s, rep in enumerate(derived, 2)),
         lower_central=lower.dims,

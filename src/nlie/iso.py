@@ -190,17 +190,14 @@ def _ideal_counts(L: NLieAlgebra):
     lines = list(ideals_in_d(1))
     yield gaussian_binomial(z.dim, 1, p) + len(lines) - gaussian_binomial(w, 1, p)
 
-    ops = []  # the columns [e_t, e_y] of each operator [., e_y] of L.maps[1]
-    for contribs in L.maps[1].values():
-        ops.append([[0] * m for _ in range(m)])
-        for (t,), sparse in contribs:
-            for r, cc in sparse:
-                ops[-1][t][r] = cc
+    zero = (0,) * m
     through_c = 0
     for (c,), (pc,) in lines:
-        # P_c: the common kernel of the operators followed by the projection along <c>
-        rows = [list(row) for op in ops
-                for row in zip(*([(a - col[pc] * b) % p for a, b in zip(col, c)] for col in op))]
+        # P_c: the common kernel of the operators followed by the projection
+        # along <c> (c[pc] = 1), which takes row r of an operator to row r
+        # minus c[r] times row pc
+        rows = [[(a - cr * b) % p for a, b in zip(op.get(r, zero), op.get(pc, zero))]
+                for op in L.operators for r, cr in enumerate(c) if r in op or cr]
         on_d = [[sum(map(mul, row, v)) % p for v in d.basis] for row in rows]
         dim_p = m - len(rref(rows, m, p))
         dim_pd = d.dim - len(rref(on_d, d.dim, p))
@@ -349,10 +346,10 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
             ok = any(forced) and all(inside(w, forced) for w in targets[i])
             cands = [forced] if ok else []
         for cand in cands:
-            nodes += 1
-            if nodes > budget:
+            if nodes >= budget:
                 budget_hit = True
                 return False
+            nodes += 1
             residual = reduce_vector(rows, pivots, cand, f.p)
             if not any(residual):
                 continue

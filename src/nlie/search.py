@@ -137,7 +137,8 @@ def walk_subspaces(m, k, p, containing=None):
     ``_containing_solutions``): as D is in RREF and x0 is zero at its
     pivots, the lexicographic order of t is the odometer order of the free
     entries, so an odometer over t adds one row of D per digit it moves (a
-    wrap too, as p.d = 0).  Without Z, D is the unit vectors and x0 = 0."""
+    wrap too, as p.d = 0).  Without Z there are no equations: D is the unit
+    vectors and x0 = 0."""
     z_basis = containing.basis if containing is not None else ()
     z_pivots = set(containing.pivots) if containing is not None else set()
     for profile in combinations(range(m), k):
@@ -147,13 +148,10 @@ def walk_subspaces(m, k, p, containing=None):
         base = [[0] * m for _ in range(k)]
         for r, c in enumerate(profile):
             base[r][c] = 1
-        if z_basis:
-            x0, directions = _containing_solutions(m, profile, free, z_basis, p)
-            for (r, j), c in zip(free, x0):
-                base[r][j] = c
-            steps = [[(r, j, c) for (r, j), c in zip(free, d) if c] for d in directions]
-        else:
-            steps = [[(r, j, 1)] for r, j in free]
+        x0, directions = _containing_solutions(m, profile, free, z_basis, p)
+        for (r, j), c in zip(free, x0):
+            base[r][j] = c
+        steps = [[(r, j, c) for (r, j), c in zip(free, d) if c] for d in directions]
         digits = [0] * len(steps)
         i = 0  # the odometer digit that moved last; -1 once all of them wrapped
         while i >= 0:
@@ -252,25 +250,29 @@ def _fp_constraints(by_y2, vectors, p, m):
 def _fp_trace_rows(L):
     """RREF rows and pivots of the linear conditions tr([v, ., e_y'] o M) = 0
     on v, one for each y' of ``L.maps[2]`` and each M in {identity} and the
-    operators [., e_y] of ``L.maps[1]``.  Every abelian ideal J lies in
+    operators [., e_y] of ``L.operators``.  Every abelian ideal J lies in
     their kernel T: for v in J, R = [v, ., e_y'] maps L into J and J to 0,
     and M maps J into J, so (R o M)^2 = 0 and its trace is 0, in every
-    characteristic and whether or not the fundamental identity holds."""
+    characteristic and whether or not the fundamental identity holds.  M is
+    read by its nonzero rows, as in ``NLieAlgebra.operators``: the identity
+    is {i: unit row i}."""
     p, m = L.field.p, L.dim
-    # M as {(i, j): coefficient of e_i in M(e_j)}
-    operators = [{(i, i): 1 for i in range(m)}]
-    operators += [{(tt, t): cc for (t,), sparse in contribs for tt, cc in sparse}
-                  for contribs in L.maps[1].values()]
+    identity = {i: tuple(int(j == i) for j in range(m)) for i in range(m)}
     rows = []
     for contribs in L.maps[2].values():
-        for op in operators:
+        for op in (identity,) + L.operators:
             # [e_c0, e_c1, e_y'] = sum cc e_tt puts cc at (tt, c1) of R(e_c0) and
             # -cc at (tt, c0) of R(e_c1); tr(R o M) = sum R(i, j) M(j, i)
             row = [0] * m
             for (c0, c1), sparse in contribs:
-                for tt, cc in sparse:
-                    row[c0] += cc * op.get((c1, tt), 0)
-                    row[c1] -= cc * op.get((c0, tt), 0)
+                if c1 in op:
+                    m1 = op[c1]
+                    for tt, cc in sparse:
+                        row[c0] += cc * m1[tt]
+                if c0 in op:
+                    m0 = op[c0]
+                    for tt, cc in sparse:
+                        row[c1] -= cc * m0[tt]
             row = [x % p for x in row]
             if any(row):
                 rows.append(row)

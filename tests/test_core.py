@@ -8,6 +8,7 @@ import pytest
 
 from nlie.catalog import catalog_build, entries_for_dims, lie_catalog_build
 from nlie.core import (
+    NLieAlgebra,
     abelian_algebra,
     bracket,
     bracket_basis,
@@ -129,10 +130,24 @@ def test_compiled_table_matches_naive_bracket(field):
                 assert got == naive_bracket(L, rows + [units[j] for j in y]), (L, k, y)
 
 
+def _ex41_plus_abelian_2(field):
+    """EX41 + abelian(2), with e2 and e5 the central abelian summand: a
+    table with violations and with indices in no stored tuple."""
+    keep = (0, 2, 3, 5, 6)
+    entries = []
+    for key, val in catalog_build("EX41", field).entries:
+        vec = [field.zero] * 7
+        for i, c in zip(keep, val):
+            vec[i] = c
+        entries.append((tuple(keep[i] for i in key), tuple(vec)))
+    return NLieAlgebra(field, 3, 7, tuple(entries))
+
+
 def _fi_algebras(field):
     return _published_and_conjugated(
         [L for _, L in entries_for_dims((4,), field)]
-        + [catalog_build("EX41", field), catalog_build("T43-c1", field, m=5, t=2)])
+        + [catalog_build("EX41", field), catalog_build("T43-c1", field, m=5, t=2),
+           _ex41_plus_abelian_2(field)])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
@@ -153,6 +168,15 @@ def test_fi_check_matches_naive_residuals_on_every_instance(field):
         got = [(v.x_indices, v.y_indices, v.residual) for v in report.violations]
         assert got == expected, L
         assert report.holds == (not expected)
+
+
+def test_fi_check_on_an_empty_table_visits_no_instance():
+    """Every index of an empty table is central, so the check answers at
+    once, and it still reports every instance as checked."""
+    m = 100_000
+    report = check_fundamental_identity(NLieAlgebra(QQ, 3, m, ()))
+    assert report.holds and not report.violations
+    assert report.instances_checked == comb(m, 3) * comb(m, 2)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)

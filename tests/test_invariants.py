@@ -26,7 +26,13 @@ from nlie.invariants import (
     lower_central_series,
     s_derived_series,
 )
-from nlie.iso import are_isomorphic, change_basis, fingerprint, random_basis_change
+from nlie.iso import (
+    are_isomorphic,
+    change_basis,
+    fingerprint,
+    ideal_count_difference,
+    random_basis_change,
+)
 from nlie.linalg import Matrix, coordinate_subspace, span, unit_vector
 
 from oracles import all_vectors_fp, naive_bracket, rref_fractions, span_members_fp
@@ -253,22 +259,27 @@ def test_subspace_predicates_match_spans_of_naive_brackets(field):
 
 
 def test_fingerprint_computes_the_centre_once(monkeypatch):
-    """Over GF(p) a fingerprint reads the centre for beta and for the
-    invariant report; the algebra computes it once."""
+    """Over GF(p) a fingerprint reads the centre and the derived algebra for
+    alpha and beta and for the invariant report, and the ideal counts of a
+    pair read them again; each algebra computes each of them once."""
+    names = ("center", "derived")
     calls = []
-    compute = NLieAlgebra.center.func
+    for name in names:
+        prop = getattr(NLieAlgebra, name)
 
-    def counted(L):
-        calls.append(L)
-        return compute(L)
+        def counted(L, compute=prop.func, name=name):
+            calls.append((name, id(L)))
+            return compute(L)
 
-    monkeypatch.setattr(NLieAlgebra.center, "func", counted)
+        monkeypatch.setattr(prop, "func", counted)
     for p, dims in ((2, (4, 5)), (3, (4,))):
         for seed, (label, L) in enumerate(entries_for_dims(dims, GF(p))):
             D = random_basis_change(L, seed)
             calls.clear()
+            assert fingerprint(L).alpha_beta is not None, label
             assert fingerprint(D).alpha_beta is not None, label
-            assert calls == [D], label
+            ideal_count_difference(L, D)
+            assert sorted(calls) == sorted((name, id(A)) for name in names for A in (L, D)), label
 
 
 def test_classify_ex32_1_hypo_abelian():

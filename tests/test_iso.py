@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from nlie.catalog import catalog_build, representative_entries
-from nlie.core import bracket, check_fundamental_identity
+from nlie.core import bracket, check_fundamental_identity, make_algebra
 from nlie.errors import InvalidParameterError
 from nlie.fields import GF, QQ
 from nlie.invariants import invariant_report
@@ -233,6 +233,37 @@ def test_iso_budget_exhaustion_is_unknown():
     assert "budget" in res.reason
 
 
+@pytest.mark.parametrize("label,L1,L2", [
+    ("Lie GF(2) no", make_algebra(GF(2), 2, 3, {(1, 2): {3: 1}, (1, 3): {2: 1}}),
+     make_algebra(GF(2), 2, 3, {(1, 2): {2: 1}, (1, 3): {3: 1}})),
+    ("Lie GF(3) no", make_algebra(GF(3), 2, 3, {(1, 3): {1: 2}, (2, 3): {2: 2}}),
+     make_algebra(GF(3), 2, 3, {(1, 2): {3: 1}, (1, 3): {2: 2}})),
+    ("A(3) GF(2) yes", catalog_build("A(n)", GF(2), n=3),
+     random_basis_change(catalog_build("A(n)", GF(2), n=3), 0)),
+    ("EX31 GF(3) yes", catalog_build("EX31", GF(3)),
+     random_basis_change(catalog_build("EX31", GF(3)), 1)),
+], ids=["lie-gf2-no", "lie-gf3-no", "a3-gf2-yes", "ex31-gf3-yes"])
+def test_iso_budget_is_a_count_of_nodes(label, L1, L2):
+    """For every budget from 0 to the unbudgeted nodes: the nodes never pass
+    the budget; the search stops exactly when the budget is below the
+    unbudgeted nodes, and a stop by ``budget exhausted`` has used all of it;
+    and the decided verdict, witness and nodes are the unbudgeted ones."""
+    s1, s2 = invariant_report(L1).subspaces, invariant_report(L2).subspaces
+    full = _search_isomorphism(L1, L2, s1, s2, 2_000_000)
+    assert full.verdict in ("yes", "no"), label
+    for budget in range(full.nodes + 1):
+        res = _search_isomorphism(L1, L2, s1, s2, budget)
+        assert res.nodes <= budget, (label, budget)
+        if budget == full.nodes:
+            assert res == full, (label, budget)
+            continue
+        assert res.verdict == "unknown" and "budget" in res.reason, (label, budget)
+        if res.reason == "budget exhausted":
+            assert res.nodes == budget, (label, budget)
+        else:  # the candidate pool alone is over the budget
+            assert res.nodes == 0, (label, budget)
+
+
 def test_iso_candidate_pool_over_budget_fails_fast():
     """p^m - 1 candidate columns beyond the budget give ``unknown`` before
     any are built.  Run under an address-space limit, so that building them
@@ -266,7 +297,6 @@ def test_iso_requires_matching_shape():
 def test_iso_q_unknown_when_no_small_witness():
     # same fingerprints, Q field, tables differing by a transcendental-ish
     # rescaling outside the candidate pool: verdict must not be "no"
-    from nlie.core import make_algebra
     L1 = make_algebra(QQ, 3, 4, {(1, 2, 3): {4: 1}})
     L2 = make_algebra(QQ, 3, 4, {(1, 2, 3): {4: 5}})
     res = are_isomorphic(L1, L2, budget=50_000)
