@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatchError,
@@ -36,6 +37,7 @@ from .linalg import (
     null_basis,
     rref,
     span,
+    span_rows,
     subspace_from_rref_rows,
     validate_vector,
     vec_is_zero,
@@ -96,7 +98,7 @@ class NLieAlgebra:
     @cached_property
     def derived(self) -> Subspace:
         """[L, .., L], the span of the table's values."""
-        return span(self.field, self.dim, [val for _, val in self.entries])
+        return span_rows(self.field, self.dim, [val for _, val in self.entries])
 
     @cached_property
     def operators(self) -> tuple:
@@ -127,6 +129,13 @@ class NLieAlgebra:
         return subspace_from_rref_rows(f, m, kernel, pivots)
 
 
+def _picker(positions):
+    """The function key -> the tuple of its entries at ``positions``."""
+    if len(positions) == 1:
+        return lambda key, i=positions[0]: (key[i],)
+    return itemgetter(*positions) if positions else (lambda key: ())
+
+
 class CompiledTable(dict):
     """The table of one algebra compiled for evaluation, for Q and GF(p).
 
@@ -144,15 +153,18 @@ class CompiledTable(dict):
         self.entries = entries
 
     def __missing__(self, k):
-        f = self.field
+        neg = self.field.neg
         by_y = {}
+        # moving the positions s (a k-subset of an increasing key) to the front
+        # takes sum(s) - k(k-1)/2 transpositions, whatever the key
+        n = len(self.entries[0][0]) if self.entries else 0
+        splits = [(_picker(s), _picker([i for i in range(n) if i not in s]),
+                   (sum(s) - k * (k - 1) // 2) % 2) for s in combinations(range(n), k)]
         for key, val in self.entries:
-            sparse = tuple((t, c) for t, c in enumerate(val) if c != f.zero)
-            negated = tuple((t, f.neg(c)) for t, c in sparse)
-            for cols in combinations(key, k):
-                y = tuple(i for i in key if i not in cols)
-                sign = sort_with_sign(cols + y)[1]
-                by_y.setdefault(y, []).append((cols, sparse if sign == 1 else negated))
+            sparse = [(t, c) for t, c in enumerate(val) if c]
+            signed = (tuple(sparse), tuple([(t, neg(c)) for t, c in sparse]))
+            for cols, y, odd in splits:
+                by_y.setdefault(y(key), []).append((cols(key), signed[odd]))
         self[k] = {y: tuple(items) for y, items in by_y.items()}
         return self[k]
 
@@ -279,7 +291,7 @@ def bracket_subspaces(L: NLieAlgebra, subspaces) -> Subspace:
             w = bracket_rows(L, rows, y)
             if w is not None:
                 vectors.append(w)
-    return span(f, L.dim, vectors)
+    return span_rows(f, L.dim, vectors)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,17 @@ The kernels ``minor_det``, ``reduce_vector``, ``rref`` (the one
 elimination routine: ranks, kernels, inverses, spans and intersections) and
 ``null_basis`` work on raw scalars -- over Q ints and Fractions (see
 ``fields.RationalField``), over GF(p) ints reduced mod p -- and do not
-validate; the public constructors and methods validate what they are given.
+validate; nor do ``span_rows`` and ``subspace_from_rref_rows``, the trusted
+constructors for rows the library built itself.  The public constructors
+and methods validate what they are given.
 Over Q they divide only through the exact ``QQ.inv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 
 from .errors import DimensionMismatchError
 from .fields import QQ, Field, same_field
@@ -32,7 +36,9 @@ def zero_vector(field: Field, length: int) -> tuple:
 
 
 def unit_vector(field: Field, length: int, i: int) -> tuple:
-    return tuple(field.one if j == i else field.zero for j in range(length))
+    v = [field.zero] * length
+    v[i] = field.one
+    return tuple(v)
 
 
 def vec_is_zero(field, v):
@@ -310,13 +316,23 @@ def _check_ambient(u: Subspace, w: Subspace) -> None:
 
 
 def subspace_from_rref_rows(field, ambient_dim, rows, pivots) -> Subspace:
-    """Trusted constructor for rows already in canonical RREF."""
-    return Subspace(field, ambient_dim, tuple(tuple(r) for r in rows), tuple(pivots))
+    """Trusted constructor for rows already in RREF; over Q it stores each
+    integral value as an int (see ``fields.RationalField``)."""
+    basis = tuple(map(tuple, rows))
+    if field.p is None and Fraction in map(type, chain.from_iterable(basis)):
+        basis = tuple(tuple(x.numerator if x.denominator == 1 else x for x in r) for r in basis)
+    return Subspace(field, ambient_dim, basis, tuple(pivots))
 
 
 def span(field: Field, ambient_dim: int, vectors) -> Subspace:
     """Smallest subspace containing the given vectors, in canonical form."""
-    rows = [list(validate_vector(field, ambient_dim, v)) for v in vectors]
+    return span_rows(field, ambient_dim,
+                     [validate_vector(field, ambient_dim, v) for v in vectors])
+
+
+def span_rows(field: Field, ambient_dim: int, rows: list) -> Subspace:
+    """The trusted core of ``span``, for raw rows of scalars of ``field`` (see
+    ``rref``) that the library built itself; reduces the list ``rows``."""
     pivots = rref(rows, ambient_dim, field.p)
     return subspace_from_rref_rows(field, ambient_dim, rows[: len(pivots)], pivots)
 
@@ -339,7 +355,7 @@ def coordinate_subspace(field: Field, ambient_dim: int, indices) -> Subspace:
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     _check_ambient(u, w)
-    return span(u.field, u.ambient_dim, list(u.basis) + list(w.basis))
+    return span_rows(u.field, u.ambient_dim, list(u.basis + w.basis))
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:

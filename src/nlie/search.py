@@ -46,7 +46,7 @@ brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 from .core import NLieAlgebra, bracket_rows
@@ -67,7 +67,7 @@ from .linalg import (
     null_basis,
     reduce_vector,
     rref,
-    span,
+    span_rows,
     subspace_from_rref_rows,
     zero_subspace,
 )
@@ -105,6 +105,8 @@ def _containing_solutions(m, profile, free, z_basis, p):
     each equation that is not 0 = 0 has an unknown x(r, j), with c_r the
     pivot of its z, that no other equation holds."""
     nfree = len(free)
+    if not z_basis:
+        return [0] * nfree, [[int(j == i) for j in range(nfree)] for i in range(nfree)]
     index = {pos: f for f, pos in enumerate(free)}
     eqs = []
     for z in z_basis:
@@ -516,14 +518,14 @@ def _grow_abelian(L: NLieAlgebra, seed: Subspace, memo: dict) -> Subspace:
             cons += ([w[r] if w else f.zero for w in block] for r in range(m))
         pivots = rref(cons, m)
         del cons[len(pivots):]
-        kernel = span(f, m, null_basis(cons, pivots, m))
+        kernel = span_rows(f, m, null_basis(cons, pivots, m))
         v = next((x for x in kernel.basis
                   if any(reduce_vector(current.basis, current.pivots, x))), None)
         if v is None:
             final = current
         else:
             new = [y_rows + (v,) for y_rows in combinations(current.basis, L.arity - 2)]
-            current = span(f, m, current.basis + (v,))
+            current = span_rows(f, m, list(current.basis) + [v])
             final = memo.get(current.basis)
     for basis in path:
         memo[basis] = final
@@ -559,14 +561,14 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
     if best_alpha is None:
         best_alpha = zero_subspace(f, m)
 
-    candidates = [z] + grown_list
-    for r in range(1, m + 1):
-        for subset in combinations(range(m), r):
-            candidates.append(coordinate_subspace(f, m, subset))
-    # a repeated candidate cannot win again: test each basis once
+    # the candidates: z, the grown subspaces and the 2^m - 1 coordinate spans by
+    # dimension, each made only when it could beat the best; a repeated
+    # candidate cannot win again: test each basis once
     best_beta = zero_subspace(f, m)
+    coordinate = (coordinate_subspace(f, m, subset) for r in range(1, m + 1)
+                  for subset in combinations(range(m), r) if r > best_beta.dim)
     tested = set()
-    for S in candidates:
+    for S in chain([z], grown_list, coordinate):
         if S.dim > best_beta.dim and S.basis not in tested:
             tested.add(S.basis)
             if abelian_ideal(L, S.basis, S.pivots):
@@ -580,7 +582,7 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
         beta_witness=best_beta if best_beta.dim else None,
         mode="lower-bound-q",
         p=None,
-        subspaces_scanned=len(seeds) + len(candidates),
+        subspaces_scanned=len(seeds) + 1 + len(grown_list) + 2 ** m - 1,
         alpha_exact=False,
         beta_exact=False,
         alpha_upper=alpha_upper,

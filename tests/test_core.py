@@ -20,6 +20,7 @@ from nlie.core import (
     parse_subspace,
     serialize_algebra,
     serialize_subspace,
+    sort_with_sign,
 )
 from nlie.errors import (
     DimensionMismatchError,
@@ -128,6 +129,45 @@ def test_compiled_table_matches_naive_bracket(field):
                 w = bracket_rows(L, rows, y)
                 got = tuple(w) if w is not None else (field.zero,) * m
                 assert got == naive_bracket(L, rows + [units[j] for j in y]), (L, k, y)
+
+
+def _compile_by_sorting(L, k):
+    """maps[k] the slow way: every split of every key sorted by
+    ``sort_with_sign``, and each signed value built for each split."""
+    f = L.field
+    by_y = {}
+    for key, val in L.entries:
+        for cols in combinations(key, k):
+            y = tuple(i for i in key if i not in cols)
+            sign = sort_with_sign(cols + y)[1]
+            by_y.setdefault(y, []).append(
+                (cols, tuple((t, c if sign == 1 else f.neg(c)) for t, c in enumerate(val) if c)))
+    return {y: tuple(items) for y, items in by_y.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_compiled_table_matches_a_compile_by_sorting(field, n):
+    """Every maps[k], k = 0..n, equals the slow compile item for item and in
+    the same order, on random tables with sparse values.  For 0 < k < n
+    some splits are odd, so their values are negated."""
+    rng = random.Random(100 * n + (field.p or 0))
+    m = n + 2
+    scalars = ([Fraction(a, b) for a in (-3, -1, 2) for b in (1, 2)] if field.p is None
+               else list(range(1, field.p)))
+    odd_splits = set()
+    for _ in range(4):
+        entries = tuple(
+            (key, tuple(rng.choice(scalars) if rng.random() < 0.5 else field.zero
+                        for _ in range(m)))
+            for key in combinations(range(m), n) if rng.random() < 0.7)
+        L = NLieAlgebra(field, n, m, tuple((key, val) for key, val in entries if any(val)))
+        for k in range(n + 1):
+            slow = _compile_by_sorting(L, k)
+            assert list(L.maps[k].items()) == list(slow.items()), (n, k)
+            odd_splits.update(k for key, _ in L.entries for cols in combinations(key, k)
+                              if sort_with_sign(cols + tuple(i for i in key if i not in cols))[1] < 0)
+    assert odd_splits == set(range(1, n))
 
 
 def _ex41_plus_abelian_2(field):

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from nlie.catalog import catalog_build, representative_entries
-from nlie.core import bracket, check_fundamental_identity, make_algebra
+from nlie import iso
+from nlie.core import NLieAlgebra, bracket, check_fundamental_identity, make_algebra
 from nlie.errors import InvalidParameterError
 from nlie.fields import GF, QQ
 from nlie.invariants import invariant_report
 from nlie.iso import (
     _search_isomorphism,
+    _verify_witness,
     are_isomorphic,
     change_basis,
     fingerprint,
@@ -25,6 +27,19 @@ from nlie.linalg import Matrix
 from oracles import is_isomorphism_gf2, isomorphism_gf2
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True)
+def witnesses_also_conjugate_the_target(monkeypatch):
+    """Every witness P that an iso search in this module re-verifies must
+    pass, and must also pass the independent check by conjugation: L2 in
+    the basis of P's columns has L1's table."""
+    def checked(L1, L2, P):
+        assert _verify_witness(L1, L2, P)
+        assert change_basis(L2, P) == L1
+        return True
+
+    monkeypatch.setattr(iso, "_verify_witness", checked)
 
 
 def _b_cores():
@@ -115,6 +130,33 @@ def test_iso_yes_on_conjugated_algebra_with_verified_witness():
             for r in range(4):
                 rhs[r] = f.add(rhs[r], f.mul(coeff, cols[t][r]))
         assert lhs == tuple(rhs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_verify_witness_rejects_singular_wrong_and_unrelated_maps(field):
+    """The check of a witness P for L1 -> L2 rejects a singular P (the zero
+    matrix maps every bracket correctly, so only the rank rejects it), a P
+    that is wrong on exactly one bracket (L1 changed at one stored tuple,
+    for each tuple in turn) and the identity on two unequal tables."""
+    for fid, params in (("EX33", {}), ("T35-b4", {"m": 4}), ("A(n)", {"n": 4})):
+        L = catalog_build(fid, field, **params)
+        m = L.dim
+        P = random_invertible_matrix(field, m, 3)
+        D = change_basis(L, P)
+        assert D != L and _verify_witness(D, L, P)
+        assert not _verify_witness(D, L, Matrix.zeros(field, m, m))
+        singular = [list(row) for row in P.rows]
+        for row in singular:
+            row[0] = row[1]
+        assert not _verify_witness(D, L, Matrix.from_rows(field, singular))
+        table = dict(D.entries)
+        for key in combinations(range(m), L.arity):
+            wrong = dict(table)
+            val = wrong.get(key, (field.zero,) * m)
+            wrong[key] = (field.add(val[0], field.one),) + val[1:]
+            entries = tuple(sorted((k, v) for k, v in wrong.items() if any(v)))
+            assert not _verify_witness(NLieAlgebra(field, L.arity, m, entries), L, P), key
+        assert not _verify_witness(L, D, Matrix.identity(field, m))
 
 
 def test_iso_no_for_b_cores_over_gf2():

@@ -4,19 +4,24 @@ from itertools import permutations
 
 import pytest
 
+from nlie import linalg
+from nlie.catalog import entries_for_dims
+from nlie.core import bracket_subspaces
 from nlie.errors import DimensionMismatchError, FieldMismatchError
 from nlie.fields import GF, QQ
-from nlie.iso import random_invertible_matrix
+from nlie.invariants import invariant_report
+from nlie.iso import change_basis, random_invertible_matrix
 from nlie.linalg import (
     Matrix,
     coordinate_subspace,
     full_subspace,
     span,
+    span_rows,
     subspace_intersect,
     subspace_sum,
     zero_subspace,
 )
-from nlie.search import enumerate_subspaces
+from nlie.search import abelian_bounds_q, enumerate_subspaces
 
 from oracles import perm_sign, rref_fractions, span_members_fp
 
@@ -86,6 +91,64 @@ def test_span_empty_is_zero():
     S = span(QQ, 4, [])
     assert S.dim == 0
     assert S == zero_subspace(QQ, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_trusted_span_matches_span_and_textbook_rref(field):
+    """span_rows on raw rows (lists the library would build) equals the
+    validating span, and over Q the textbook RREF on Fractions; over Q the
+    entries are fractional and the basis holds no integral Fraction."""
+    rng = random.Random(field.p or 0)
+    scalars = ([Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)] if field.p is None
+               else list(range(field.p)))
+    for _ in range(60):
+        m, k = rng.randint(1, 6), rng.randint(0, 7)
+        rows = [[rng.choice(scalars) for _ in range(m)] for _ in range(k)]
+        rows += [[2 * x for x in row] for row in rows[:1]]  # a dependent row
+        if field.p is not None:
+            rows = [[x % field.p for x in row] for row in rows]
+        S = span_rows(field, m, [list(row) for row in rows])
+        assert S == span(field, m, rows)
+        if field.p is None:
+            assert [list(r) for r in S.basis] == rref_fractions(rows)
+            assert not any(type(x) is Fraction and x.denominator == 1
+                           for r in S.basis for x in r)
+
+
+def test_span_keeps_integral_rationals_ints():
+    S = span(QQ, 2, [(2, 1)])
+    assert S.basis == ((1, Fraction(1, 2)),)
+    assert type(S.basis[0][0]) is int
+
+
+def test_library_subspaces_over_q_hold_no_integral_fraction(monkeypatch):
+    """Every Subspace built while reporting on the Q catalog at m = 4, 5 and
+    on its conjugates by an upper-triangular basis change of determinant
+    2^m (fractional constants) stores each integral value as an int."""
+    built = []
+    init = linalg.Subspace.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(linalg.Subspace, "__init__", recording)
+    for _, L in entries_for_dims((4, 5), QQ):
+        m = L.dim
+        P = Matrix.from_rows(QQ, [[2 if j == i else 1 if j == i + 1 else 0 for j in range(m)]
+                                  for i in range(m)])
+        for A in (L, change_basis(L, P)):
+            report = invariant_report(A)
+            abelian_bounds_q(A)
+            full = full_subspace(QQ, m)
+            for T in [T for terms in report.subspaces for T in terms][:4]:
+                bracket_subspaces(A, (T,) + (full,) * (A.arity - 1))
+                subspace_sum(T, A.center)
+                subspace_intersect(T, A.derived)
+    assert any(type(x) is Fraction for S in built for r in S.basis for x in r)
+    integral = [S for S in built if any(type(x) is Fraction and x.denominator == 1
+                                        for r in S.basis for x in r)]
+    assert not integral, integral[:3]
 
 
 def test_span_canonicalizes():
