@@ -9,11 +9,9 @@ live in one interpreter.  The workload's documents are written once, into a
 temporary directory, through ``bench/tasks.py`` of the checkout that holds
 this script (only read, never changed), with OLD's ``catalog build``.
 
-Every task is first run once on each tree, and the script stops with exit 1
-unless every exit code and stdout is identical between the two.  It then
-makes ``--rounds`` rounds; in each, every task is timed on both trees back to
-back, the tree that goes first alternating from task to task and from round
-to round.  It prints, per tree, the sum over the tasks of each task's fastest
+It makes ``--rounds`` rounds; in each, every task is timed on both trees
+back to back, the tree that goes first alternating from task to task and
+from round to round.  It prints, per tree, the sum over the tasks of each task's fastest
 time, and the ratio NEW / OLD of those sums (below 1 means NEW is faster).
 
 Why: the host's speed can drift by tens of percent over minutes, so two
@@ -22,7 +20,8 @@ Timing the trees task by task, interleaved, and keeping each task's minimum
 cancels most of that drift; A/A runs (the same tree twice, 3 and 7 rounds
 on structure-q) read 0.998 and 1.010.  This is a quick sizing tool: it does
 not replace the alternating pairs of ``bench/run.py`` runs that a
-performance claim rests on.
+performance claim rests on, and it does not compare outputs: for that, use
+``scripts/capture_outputs.py --compare``.
 """
 
 from __future__ import annotations
@@ -74,13 +73,6 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         work = tasks.Workload(clis[0], args.workload, "full", pathlib.Path(tmp))
         task_list = work.tasks
-        for task in task_list:
-            (rc_a, out_a, _), (rc_b, out_b, _) = (tasks.run_cli(c, task.argv) for c in clis)
-            if rc_a != rc_b or out_a != out_b:
-                print(f"outputs differ on {task.key}: exit {rc_a} vs {rc_b}")
-                return 1
-        print(f"{len(task_list)} tasks: exit codes and stdout identical")
-
         best = [[float("inf")] * len(task_list) for _ in clis]
         for r in range(args.rounds):
             for i, task in enumerate(task_list):

@@ -38,7 +38,6 @@ from .linalg import (
     rref,
     span,
     span_rows,
-    subspace_from_rref_rows,
     validate_vector,
     vec_is_zero,
     zero_vector,
@@ -124,9 +123,7 @@ class NLieAlgebra:
             return full_subspace(f, m)
         # the rows hold canonical scalars already; RREF is unique, so one
         # elimination of the null basis gives the canonical kernel
-        kernel = null_basis(rows, rref(rows, m, f.p), m, f.p)
-        pivots = rref(kernel, m, f.p)
-        return subspace_from_rref_rows(f, m, kernel, pivots)
+        return span_rows(f, m, null_basis(rows, rref(rows, m, f.p), m, f.p))
 
 
 def _picker(positions):

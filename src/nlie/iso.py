@@ -152,20 +152,11 @@ class IsoResult:
 
 
 def _verify_witness(L1, L2, P: Matrix) -> bool:
-    """P maps L1 onto L2: the columns of P have rank m, and for every
-    increasing basis tuple the bracket in L2 of the columns P e_i equals P
-    times the bracket [e_i, ..] in L1, checked entry by entry."""
-    f, m = L1.field, L1.dim
-    if P.field != f or P.nrows != m or not P.is_invertible():
+    """P maps L1 onto L2: L2 in the basis of P's columns has L1's table."""
+    try:
+        return change_basis(L2, P) == L1
+    except InvalidParameterError:  # P is singular
         return False
-    cols, zero = list(zip(*P.rows)), [f.zero] * m
-
-    def image(v):  # P v
-        w = [sum(map(mul, row, v)) for row in P.rows]
-        return w if f.p is None else [x % f.p for x in w]
-
-    return all((bracket_rows(L2, [cols[i] for i in key]) or zero) == image(L1.table.get(key, zero))
-               for key in combinations(range(m), L1.arity))
 
 
 def _ideal_counts(L: NLieAlgebra):

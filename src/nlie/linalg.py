@@ -36,9 +36,7 @@ def zero_vector(field: Field, length: int) -> tuple:
 
 
 def unit_vector(field: Field, length: int, i: int) -> tuple:
-    v = [field.zero] * length
-    v[i] = field.one
-    return tuple(v)
+    return tuple(field.one if j == i else field.zero for j in range(length))
 
 
 def vec_is_zero(field, v):
@@ -226,7 +224,7 @@ class Matrix:
         """Right kernel {v : M v = 0} as a canonical subspace of F^ncols."""
         red, pivots = self.rref()
         vectors = null_basis(red.rows, pivots, self.ncols, self.field.p)
-        return span(self.field, self.ncols, vectors)
+        return span_rows(self.field, self.ncols, vectors)
 
     def det(self):
         if self.nrows != self.ncols:

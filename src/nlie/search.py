@@ -105,8 +105,6 @@ def _containing_solutions(m, profile, free, z_basis, p):
     each equation that is not 0 = 0 has an unknown x(r, j), with c_r the
     pivot of its z, that no other equation holds."""
     nfree = len(free)
-    if not z_basis:
-        return [0] * nfree, [[int(j == i) for j in range(nfree)] for i in range(nfree)]
     index = {pos: f for f, pos in enumerate(free)}
     eqs = []
     for z in z_basis:
