@@ -95,6 +95,11 @@ class NLieAlgebra:
         return CompiledTable(self.field, self.entries)
 
     @cached_property
+    def full(self) -> Subspace:
+        """L itself, spanned by the unit vectors."""
+        return full_subspace(self.field, self.dim)
+
+    @cached_property
     def derived(self) -> Subspace:
         """[L, .., L], the span of the table's values."""
         return span_rows(self.field, self.dim, [val for _, val in self.entries])
@@ -120,7 +125,7 @@ class NLieAlgebra:
         f, m = self.field, self.dim
         rows = [row for op in self.operators for row in op.values()]
         if not rows:
-            return full_subspace(f, m)
+            return self.full
         # the rows hold canonical scalars already; RREF is unique, so one
         # elimination of the null basis gives the canonical kernel
         return span_rows(f, m, null_basis(rows, rref(rows, m, f.p), m, f.p))

@@ -22,13 +22,13 @@ from itertools import combinations
 
 from .core import NLieAlgebra, bracket_rows, bracket_subspaces, require_subspace
 from .errors import InvalidParameterError, NotAnIdealError
-from .linalg import Subspace, full_subspace, reduce_vector
+from .linalg import Subspace, reduce_vector
 
 _SERIES_HARD_CAP_EXTRA = 2  # guard for tables that do not satisfy the identity
 
 
 def full_space(L: NLieAlgebra) -> Subspace:
-    return full_subspace(L.field, L.dim)
+    return L.full
 
 
 def derived_algebra(L: NLieAlgebra) -> Subspace:

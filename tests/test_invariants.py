@@ -261,8 +261,9 @@ def test_subspace_predicates_match_spans_of_naive_brackets(field):
 def test_fingerprint_computes_the_centre_once(monkeypatch):
     """Over GF(p) a fingerprint reads the centre and the derived algebra for
     alpha and beta and for the invariant report, and the ideal counts of a
-    pair read them again; each algebra computes each of them once."""
-    names = ("center", "derived")
+    pair read them again; the report's series read the full space at every
+    step.  Each algebra computes each of them once."""
+    names = ("center", "derived", "full")
     calls = []
     for name in names:
         prop = getattr(NLieAlgebra, name)
