@@ -18,7 +18,12 @@ outputs moved.  A third digest covers ``alphabeta --q-bounds --json`` on the Q
 documents at m = 6 and 7, which the benchmark does not time (its
 ``--q-bounds`` tasks stop at m = 5) and whose growth paths run deepest; it is
 kept apart so that the first two digests stay comparable with earlier
-checkouts.
+checkouts.  A fourth digest covers the command line itself: exit code,
+stdout and stderr of ``nlie.cli.main`` on each argv of ``PARSER_ARGVS`` (the
+help, version, abbreviation and usage-error cases of
+``tests/test_cli.py::test_parser_of_one_verb_answers_like_the_full_parser``,
+with DOC an EX33 document over Q), with ``COLUMNS=80`` set in process so
+that help text wraps the same on every terminal.
 
 With ``--compare OLD``, where OLD is the saved stdout of an earlier run, it
 then prints, for each column, the keys whose hash moved, and the keys that
@@ -30,19 +35,36 @@ Usage (from the root of a source checkout):
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import pathlib
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from nlie import cli  # noqa: E402
+from nlie.catalog import catalog_build  # noqa: E402
+from nlie.core import serialize_algebra  # noqa: E402
+from nlie.fields import QQ  # noqa: E402
 from checks import WORK_KEYS  # noqa: E402
 import tasks  # noqa: E402
+
+
+PARSER_ARGVS = [
+    ["--help"], ["--version"], [], ["bogus"], ["-h"], ["--json"],
+    ["check", "--bogus", "x"], ["check"], ["check", "--version"], ["catalog", "build"],
+    ["derived", "x", "--s", "4"], ["alphabeta"],
+    ["check", "--js", "DOC"], ["check", "DOC", "--bogus"], ["check", "DOC", "extra"],
+    ["check", "--", "--json"], ["derived", "DOC", "--s"],
+    ["alphabeta", "DOC", "--budget", "-1"], ["iso", "DOC"],
+] + [[verb, "--help"] for verb in cli.VERBS]
 
 
 def sha(text):
@@ -93,6 +115,25 @@ def compare(old, new):
             print(f"  {key}")
 
 
+def parser_answers(tmp):
+    """One line per argv of ``PARSER_ARGVS``: argv, exit code, SHA-256 of
+    stdout and of stderr, with ``COLUMNS=80``."""
+    doc = pathlib.Path(tmp) / "ex33.json"
+    doc.write_text(serialize_algebra(catalog_build("EX33", QQ)), encoding="utf-8")
+    lines = []
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for argv in PARSER_ARGVS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main([str(doc) if a == "DOC" else a for a in argv])
+                except SystemExit as exc:
+                    rc = exc.code
+            out, err = (t.getvalue().replace(tmp, "<work>") for t in (out, err))
+            lines.append(f"parser {' '.join(argv)}\t{rc}\t{sha(out)}\t{sha(err)}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", metavar="OLD",
@@ -133,10 +174,13 @@ def main(argv=None):
                             f"{name} extra alphabeta-q-bounds {doc.key}",
                             ["alphabeta", doc.path, "--q-bounds", "--json"])[0])
         capture("verify-paper", ["verify-paper"])
+        parser_lines = parser_answers(tmp)
     print(f"{len(lines)} outputs, digest {sha(chr(10).join(lines))}")
     print(f"without work counts, digest {sha(chr(10).join(work_free_lines))}")
     print(f"q-bounds at m = 6, 7: {len(q_bounds_lines)} outputs, "
           f"digest {sha(chr(10).join(q_bounds_lines))}")
+    print(f"parser answers at COLUMNS=80: {len(parser_lines)} outputs, "
+          f"digest {sha(chr(10).join(parser_lines))}")
     if args.compare:
         with open(args.compare, encoding="utf-8") as old:
             compare(read_rows(old), read_rows(printed))

@@ -377,33 +377,59 @@ VERBS = {
 }
 
 
-def build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser of every verb, or with ``only`` of that verb alone; the
-    top-level usage still lists every verb, so its errors read the same."""
+def _add_verb(parser, verb):
+    """Give ``parser`` the arguments of ``verb``, as defined in ``VERBS``."""
+    func, _, arguments = VERBS[verb]
+    parser.set_defaults(func=func, verb=verb)
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    for names, options in arguments:
+        parser.add_argument(*names, **options)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb.  A call builds it only when argv names no
+    verb and on a usage error (see ``_parse``), so that help, version and
+    usage errors read as this parser prints them."""
     parser = argparse.ArgumentParser(
         prog="nlie",
         description="Exact computations for n-ary Lie algebras given by "
                     "structure constants (nlie-v1 documents)")
     parser.add_argument("--version", action="version", version=f"nlie {__version__}")
-    sub = parser.add_subparsers(
-        dest="verb", required=True,
-        metavar=None if only is None else "{" + ",".join(VERBS) + "}")
-    for name, (func, help_text, arguments) in VERBS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            p.set_defaults(func=func)
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-            for names, options in arguments:
-                p.add_argument(*names, **options)
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (_, help_text, _) in VERBS.items():
+        _add_verb(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+class _VerbParser(argparse.ArgumentParser):
+    """The parser of one verb, built as ``build_parser`` builds its subparser
+    (so its help is that subparser's); a usage error raises instead of
+    printing, for the parser of every verb to answer."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _parse(argv):
+    """When argv[0] is a verb, only that verb's parser is built and parses the
+    rest of argv; when argv names no verb, and on any usage error, the parser
+    of every verb parses argv and prints what it prints, with its exit code."""
+    if argv and argv[0] in VERBS:
+        try:
+            return _add_verb(_VerbParser(prog=f"nlie {argv[0]}"), argv[0]).parse_args(argv[1:])
+        except argparse.ArgumentError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run the verb that ``argv`` names and return its exit code.  Each call
+    builds its own parser (see ``_parse``); no parser outlives the call."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     if args.verb == "catalog" and args.action == "build" and not args.family:
-        parser.error("catalog build requires a family id")
+        build_parser().error("catalog build requires a family id")
     try:
         return args.func(args)
     except UnsupportedRequestError as exc:

@@ -28,6 +28,7 @@ from .errors import (
     FundamentalIdentityError,
     InvalidParameterError,
     ParseError,
+    UnsupportedRequestError,
 )
 from .fields import GF, QQ, Field, same_field
 from .linalg import (
@@ -45,6 +46,11 @@ from .linalg import (
 
 FORMAT_NAME = "nlie-v1"
 SUBSPACE_FORMAT_NAME = "subspace-v1"
+
+# The most scalars a dense basis of the whole space (m unit vectors of length
+# m) may hold: m <= 3162, far above every catalog and benchmark dimension,
+# and far below the m at which building it exhausts memory.
+MAX_DENSE_SCALARS = 10_000_000
 
 
 def sort_with_sign(indices):
@@ -96,8 +102,14 @@ class NLieAlgebra:
 
     @cached_property
     def full(self) -> Subspace:
-        """L itself, spanned by the unit vectors."""
-        return full_subspace(self.field, self.dim)
+        """L itself, spanned by the unit vectors; refused, before it is
+        built, when its m^2 scalars exceed ``MAX_DENSE_SCALARS``."""
+        m = self.dim
+        if m * m > MAX_DENSE_SCALARS:
+            raise UnsupportedRequestError(
+                f"dim {m} is too large: the dense full space needs m^2 = {m * m} "
+                f"scalars, more than {MAX_DENSE_SCALARS}")
+        return full_subspace(self.field, m)
 
     @cached_property
     def derived(self) -> Subspace:

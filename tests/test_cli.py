@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,8 @@ from nlie.core import parse_algebra, serialize_algebra, serialize_subspace
 from nlie.catalog import catalog_build
 from nlie.fields import GF, QQ
 from nlie.linalg import coordinate_subspace
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -342,6 +349,34 @@ def test_malformed_document_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_dense_full_space_over_the_limit_is_refused(tmp_path):
+    """On an empty table of dim 100,000, the verbs that need the whole space
+    as m unit vectors exit 3 before building its 10^10 scalars; ``check``
+    needs no such space and answers.  Run under an address-space limit, so
+    that building the space fails with MemoryError instead of exhausting the
+    machine."""
+    doc = tmp_path / "big.json"
+    doc.write_text('{"format":"nlie-v1","arity":3,"dim":100000,"field":"Q","brackets":[]}')
+    code = (
+        "import contextlib, io, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))\n"
+        "from nlie.cli import main\n"
+        "for verb in ('center', 'report', 'fingerprint', 'check'):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        rc = main([verb, sys.argv[1]])\n"
+        "    print(verb, rc, (out.getvalue() + err.getvalue()).strip())\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, str(doc)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    refused = ("error: dim 100000 is too large: the dense full space needs "
+               "m^2 = 10000000000 scalars, more than 10000000")
+    assert proc.stdout.splitlines() == [
+        f"center 3 {refused}", f"report 3 {refused}", f"fingerprint 3 {refused}",
+        "check 0 fundamental identity: holds"]
+
+
 _VERBS = ["check", "report", "center", "derived", "classify", "alphabeta", "assoc-lie",
           "extend", "sum", "catalog", "lie-catalog", "fingerprint", "iso", "classify44",
           "verify-paper"]
@@ -351,11 +386,16 @@ _VERBS = ["check", "report", "center", "derived", "classify", "alphabeta", "asso
     ["--help"], ["--version"], [], ["bogus"], ["-h"], ["--json"],
     ["check", "--bogus", "x"], ["check"], ["check", "--version"], ["catalog", "build"],
     ["derived", "x", "--s", "4"], ["alphabeta"],
+    ["check", "--js", "DOC"], ["check", "DOC", "--bogus"], ["check", "DOC", "extra"],
+    ["check", "--", "--json"], ["derived", "DOC", "--s"],
+    ["alphabeta", "DOC", "--budget", "-1"], ["iso", "DOC"],
 ] + [[verb, "--help"] for verb in _VERBS], ids=" ".join)
-def test_parser_of_one_verb_answers_like_the_full_parser(capsys, monkeypatch, argv):
-    """When argv names a verb only that verb's parser is built; help, version
-    and usage errors (exit code, stdout and stderr) stay those of the parser
-    of every verb."""
+def test_parser_of_one_verb_answers_like_the_full_parser(capsys, monkeypatch, ex33_path, argv):
+    """When argv names a verb only that verb's parser is built; abbreviations,
+    help, version and usage errors (exit code, stdout and stderr) stay those
+    of ``main`` with the parser of every verb, ``build_parser()``, parsing
+    all of argv.  DOC stands for an EX33 document."""
+    argv = [ex33_path if a == "DOC" else a for a in argv]
 
     def outcome():
         try:
@@ -367,10 +407,23 @@ def test_parser_of_one_verb_answers_like_the_full_parser(capsys, monkeypatch, ar
 
     monkeypatch.setenv("COLUMNS", "80")
     assert list(cli.VERBS) == _VERBS
-    real, built = cli.build_parser, []
-    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or real(only))
     one = outcome()
-    assert built == [argv[0] if argv and argv[0] in _VERBS else None]
-    monkeypatch.setattr(cli, "build_parser", lambda only=None: real())
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
     assert one == outcome()
     assert one[0] in (0, 2)
+
+
+def test_each_call_builds_its_own_parser(capsys, monkeypatch, ex33_path):
+    """A successful verb call constructs exactly one ArgumentParser, and the
+    next call constructs its own: no parser is kept between calls."""
+    init, built = argparse.ArgumentParser.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["check", ex33_path]) == 0
+    assert built == ["nlie check"]
+    assert main(["check", ex33_path]) == 0
+    assert built == ["nlie check", "nlie check"]
