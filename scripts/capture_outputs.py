@@ -23,7 +23,11 @@ stdout and stderr of ``nlie.cli.main`` on each argv of ``PARSER_ARGVS`` (the
 help, version, abbreviation and usage-error cases of
 ``tests/test_cli.py::test_parser_of_one_verb_answers_like_the_full_parser``,
 with DOC an EX33 document over Q), with ``COLUMNS=80`` set in process so
-that help text wraps the same on every terminal.
+that help text wraps the same on every terminal.  A fifth digest covers
+``classify44 --json``, with the work counts deleted, over GF(2), GF(3) and
+GF(5) at m = 4..7 on the ternary tables of ``tasks.families(m)`` and one
+dense basis change of each (``Builder.conjugate``), which no benchmark
+workload runs; it leaves out the three conjugates of ``SLOW_CLASSIFY44``.
 
 With ``--compare OLD``, where OLD is the saved stdout of an earlier run, it
 then prints, for each column, the keys whose hash moved, and the keys that
@@ -65,6 +69,11 @@ PARSER_ARGVS = [
     ["check", "--", "--json"], ["derived", "DOC", "--s"],
     ["alphabeta", "DOC", "--budget", "-1"], ["iso", "DOC"],
 ] + [[verb, "--help"] for verb in cli.VERBS]
+
+
+# dense conjugates of T44-3 whose block enumeration takes 27 s to 264 s
+SLOW_CLASSIFY44 = frozenset({"GF3 T44-3 m=7 conj", "GF5 T44-3 m=6 conj",
+                             "GF5 T44-3 m=7 conj"})
 
 
 def sha(text):
@@ -174,6 +183,21 @@ def main(argv=None):
                             f"{name} extra alphabeta-q-bounds {doc.key}",
                             ["alphabeta", doc.path, "--q-bounds", "--json"])[0])
         capture("verify-paper", ["verify-paper"])
+        workdir = pathlib.Path(tmp) / "classify44"
+        workdir.mkdir()
+        builder = tasks.Builder(cli, workdir)
+        classify44_lines = []
+        for p in (2, 3, 5):
+            for m in (4, 5, 6, 7):
+                for fid, params in tasks.families(m):
+                    if params.get("n", 3) != 3:  # classify44 is for ternary algebras
+                        continue
+                    doc = builder.catalog(fid, params, m, p)
+                    for d in (doc, builder.conjugate(doc)):
+                        if d.key not in SLOW_CLASSIFY44:
+                            classify44_lines.append(run(
+                                f"extra classify44 {d.key}",
+                                ["classify44", d.path, "--json"])[1])
         parser_lines = parser_answers(tmp)
     print(f"{len(lines)} outputs, digest {sha(chr(10).join(lines))}")
     print(f"without work counts, digest {sha(chr(10).join(work_free_lines))}")
@@ -181,6 +205,8 @@ def main(argv=None):
           f"digest {sha(chr(10).join(q_bounds_lines))}")
     print(f"parser answers at COLUMNS=80: {len(parser_lines)} outputs, "
           f"digest {sha(chr(10).join(parser_lines))}")
+    print(f"classify44 over GF(2, 3, 5) without work counts: {len(classify44_lines)} "
+          f"outputs, digest {sha(chr(10).join(classify44_lines))}")
     if args.compare:
         with open(args.compare, encoding="utf-8") as old:
             compare(read_rows(old), read_rows(printed))

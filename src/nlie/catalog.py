@@ -31,9 +31,8 @@ from .invariants import (
     abelian_ideal,
     center,
     classify_subspace,
-    derived_algebra,
     full_space,
-    ideal,
+    operators_generate_all,
     s_derived_series,
 )
 from .linalg import Subspace, subspace_from_rref_rows, validate_vector
@@ -574,37 +573,20 @@ def restrict_to_subalgebra(L: NLieAlgebra, S: Subspace) -> NLieAlgebra:
     return make_algebra(f, L.arity, k, entries)
 
 
-def _proper_ideal_walk(L: NLieAlgebra, p: int, budget: int):
-    """Walk the proper nonzero subspaces of a 4-dimensional L over GF(p) for
-    an ideal, each charged to ``budget`` before it is tested; returns (True
-    at the first ideal, False when there is none, or None at the first test
-    past the budget; the subspaces tested)."""
-    tested = 0
-    for k in (1, 2, 3):
-        for rows, profile in walk_subspaces(4, k, p):
-            if tested >= budget:
-                return None, tested
-            tested += 1
-            if ideal(L, rows, profile):
-                return True, tested
-    return False, tested
-
-
 def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
                        budget: int = 2_000_000) -> Theorem44Verdict:
     """Trichotomy for ternary algebras: 3-solvable, simple 4-dim, or a
     semidirect sum of the simple block with an abelian ideal.
 
-    Solvability is decided exactly over the input field.  The simplicity and
-    decomposition searches enumerate subspaces over GF(p) (the input's own
-    prime field, or the reduction of a Q input at ``p``; integral reduction
-    preserves ideals, so a clean mod-p search certifies the verdict for
-    integral tables).  A semidirect block must itself classify as
-    simple-A4: perfect, with no proper ideal mod p.  The budget bounds the
-    subspaces tested (proper ideals, tau, blocks and the proper ideals of
-    each perfect block), each charged before it is tested; ``unknown`` is
-    returned at the first test past it.  The evidence counts the subspaces
-    tested.
+    Solvability is decided exactly over the input field, the rest over
+    GF(p), evidence key ``"p"``: the input's own prime field, or the
+    reduction of a Q input at ``p`` (default 2).  A 4-dimensional algebra (a
+    perfect L, or a semidirect block) is simple when its operators generate
+    M_4 mod p (``operators_generate_all``).  They generate no more mod p than
+    over Q, so this certifies simplicity over the closure of Q; a perfect L
+    that fails is not absolutely simple mod p, and gets ``unknown``.  The
+    budget bounds the tau and blocks tested, each charged before it is
+    tested; ``unknown`` is returned at the first test past it.
     """
     require_arity(L, 3, "trichotomy classification")
     m = L.dim
@@ -613,25 +595,14 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     if rep.terminated_at_zero:
         return Theorem44Verdict("3-solvable", {"series_dims": list(rep.dims)})
 
-    if L.field.p is not None:
-        Lp = L
-        p_used = L.field.p
-    else:
-        p_used = p if p is not None else 2
-        Lp = reduce_mod_p(L, p_used)
+    p_used = L.field.p or (p if p is not None else 2)
+    Lp = L if L.field.p else reduce_mod_p(L, p_used)
 
-    over_budget = Theorem44Verdict("unknown", {"reason": "budget exceeded"})
-    tested = 0
     if m == 4 and rep.terms[1].dim == 4:  # [L, L, L] = L
-        found, tested = _proper_ideal_walk(Lp, p_used, budget)
-        if found is None:
-            return over_budget
-        if found:
-            return Theorem44Verdict("unknown", {
-                "reason": "dimension 4, perfect, but a proper ideal exists mod p",
-                "p": p_used})
-        return Theorem44Verdict("simple-A4", {
-            "p": p_used, "proper_subspaces_checked": tested, "derived_dim": 4})
+        if operators_generate_all(Lp):
+            return Theorem44Verdict("simple-A4", {"p": p_used, "derived_dim": 4})
+        return Theorem44Verdict("unknown", {
+            "reason": "dimension 4, perfect, but not absolutely simple mod p", "p": p_used})
 
     if m < 4:
         return Theorem44Verdict("unknown", {"reason": "not solvable and dim < 4"})
@@ -639,6 +610,8 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     # tau runs over the abelian ideals of dimension m - 4 that contain Z (L/tau
     # is the simple S, whose centre 0 holds the image of Z), S over the
     # 4-dimensional subspaces; every subspace tested counts towards the budget
+    over_budget = Theorem44Verdict("unknown", {"reason": "budget exceeded"})
+    tested = 0
     k_tau = m - 4
     for rows, profile in walk_subspaces(m, k_tau, p_used, center(Lp)):
         if tested >= budget:
@@ -651,16 +624,8 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
             if tested >= budget:
                 return over_budget
             tested += 1
-            if S.intersect(tau).dim != 0 or not classify_subspace(Lp, S).is_subalgebra:
-                continue
-            block = restrict_to_subalgebra(Lp, S)
-            if derived_algebra(block).dim < 4:  # not perfect, so not simple
-                continue
-            found, block_tested = _proper_ideal_walk(block, p_used, budget - tested)
-            tested += block_tested
-            if found is None:
-                return over_budget
-            if not found:
+            if (S.intersect(tau).dim == 0 and classify_subspace(Lp, S).is_subalgebra
+                    and operators_generate_all(restrict_to_subalgebra(Lp, S))):
                 return Theorem44Verdict(
                     "A4-semidirect",
                     {"p": p_used, "tau_dim": k_tau, "subspaces_scanned": tested},

@@ -53,6 +53,13 @@ SUBSPACE_FORMAT_NAME = "subspace-v1"
 MAX_DENSE_SCALARS = 10_000_000
 
 
+def require_dense(m: int, count: int, what: str) -> None:
+    """Refuse, before it is built, a dense ``what`` of ``count`` vectors of length m."""
+    if count * m > MAX_DENSE_SCALARS:
+        raise UnsupportedRequestError(f"dim {m} is too large: the dense {what} = "
+                                      f"{count * m} scalars, more than {MAX_DENSE_SCALARS}")
+
+
 def sort_with_sign(indices):
     """Sorted tuple and permutation sign; sign 0 when an index repeats."""
     lst = list(indices)
@@ -102,14 +109,9 @@ class NLieAlgebra:
 
     @cached_property
     def full(self) -> Subspace:
-        """L itself, spanned by the unit vectors; refused, before it is
-        built, when its m^2 scalars exceed ``MAX_DENSE_SCALARS``."""
-        m = self.dim
-        if m * m > MAX_DENSE_SCALARS:
-            raise UnsupportedRequestError(
-                f"dim {m} is too large: the dense full space needs m^2 = {m * m} "
-                f"scalars, more than {MAX_DENSE_SCALARS}")
-        return full_subspace(self.field, m)
+        """L itself, spanned by the unit vectors (see ``require_dense``)."""
+        require_dense(self.dim, self.dim, "full space needs m^2")
+        return full_subspace(self.field, self.dim)
 
     @cached_property
     def derived(self) -> Subspace:
@@ -138,9 +140,11 @@ class NLieAlgebra:
         rows = [row for op in self.operators for row in op.values()]
         if not rows:
             return self.full
+        pivots = rref(rows, m, f.p)
+        require_dense(m, m - len(pivots), "kernel basis needs (m - rank) * m")
         # the rows hold canonical scalars already; RREF is unique, so one
         # elimination of the null basis gives the canonical kernel
-        return span_rows(f, m, null_basis(rows, rref(rows, m, f.p), m, f.p))
+        return span_rows(f, m, null_basis(rows, pivots, m, f.p))
 
 
 def _picker(positions):

@@ -12,7 +12,8 @@ The subspace predicates ``abelian_subalgebra``, ``ideal`` and
 (p = None) and GF(p) alike; the scans and the beta spin of ``search`` call
 them directly.  They sum each bracket of ``L.maps`` exactly, reduce it mod p
 only after the sum, and stop at the first bracket that decides; the brackets
-of n vectors of S come from ``core.bracket_rows``.
+of n vectors of S come from ``core.bracket_rows``.  ``operators_generate_all``
+decides, for both fields too, that L has no proper ideal over any extension.
 """
 
 from __future__ import annotations
@@ -131,6 +132,36 @@ def abelian_ideal(L: NLieAlgebra, rows, pivots) -> bool:
         if not commute(by_y2, u, v, p, m):
             return False
     return ideal(L, rows, pivots)
+
+
+def operators_generate_all(L: NLieAlgebra) -> bool:
+    """The identity and the operators [., e_y] generate all of M_m.
+
+    The ideals of L are the subspaces the operators leave invariant, so by
+    Burnside's theorem this holds exactly when L has no proper nonzero ideal
+    over any extension field: the absolute-irreducibility test of the
+    MeatAxe (Parker 1984; Holt & Rees 1994).  The algebra is spun from the
+    identity, each m x m matrix held as its columns laid end to end: every
+    new element is multiplied by every operator, and each product adjoined
+    to a semi-echelon basis until it holds m^2 elements."""
+    f, m, p = L.field, L.dim, L.field.p
+    rows, pivots = [], []
+    todo = [([int(i % (m + 1) == 0) for i in range(m * m)], None)]  # the identity
+    for x, contribs in todo:  # grows while it is read: every new element is spun in turn
+        if contribs is not None:  # x times the operator of one y of maps[1]
+            x = [v for j in range(0, m * m, m)
+                 for v in image(contribs, x[j:j + m], p, m) or [0] * m]
+        w = reduce_vector(rows, pivots, x, p)
+        c = next((j for j, v in enumerate(w) if v), None)
+        if c is None:
+            continue
+        inv = f.inv(w[c])
+        rows.append([f.mul(v, inv) for v in w])
+        pivots.append(c)
+        if len(rows) == m * m:
+            return True
+        todo += ((rows[-1], contribs) for contribs in L.maps[1].values())
+    return False
 
 
 def is_abelian_subalgebra(L: NLieAlgebra, S: Subspace) -> bool:

@@ -63,7 +63,6 @@ from .invariants import (
 from .linalg import (
     Subspace,
     coordinate_subspace,
-    full_subspace,
     null_basis,
     reduce_vector,
     rref,
@@ -466,7 +465,7 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
     m = L.dim
     alpha_upper, beta_upper = _upper_bounds(L)
     if not L.entries:
-        fullspace = full_subspace(L.field, m) if witnesses else None
+        fullspace = L.full if witnesses else None
         return AlphaBetaResult(m, m, fullspace, fullspace, f"exact-fp({p})", p, 0,
                                True, True, alpha_upper, beta_upper)
 

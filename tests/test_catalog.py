@@ -26,7 +26,6 @@ from nlie.invariants import (
     center,
     classify_subspace,
     derived_algebra,
-    ideal,
     invariant_report,
     is_nilpotent,
 )
@@ -35,7 +34,6 @@ from nlie.linalg import Matrix, coordinate_subspace
 from nlie.search import (
     alpha_beta_exact_fp,
     enumerate_subspaces,
-    gaussian_binomial,
     reduce_mod_p,
 )
 
@@ -298,15 +296,15 @@ def test_classify44_three_cases():
 
 
 def test_classify44_budget_exhaustion_returns_unknown():
-    """The budget counts the subspaces tested: semidirect_A4(Q, 6) mod 2 is
-    decided by its first tau, its first block and the 65 proper subspaces
-    of that block, so a budget of 67 decides it and 66 or 1 stop it."""
-    for budget in (1, 66):
+    """The budget counts the tau and blocks tested: semidirect_A4(Q, 6) mod 2
+    is decided by its first tau and its first block, whose simplicity is one
+    spin, so a budget of 2 decides it and 1 or 0 stop it."""
+    for budget in (0, 1):
         v = classify_theorem44(semidirect_A4(QQ, 6), budget=budget)
         assert v.case == "unknown"
         assert v.evidence == {"reason": "budget exceeded"}
-    v = classify_theorem44(semidirect_A4(QQ, 6), budget=67)
-    assert (v.case, v.evidence["subspaces_scanned"]) == ("A4-semidirect", 67)
+    v = classify_theorem44(semidirect_A4(QQ, 6), budget=2)
+    assert (v.case, v.evidence["subspaces_scanned"]) == ("A4-semidirect", 2)
 
 
 def test_classify44_works_on_prime_field_input():
@@ -320,12 +318,10 @@ def test_classify44_t44_3_over_gf2_is_pinned(m, scanned):
     subspace of its level, so a walk through the whole level would test
     ``scanned`` - 1 candidates, and the first block one more.  The walk over
     the subspaces that contain Z tests Z first, and the evidence counts 1
-    tau, 1 block and the 15 + 35 + 15 proper subspaces of the block, which
-    has no proper ideal."""
+    tau and 1 block, whose operators generate M_4."""
     v = classify_theorem44(catalog_build("T44-3", GF(2), m=m))
     assert v.case == "A4-semidirect"
-    proper = sum(gaussian_binomial(4, k, 2) for k in (1, 2, 3))
-    assert v.evidence == {"p": 2, "tau_dim": m - 4, "subspaces_scanned": 2 + proper}
+    assert v.evidence == {"p": 2, "tau_dim": m - 4, "subspaces_scanned": 2}
     assert v.tau == coordinate_subspace(GF(2), m, range(4, m))
     assert v.block == coordinate_subspace(GF(2), m, range(4))
     level = list(enumerate_subspaces(m, m - 4, 2))
@@ -336,40 +332,27 @@ def test_classify44_t44_3_over_gf2_is_pinned(m, scanned):
 def test_classify44_t44_3_over_gf3_fits_the_default_budget(m):
     """At m = 8..10 over GF(3) the tau level holds 75,913,222 subspaces and
     more, far over the default budget of 2,000,000, but tau = Z is the first
-    tested, so the classifier decides after 1 tau, 1 block and the 210
-    proper subspaces of the block."""
+    tested, so the classifier decides after 1 tau and 1 block."""
     v = classify_theorem44(catalog_build("T44-3", GF(3), m=m))
     assert v.case == "A4-semidirect"
-    assert v.evidence == {"p": 3, "tau_dim": m - 4, "subspaces_scanned": 212}
+    assert v.evidence == {"p": 3, "tau_dim": m - 4, "subspaces_scanned": 2}
     assert v.tau == coordinate_subspace(GF(3), m, range(4, m))
     assert v.block == coordinate_subspace(GF(3), m, range(4))
 
 
-def test_classify44_charges_the_block_walk_to_the_budget(monkeypatch):
-    """The proper-ideal walk of a candidate block is charged to the caller's
-    budget and counted in its evidence: every ``ideal`` call is a test of
-    the block, 210 of them, and with a budget of 2 (tau and block) the walk
-    makes none and the verdict is the caller's ``budget exceeded``."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return ideal(*args)
-
-    monkeypatch.setattr(catalog, "ideal", counted)
-    L = catalog_build("T44-3", GF(3), m=8)
-    v = classify_theorem44(L, budget=2)
-    assert (v.case, v.evidence, len(calls)) == ("unknown", {"reason": "budget exceeded"}, 0)
-    for budget in (211, 212):
-        calls.clear()
-        v = classify_theorem44(L, budget=budget)
-        assert len(calls) == budget - 2
-    assert (v.case, v.evidence["subspaces_scanned"]) == ("A4-semidirect", 212)
+def test_classify44_perfect_but_not_absolutely_simple_is_unknown(monkeypatch):
+    """A perfect 4-dimensional algebra whose operators do not generate M_4
+    mod p has a proper ideal over the closure of GF(p), so the verdict is
+    ``unknown`` and says why."""
+    monkeypatch.setattr(catalog, "operators_generate_all", lambda L: False)
+    v = classify_theorem44(catalog_build("A(n)", QQ, n=3), p=3)
+    assert (v.case, v.evidence) == ("unknown", {
+        "reason": "dimension 4, perfect, but not absolutely simple mod p", "p": 3})
 
 
 def test_classify44_simple_evidence_is_pinned():
     v = classify_theorem44(catalog_build("A(n)", GF(3), n=3))
-    assert v.evidence == {"p": 3, "proper_subspaces_checked": 210, "derived_dim": 4}
+    assert v.evidence == {"p": 3, "derived_dim": 4}
 
 
 # ---------------------------------------------------------------------------

@@ -350,31 +350,40 @@ def test_malformed_document_is_usage_error(capsys, tmp_path):
 
 
 def test_dense_full_space_over_the_limit_is_refused(tmp_path):
-    """On an empty table of dim 100,000, the verbs that need the whole space
-    as m unit vectors exit 3 before building its 10^10 scalars; ``check``
-    needs no such space and answers.  Run under an address-space limit, so
-    that building the space fails with MemoryError instead of exhausting the
+    """On a table of dim 100,000, empty (EMPTY) or with one bracket (ONE),
+    the calls that need the whole space as m unit vectors, or the centre as
+    a dense kernel basis, exit 3 before building its 10^10 scalars; ``check``
+    needs neither and answers.  Run under an address-space limit, so that
+    building either fails with MemoryError instead of exhausting the
     machine."""
-    doc = tmp_path / "big.json"
-    doc.write_text('{"format":"nlie-v1","arity":3,"dim":100000,"field":"Q","brackets":[]}')
+    head = '{"format":"nlie-v1","arity":3,"dim":100000,"field":"Q","brackets":['
+    (tmp_path / "EMPTY").write_text(head + "]}")
+    (tmp_path / "ONE").write_text(head + '{"on":[1,2,3],"val":{"4":"1"}}]}')
     code = (
-        "import contextlib, io, resource, sys\n"
+        "import contextlib, io, os, resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))\n"
         "from nlie.cli import main\n"
-        "for verb in ('center', 'report', 'fingerprint', 'check'):\n"
+        "for line in sys.argv[2:]:\n"
+        "    argv = line.split()\n"
         "    out, err = io.StringIO(), io.StringIO()\n"
         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-        "        rc = main([verb, sys.argv[1]])\n"
-        "    print(verb, rc, (out.getvalue() + err.getvalue()).strip())\n")
+        "        rc = main([os.path.join(sys.argv[1], a) if a.isupper() else a for a in argv])\n"
+        "    print(line, rc, (out.getvalue() + err.getvalue()).strip())\n")
+    calls = ["center EMPTY", "report EMPTY", "fingerprint EMPTY", "check EMPTY",
+             "center ONE", "alphabeta EMPTY --p 2", "alphabeta ONE --p 3"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code, str(doc)], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)] + calls, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     refused = ("error: dim 100000 is too large: the dense full space needs "
                "m^2 = 10000000000 scalars, more than 10000000")
+    kernel = ("error: dim 100000 is too large: the dense kernel basis needs "
+              "(m - rank) * m = 9999700000 scalars, more than 10000000")
     assert proc.stdout.splitlines() == [
-        f"center 3 {refused}", f"report 3 {refused}", f"fingerprint 3 {refused}",
-        "check 0 fundamental identity: holds"]
+        f"center EMPTY 3 {refused}", f"report EMPTY 3 {refused}",
+        f"fingerprint EMPTY 3 {refused}", "check EMPTY 0 fundamental identity: holds",
+        f"center ONE 3 {kernel}", f"alphabeta EMPTY --p 2 3 {refused}",
+        f"alphabeta ONE --p 3 3 {kernel}"]
 
 
 _VERBS = ["check", "report", "center", "derived", "classify", "alphabeta", "assoc-lie",

@@ -6,7 +6,13 @@ from itertools import combinations, product
 import pytest
 
 from nlie.catalog import catalog_build, entries_for_dims, lie_catalog_build
-from nlie.core import NLieAlgebra, abelian_algebra, bracket_basis, make_algebra
+from nlie.core import (
+    NLieAlgebra,
+    abelian_algebra,
+    bracket_basis,
+    check_fundamental_identity,
+    make_algebra,
+)
 from nlie.errors import NotAnIdealError
 from nlie.fields import GF, QQ
 from nlie import invariants
@@ -24,6 +30,7 @@ from nlie.invariants import (
     is_nilpotent,
     is_s_solvable,
     lower_central_series,
+    operators_generate_all,
     s_derived_series,
 )
 from nlie.iso import (
@@ -34,6 +41,7 @@ from nlie.iso import (
     random_basis_change,
 )
 from nlie.linalg import Matrix, coordinate_subspace, span, unit_vector
+from nlie.search import enumerate_subspaces, reduce_mod_p
 
 from oracles import all_vectors_fp, naive_bracket, rref_fractions, span_members_fp
 
@@ -256,6 +264,56 @@ def test_subspace_predicates_match_spans_of_naive_brackets(field):
             assert classify_subspace(L, S) == flags, (L, S)
             assert (is_abelian_subalgebra(L, S), is_ideal(L, S), is_abelian_ideal(L, S)) \
                 == (flags.is_abelian_subalgebra, flags.is_ideal, flags.is_abelian_ideal), (L, S)
+
+
+def _has_proper_ideal(L):
+    """Reference: walk every proper nonzero subspace of GF(p)^m for an ideal."""
+    m, p = L.dim, L.field.p
+    return any(is_ideal(L, S) for k in range(1, m) for S in enumerate_subspaces(m, k, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_operators_generate_all_matches_proper_ideal_walk(p):
+    """The spin against the walk over every proper subspace, on every
+    4-dimensional catalog table and 3 basis changes of each.  Generating M_4
+    certifies that there is no proper ideal over any extension field, which
+    is stronger than the walk's "none over GF(p)"; on these tables the two
+    agree, and 8 of them (A(3) and EX31, each with its basis changes) are
+    absolutely simple."""
+    tables = entries_for_dims((4,), GF(p))
+    simple = []
+    for label, L in tables:
+        for A in [L] + [random_basis_change(L, seed) for seed in (1, 2, 3)]:
+            spun = operators_generate_all(A)
+            assert spun is not _has_proper_ideal(A), (label, A)
+            if spun:
+                simple.append(label)
+    assert len(tables) == 19
+    assert sorted(simple) == ["A(n)@m=4 {'n': 3}"] * 4 + ["EX31@m=4"] * 4
+
+
+def _sl2_of_gaussian_rationals():
+    """sl2(Q(i)) as a 6-dimensional Lie algebra over Q, on the basis h, ih,
+    e, ie, f, if: simple over Q, but over Q(i) the sum of two copies of
+    sl2, since multiplication by i commutes with every operator ad y."""
+    return make_algebra(QQ, 2, 6, {
+        (1, 3): {3: 2}, (1, 4): {4: 2}, (2, 3): {4: 2}, (2, 4): {3: -2},
+        (1, 5): {5: -2}, (1, 6): {6: -2}, (2, 5): {6: -2}, (2, 6): {5: 2},
+        (3, 5): {1: 1}, (3, 6): {2: 1}, (4, 5): {2: 1}, (4, 6): {1: -1}})
+
+
+def test_operators_generate_all_rejects_a_perfect_algebra_that_splits():
+    """sl2(Q(i)) is perfect, but its operators span only Q(i)-linear maps,
+    over Q and mod 3 (where i lies in GF(9), not GF(3)); the split simple
+    algebras generate everything."""
+    L = _sl2_of_gaussian_rationals()
+    assert check_fundamental_identity(L).holds
+    for A in (L, reduce_mod_p(L, 3)):
+        assert derived_algebra(A).dim == 6
+        assert not operators_generate_all(A)
+    assert operators_generate_all(lie_catalog_build("simple3", QQ))
+    for n in (3, 4, 5):
+        assert operators_generate_all(catalog_build("A(n)", QQ, n=n))
 
 
 def test_fingerprint_computes_the_centre_once(monkeypatch):
