@@ -12,7 +12,10 @@ this script (only read, never changed), with OLD's ``catalog build``.
 It makes ``--rounds`` rounds; in each, every task is timed on both trees
 back to back, the tree that goes first alternating from task to task and
 from round to round.  It prints, per tree, the sum over the tasks of each task's fastest
-time, and the ratio NEW / OLD of those sums (below 1 means NEW is faster).
+time, and the ratio NEW / OLD of those sums (below 1 means NEW is faster);
+then the same sums and ratio for each verb, the first word of the task key
+(``alphabeta``, ``fingerprint``, ``iso``, ...), so a change confined to one
+verb shows where it moved.
 
 Why: the host's speed can drift by tens of percent over minutes, so two
 separate benchmark runs of one tree can differ by more than a change does.
@@ -82,6 +85,15 @@ def main(argv=None):
     old, new = (sum(b) for b in best)
     print(f"old {old:.4f} s, new {new:.4f} s (sums of per-task minimums over "
           f"{args.rounds} rounds); new/old {new / old:.4f}")
+    verbs = {}
+    for i, task in enumerate(task_list):
+        sums = verbs.setdefault(task.key.split()[0], [0.0, 0.0, 0])
+        sums[0] += best[0][i]
+        sums[1] += best[1][i]
+        sums[2] += 1
+    for verb, (verb_old, verb_new, count) in sorted(verbs.items()):
+        print(f"  {verb}: {count} tasks, old {verb_old:.4f} s, new {verb_new:.4f} s; "
+              f"new/old {verb_new / verb_old:.4f}")
     return 0
 
 

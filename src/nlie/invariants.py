@@ -112,11 +112,12 @@ def abelian_subalgebra(L: NLieAlgebra, rows, pivots) -> bool:
     return _brackets_within(L, rows, (), ())
 
 
-def ideal(L: NLieAlgebra, rows, pivots) -> bool:
-    """[S, L, .., L] lies in S = span(rows)."""
+def ideal(L: NLieAlgebra, rows, pivots, vectors=None) -> bool:
+    """[S, L, .., L] lies in S = span(rows); with ``vectors``, [v, L, .., L]
+    lies in S for each v of them."""
     p, m = L.field.p, L.dim
     by_y = L.maps[1].values()
-    for v in rows:
+    for v in rows if vectors is None else vectors:
         for contribs in by_y:
             w = image(contribs, v, p, m)
             if w is not None and any(w) and any(reduce_vector(rows, pivots, w, p)):

@@ -325,7 +325,7 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
     # slot k; deeper entries are stale
     assigned = [None] * m
     images = [None] * len(ech_rows)
-    nodes = 0
+    nodes = deepest = 0  # deepest: the most columns that passed every check at once
     budget_hit = False
 
     def combine(comb):
@@ -336,9 +336,10 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
 
     def extend(depth, rows, pivots):
         """Assign order[depth..]; rows/pivots: echelon form of the columns so far."""
-        nonlocal nodes, budget_hit
+        nonlocal nodes, deepest, budget_hit
         if depth == m:
             return True
+        deepest = max(deepest, depth)
         i, head = order[depth], heads[depth]
         cands = pool_candidates[i]
         if not isinstance(head, int):
@@ -378,7 +379,8 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
             return IsoResult("yes", P, None, nodes)
         return IsoResult("unknown", None, "internal witness verification failed", nodes)
     if budget_hit:
-        return IsoResult("unknown", None, "budget exhausted", nodes)
+        return IsoResult("unknown", None, f"search stopped at depth {deepest} of {m} after "
+                         f"{nodes} nodes: budget {budget}", nodes)
     if f.p is not None:
         return IsoResult("no", None, "search exhausted over the prime field", nodes)
     return IsoResult("unknown", None,

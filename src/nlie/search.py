@@ -19,11 +19,18 @@ criterion, carried to n-Lie algebras by Kasymov 1987).  An abelian ideal J
 containing an ideal I also lies in K(I) = {v : [v, i, x_1, .., x_{n-2}] = 0
 for all i in I and all x}.  Both are kernels linear in v, so dim K(I) n T
 bounds every branch below I; the root is Z in T (K(Z) = L), and where T = Z
-or the beta bound of ``_derived_bounds`` is dim Z it tries no closure at all.
-Nodes grow by the ideal closure of one vector of (K(I) n T)/I (the spinning
-closure of the MeatAxe; Lux, Mueller & Ringe 1994), and a node is pruned by
-dim K(I) n T as a maximum-clique search is pruned by the size of its
-candidate set (Carraghan & Pardalos 1990).
+or the beta bound of ``_derived_bounds`` is dim Z it tries no line at all.
+Nodes grow by one line <v> of (K(I) n T)/I at a time.  A line inside (D +
+I)/I, D = [L, .., L], is spun to the ideal closure of I + <v> (the spinning
+closure of the MeatAxe; Lux, Mueller & Ringe 1994).  A line outside it is
+not spun: the images [v, e_y] lie in D, so when all of them lie in I
+(always when D lies in I) the child is I + <v>, abelian as v is in K(I),
+and otherwise the line is skipped.  No abelian ideal J above I is lost:
+either [J, L, .., L] lies in I, and every line of J/I gives a child inside
+J, or J holds an image w = [v, e_y] outside I, whose line lies in D + I and
+spins to a closure inside J.  A node is pruned by dim K(I) n T as a
+maximum-clique search is pruned by the size of its candidate set
+(Carraghan & Pardalos 1990).
 Both report the canonically first subspace of the largest dimension; asked
 for values only, beta skips that tie-break and stops once it reaches its
 bound.  Over Q only certified lower bounds are produced, plus the universal
@@ -33,7 +40,7 @@ alpha, and dim-1 for beta at arity 2, dim-2 at arity >= 3).
 The alpha scan, the ideal counts of ``iso`` and the classifier of
 ``catalog`` walk the Grassmannian through ``walk_subspaces``, which can walk
 only the subspaces that contain a given one.  The work of a search is the
-subspaces a predicate is called on plus the beta closures tried: that is
+subspaces a predicate is called on plus the beta lines tried: that is
 what ``subspaces_scanned`` reports and what a budget bounds.  Each test is
 charged before it is made, and a search stops at the first untested
 subspace once its budget is spent, in the middle of a level if need be.
@@ -58,6 +65,7 @@ from .invariants import (
     center,
     commute,
     derived_algebra,
+    ideal,
     image,
 )
 from .linalg import (
@@ -335,19 +343,20 @@ def _fp_spin(L, rows, pivots, cons, v, limit):
 def _beta_search(L, limit, budget, spent, notes, witnesses=True):
     """Largest abelian ideal by branch and bound from the centre Z; returns
     (beta or None when the budget stopped it, the canonically first witness
-    or None at beta = 0 or without ``witnesses``, the closures tried).
+    or None at beta = 0 or without ``witnesses``, the lines tried).
 
     A node is an abelian ideal I containing Z, kept with the RREF rows
     ``cons`` of the conditions that cut out K(I) n T, where K(I) = {v : [v,
     I, L, .., L] = 0} and T is the kernel of ``_fp_trace_rows``; every
     abelian ideal containing I lies in both.  The root is Z with the trace
-    rows alone, as K(Z) = L.  The children of I are the ideal closures of
-    I + <v>, one per line of (K(I) n T)/I.  Each closure tried counts one
-    against what ``budget`` leaves after ``spent``, and a closure met before
-    is not expanded again.  A closure is given up once it passes ``limit``,
-    the beta bound of ``_derived_bounds``; where that bound is dim Z, beta
-    is dim Z and no closure is tried.  So no abelian ideal below I is larger
-    than min(dim K(I) n T, limit), the bound of the branch.
+    rows alone, as K(Z) = L.  Each line <v> of (K(I) n T)/I gives at most
+    one child (see the module docstring): the closure of I + <v>, spun, if v
+    lies in D + I, else I + <v> if every [v, e_y] lies in I.  Each
+    line tried counts one against what ``budget`` leaves after ``spent``,
+    and a child met before is not expanded again.  A spin is given up once
+    it passes ``limit``, the beta bound of ``_derived_bounds``; where that
+    bound is dim Z, beta is dim Z and no line is tried.  So no abelian ideal
+    below I is larger than min(dim K(I) n T, limit), the bound of the branch.
 
     With ``witnesses`` a branch is pruned when its bound is below the best
     dimension found, so every abelian ideal of the largest dimension is
@@ -370,16 +379,27 @@ def _beta_search(L, limit, budget, spent, notes, witnesses=True):
         kernel = (reduce_vector(rows, pivots, x, p) for x in null_basis(cons, cons_pivots, m, p))
         quotient = [r for r in kernel if any(r)]
         quotient = quotient[:len(rref(quotient, m, p))]
+        derived = [reduce_vector(rows, pivots, d, p) for d in L.derived.basis]
+        derived_pivots = rref(derived, m, p)  # (D + I)/I, empty when D lies in I
+        del derived[len(derived_pivots):]
         for v in _fp_points(quotient, p):
             if min(m - len(cons), limit) < best[0] + gain:
                 return True
             if spent + tried >= budget:
                 return False
             tried += 1
-            closure = _fp_spin(L, rows, pivots, cons, v, limit)
-            if closure is None:
+            if not any(reduce_vector(derived, derived_pivots, v, p)):
+                closure = _fp_spin(L, rows, pivots, cons, v, limit)
+                if closure is None:
+                    continue
+                child, child_pivots, new = closure
+            elif derived and not ideal(L, rows, pivots, (v,)):
                 continue
-            child, child_pivots, new = closure
+            else:  # an abelian ideal, so within ``limit``
+                inv = pow(next(x for x in v if x), p - 2, p)
+                new = [[x * inv % p for x in v]]
+                child = list(rows) + new
+                child_pivots = rref(child, m, p)
             key = (tuple(child_pivots), tuple(map(tuple, child)))
             if key in seen:
                 continue
@@ -451,7 +471,7 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
     ideals of the largest dimension and stops at the beta bound (see
     ``_beta_search``).  ``subspaces_scanned`` counts the work, and the budget
     bounds it: the subspaces the alpha scan tests (those that contain the
-    centre) plus the candidate closures of the beta search, which gets what
+    centre) plus the candidate lines of the beta search, which gets what
     alpha left.  A search stops at the first test past the budget; the value
     it stopped is None, reported inexact, and the note names where it
     stopped.

@@ -274,7 +274,8 @@ def test_iso_budget_exhaustion_is_unknown():
 def test_iso_budget_is_a_count_of_nodes(label, L1, L2):
     """For every budget from 0 to the unbudgeted nodes: the nodes never pass
     the budget; the search stops exactly when the budget is below the
-    unbudgeted nodes, and a stop by ``budget exhausted`` has used all of it;
+    unbudgeted nodes, and a stop in the search (its reason names the depth
+    reached, the nodes and the budget) has used all of it;
     and the decided verdict, witness and nodes are the unbudgeted ones."""
     s1, s2 = invariant_report(L1).subspaces, invariant_report(L2).subspaces
     full = _search_isomorphism(L1, L2, s1, s2, 2_000_000)
@@ -286,8 +287,9 @@ def test_iso_budget_is_a_count_of_nodes(label, L1, L2):
             assert res == full, (label, budget)
             continue
         assert res.verdict == "unknown" and "budget" in res.reason, (label, budget)
-        if res.reason == "budget exhausted":
+        if res.reason.startswith("search stopped at depth"):
             assert res.nodes == budget, (label, budget)
+            assert res.reason.endswith(f"after {budget} nodes: budget {budget}"), (label, budget)
         else:  # the candidate pool alone is over the budget
             assert res.nodes == 0, (label, budget)
 

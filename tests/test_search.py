@@ -357,6 +357,72 @@ def test_alpha_deep_hits_are_pinned(p, m, alpha, scanned):
     assert (res.alpha, res.alpha_witness, res.subspaces_scanned) == (alpha, witness, 1)
 
 
+def test_beta_lines_outside_the_derived_algebra_match_brute_force(monkeypatch):
+    """A line of (K(I) n T)/I outside (D + I)/I is decided without a spin:
+    the child is I + <v> when every [v, e_y] lies in I (untested when D lies
+    in I), and the line is skipped when one does not, as that image's own
+    line lies in D + I and is spun.  On every family over GF(3) at m = 5 and
+    over GF(2) at m = 6, as published and after a basis change, where the
+    search decides a line without a spin, beta and the witness equal the
+    brute-force walk's; over the set the search both skips lines and takes
+    children it never spun."""
+    spins, tests, unspun = [], [], []
+    spin, test, constraints = search._fp_spin, search.ideal, search._fp_constraints
+
+    def counted_spin(*args):
+        spins.append(spin(*args))
+        return spins[-1]
+
+    def counted_test(*args):
+        tests.append(test(*args))
+        return tests[-1]
+
+    def counted_constraints(by_y2, new, p, m):
+        # every closure a spin returns holds a new list of new vectors
+        unspun.append(not any(closure is not None and closure[2] is new for closure in spins))
+        return constraints(by_y2, new, p, m)
+
+    monkeypatch.setattr(search, "_fp_spin", counted_spin)
+    monkeypatch.setattr(search, "ideal", counted_test)
+    monkeypatch.setattr(search, "_fp_constraints", counted_constraints)
+    for p, m in ((3, 5), (2, 6)):
+        for label, L0 in entries_for_dims((m,), GF(p)):
+            for L in (L0, random_basis_change(L0, 3)):
+                spun = len(spins)
+                res = alpha_beta_exact_fp(L, compute="beta")
+                if len(spins) - spun < res.subspaces_scanned:
+                    (beta, hits), _ = _largest_abelian(L)
+                    assert (res.beta, res.beta_witness) == (beta, hits[0] if beta else None), label
+    assert tests.count(False) > 0 and any(unspun)
+
+
+@pytest.mark.parametrize("fid,p,params,alpha,beta,witness,scanned", [
+    ("T43-c3", 2, {"m": 9, "t": 3}, 8, 5, [(0,), (1, 6), (2, 5), (3,), (7,)], 2_018),
+    ("T43-c3", 5, {"m": 7, "t": 2}, 6, 4, [(0,), (1, 4), (2, 3), (5,)], 1_718),
+    ("L21-b1", 3, {"n": 5}, 5, 2, [(0,), (1,)], 122),
+], ids=["T43-c3-GF2-m9-t3", "T43-c3-GF5-m7-t2", "L21-b1-GF3-m6"])
+def test_beta_spins_nothing_where_the_derived_algebra_is_central(monkeypatch, fid, p, params,
+                                                                 alpha, beta, witness, scanned):
+    """D lies in Z, so at every node D lies in I: each line of (K(I) n T)/I
+    is outside D + I and gives I + <v> with no spin and no image test.
+    Alpha, beta, the witnesses and the work are those of the search that
+    spun every line (the beta witness's rows are given by their supports,
+    each entry 1; the alpha witness is spanned by the first alpha unit
+    vectors)."""
+    def no_spin(*args):
+        raise AssertionError("a line was spun")
+
+    monkeypatch.setattr(search, "_fp_spin", no_spin)
+    L = catalog_build(fid, GF(p), **params)
+    m = L.dim
+    assert L.derived.dim == 1 and center(L).contains(L.derived)
+    rows = [[int(j in support) for j in range(m)] for support in witness]
+    res = alpha_beta_exact_fp(L)
+    assert (res.alpha, res.beta, res.subspaces_scanned) == (alpha, beta, scanned)
+    assert res.alpha_witness == coordinate_subspace(GF(p), m, tuple(range(alpha)))
+    assert res.beta_witness == span(GF(p), m, rows)
+
+
 def _fi_violating_table():
     return make_algebra(GF(3), 3, 5, {(1, 3, 5): {2: 1}, (2, 4, 5): {4: 1}})
 
