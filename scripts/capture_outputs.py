@@ -28,6 +28,10 @@ that help text wraps the same on every terminal.  A fifth digest covers
 GF(5) at m = 4..7 on the ternary tables of ``tasks.families(m)`` and one
 dense basis change of each (``Builder.conjugate``), which no benchmark
 workload runs; it leaves out the three conjugates of ``SLOW_CLASSIFY44``.
+A sixth digest covers the isomorphism certificates past the benchmark's
+sizes, with the work counts deleted: over GF(2) at m = 8, for each table of
+``tasks.families(8)`` and its dense basis change, ``fingerprint --json`` on
+both and ``iso --budget 2000 --json`` on the pair.
 
 With ``--compare OLD``, where OLD is the saved stdout of an earlier run, it
 then prints, for each column, the keys whose hash moved, and the keys that
@@ -198,6 +202,15 @@ def main(argv=None):
                             classify44_lines.append(run(
                                 f"extra classify44 {d.key}",
                                 ["classify44", d.path, "--json"])[1])
+        iso8_lines = []
+        for fid, params in tasks.families(8):
+            doc = builder.catalog(fid, params, 8, 2)
+            conj = builder.conjugate(doc)
+            for key, argv in ((doc.key, ["fingerprint", doc.path, "--json"]),
+                              (conj.key, ["fingerprint", conj.path, "--json"]),
+                              (doc.key, ["iso", doc.path, conj.path, "--budget", "2000",
+                                         "--json"])):
+                iso8_lines.append(run(f"extra {argv[0]} {key}", argv)[1])
         parser_lines = parser_answers(tmp)
     print(f"{len(lines)} outputs, digest {sha(chr(10).join(lines))}")
     print(f"without work counts, digest {sha(chr(10).join(work_free_lines))}")
@@ -207,6 +220,8 @@ def main(argv=None):
           f"digest {sha(chr(10).join(parser_lines))}")
     print(f"classify44 over GF(2, 3, 5) without work counts: {len(classify44_lines)} "
           f"outputs, digest {sha(chr(10).join(classify44_lines))}")
+    print(f"fingerprint and iso over GF(2) at m = 8 without work counts: "
+          f"{len(iso8_lines)} outputs, digest {sha(chr(10).join(iso8_lines))}")
     if args.compare:
         with open(args.compare, encoding="utf-8") as old:
             compare(read_rows(old), read_rows(printed))

@@ -29,14 +29,14 @@ from .errors import FundamentalIdentityError, InvalidParameterError
 from .fields import QQ, Field, same_field
 from .invariants import (
     abelian_ideal,
+    brackets_within,
     center,
-    classify_subspace,
     full_space,
     operators_generate_all,
     s_derived_series,
 )
-from .linalg import Subspace, subspace_from_rref_rows, validate_vector
-from .search import enumerate_subspaces, reduce_mod_p, walk_subspaces
+from .linalg import Subspace, rref, subspace_from_rref_rows, validate_vector
+from .search import reduce_mod_p, walk_subspaces
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +620,20 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
         if not abelian_ideal(Lp, rows, profile):
             continue
         tau = subspace_from_rref_rows(Lp.field, m, rows, profile)
-        for S in enumerate_subspaces(m, 4, p_used):
+        for srows, spiv in walk_subspaces(m, 4, p_used):
             if tested >= budget:
                 return over_budget
             tested += 1
-            if (S.intersect(tau).dim == 0 and classify_subspace(Lp, S).is_subalgebra
-                    and operators_generate_all(restrict_to_subalgebra(Lp, S))):
-                return Theorem44Verdict(
-                    "A4-semidirect",
-                    {"p": p_used, "tau_dim": k_tau, "subspaces_scanned": tested},
-                    tau=tau, block=S)
+            # a simple S meets the abelian ideal tau in 0, so tau + S = L: the cheaper
+            # test first, and a Subspace only for an S that is also closed
+            if (len(rref([*tau.basis, *srows], m, p_used)) == m
+                    and brackets_within(Lp, srows, srows, spiv)):
+                S = subspace_from_rref_rows(Lp.field, m, srows, spiv)
+                if operators_generate_all(restrict_to_subalgebra(Lp, S)):
+                    return Theorem44Verdict(
+                        "A4-semidirect",
+                        {"p": p_used, "tau_dim": k_tau, "subspaces_scanned": tested},
+                        tau=tau, block=S)
     return Theorem44Verdict("unknown", {
         "reason": "no simple block + abelian ideal decomposition found mod p",
         "p": p_used, "subspaces_scanned": tested})

@@ -12,8 +12,8 @@ The subspace predicates ``abelian_subalgebra``, ``ideal`` and
 (p = None) and GF(p) alike; the scans and the beta spin of ``search`` call
 them directly.  They sum each bracket of ``L.maps`` exactly, reduce it mod p
 only after the sum, and stop at the first bracket that decides; the brackets
-of n vectors of S come from ``core.bracket_rows``.  ``operators_generate_all``
-decides, for both fields too, that L has no proper ideal over any extension.
+of n vectors of S come from ``core.bracket_rows`` in ``brackets_within``.
+``operators_generate_all`` decides that L has no proper ideal over any extension.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def commute(by_y2, u, v, p, m):
     return True
 
 
-def _brackets_within(L, rows, target, target_pivots):
+def brackets_within(L, rows, target, target_pivots):
     """Every bracket of n of ``rows`` lies in span(target), given in RREF."""
     p = L.field.p
     for combo in combinations(rows, L.arity):
@@ -109,7 +109,7 @@ def _brackets_within(L, rows, target, target_pivots):
 
 def abelian_subalgebra(L: NLieAlgebra, rows, pivots) -> bool:
     """[S, .., S] = 0 for S = span(rows)."""
-    return _brackets_within(L, rows, (), ())
+    return brackets_within(L, rows, (), ())
 
 
 def ideal(L: NLieAlgebra, rows, pivots, vectors=None) -> bool:
@@ -187,7 +187,7 @@ def classify_subspace(L: NLieAlgebra, S: Subspace) -> SubspaceClass:
     abelian_sub = abelian_subalgebra(L, rows, pivots)
     abelian_id = abelian_ideal(L, rows, pivots)
     is_id = abelian_id or ideal(L, rows, pivots)
-    return SubspaceClass(abelian_sub or _brackets_within(L, rows, rows, pivots), is_id,
+    return SubspaceClass(abelian_sub or brackets_within(L, rows, rows, pivots), is_id,
                          abelian_sub, abelian_id, is_id and abelian_sub and not abelian_id)
 
 

@@ -14,7 +14,8 @@ re-verified entry by entry and its exhaustion over GF(p) is a ``no``.  Over Q
 the search tries small-entry columns and forced images only, so the outcome
 there is ``yes`` or ``unknown`` (or ``no`` via fingerprints).  The ideal
 counts come from the centre Z and the derived algebra D, as every ideal J
-has [J, L, .., L] in J n D: they walk the lines and planes of D only.
+has [J, L, .., L] in J n D: they walk the lines and planes of D only.  One
+``_CERTIFICATE_BUDGET`` bounds the work of each certificate before the search.
 """
 
 from __future__ import annotations
@@ -38,27 +39,26 @@ from .invariants import (
 from .linalg import Matrix, reduce_vector, rref
 from .search import alpha_beta_exact_fp, gaussian_binomial, walk_subspaces
 
-_AB_AUTO_LIMIT = 200_000
-# the ideal counts of are_isomorphic compare level k only when GF(p)^dim has at
-# most this many k-dimensional subspaces: an inclusion rule decided from (dim,
-# p), kept so that the outputs stay the same; it no longer bounds the cost
-_COUNT_LIMIT = 20_000
+_CERTIFICATE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
 class Fingerprint(InvariantReport):
-    """Invariant summary; every component is stable under change of basis."""
+    """Invariant summary; each component, when not None, is stable under change of basis."""
 
-    alpha_beta: tuple | None   # (alpha, beta) for prime fields, else None
+    alpha_beta: tuple | None   # (alpha, beta) over GF(p) if the search completed
 
     def to_dict(self):
         return dict(super().to_dict(),
                     alpha_beta=list(self.alpha_beta) if self.alpha_beta else None)
 
     def differs_from(self, other: "Fingerprint") -> str | None:
-        """Name of the first component separating the two, or None."""
+        """Name of the first component separating the two, or None.  A value
+        that one side lacks (an ``alpha_beta`` search stopped by the budget)
+        separates nothing."""
         for f in fields(self):
-            if f.compare and getattr(self, f.name) != getattr(other, f.name):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if f.compare and a != b and None not in (a, b):
                 return f.name
         return None
 
@@ -66,20 +66,12 @@ class Fingerprint(InvariantReport):
 def fingerprint(L: NLieAlgebra) -> Fingerprint:
     """Deterministic basis-invariant of L: its invariant report plus alpha/beta.
 
-    alpha/beta are included for prime fields when the full scan fits
-    ``_AB_AUTO_LIMIT`` (decided from (dim, p) only, so comparable inputs agree
-    on inclusion); they are never included over Q, where the exact values are
-    not computed.  Only the values are compared, so they come from the
-    value-only search (``witnesses=False``), which skips the tie-break of
-    the beta witness.
+    Over GF(p) alpha/beta come from the value-only search (``witnesses=False``)
+    under ``_CERTIFICATE_BUDGET``, and are None when it stops; over Q, where
+    the exact values are not computed, they are always None.
     """
-    ab = None
-    p = L.field.p
-    if p is not None and 2 * sum(gaussian_binomial(L.dim, k, p)
-                                 for k in range(L.dim + 1)) <= _AB_AUTO_LIMIT:
-        res = alpha_beta_exact_fp(L, budget=_AB_AUTO_LIMIT, witnesses=False)
-        if res.complete:
-            ab = (res.alpha, res.beta)
+    res = L.field.p and alpha_beta_exact_fp(L, budget=_CERTIFICATE_BUDGET, witnesses=False)
+    ab = (res.alpha, res.beta) if res and res.complete else None
     return Fingerprint(**vars(invariant_report(L)), alpha_beta=ab)
 
 
@@ -210,12 +202,13 @@ def ideal_count_difference(L1: NLieAlgebra, L2: NLieAlgebra) -> str | None:
     """Why two algebras over GF(p) are not isomorphic, by the numbers of their
     k-dimensional ideals (k = 1, 2, k < dim), which an isomorphism preserves;
     None if they agree.  The counts come from ``_ideal_counts``, which walks
-    only the lines and planes of the derived algebra.  A level is compared
-    when it holds at most ``_COUNT_LIMIT`` subspaces of L."""
-    m, p = L1.dim, L1.field.p
+    only the lines and planes of the derived algebra D.  A level is compared
+    when D has at most ``_CERTIFICATE_BUDGET`` subspaces of that dimension;
+    dim D is part of the fingerprint, so both sides agree on it."""
+    m, d, p = L1.dim, derived_algebra(L1).dim, L1.field.p
     counts = zip(_ideal_counts(L1), _ideal_counts(L2))
     for k in (1, 2):
-        if k >= m or gaussian_binomial(m, k, p) > _COUNT_LIMIT:
+        if k >= m or gaussian_binomial(d, k, p) > _CERTIFICATE_BUDGET:
             break  # the rule is monotone in k
         c1, c2 = next(counts)
         if c1 != c2:

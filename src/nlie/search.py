@@ -204,7 +204,8 @@ def _scan_down(L, top, budget, notes):
                              f"subspaces: budget {budget}")
                 return None, None, tested
             tested += 1
-            if abelian_subalgebra(L, rows, profile):
+            # S = Z + span(its rows off Z's pivots) and Z is central: only those rows' brackets count
+            if abelian_subalgebra(L, [r for r, c in zip(rows, profile) if c not in z.pivots], ()):
                 witness = subspace_from_rref_rows(L.field, L.dim, rows, profile) if k else None
                 return k, witness, tested
 

@@ -28,8 +28,9 @@ from nlie.invariants import (
     derived_algebra,
     invariant_report,
     is_nilpotent,
+    operators_generate_all,
 )
-from nlie.iso import change_basis
+from nlie.iso import change_basis, random_basis_change
 from nlie.linalg import Matrix, coordinate_subspace
 from nlie.search import (
     alpha_beta_exact_fp,
@@ -338,6 +339,32 @@ def test_classify44_t44_3_over_gf3_fits_the_default_budget(m):
     assert v.evidence == {"p": 3, "tau_dim": m - 4, "subspaces_scanned": 2}
     assert v.tau == coordinate_subspace(GF(3), m, range(4, m))
     assert v.block == coordinate_subspace(GF(3), m, range(4))
+
+
+@pytest.mark.parametrize("p,m", [(2, 5), (2, 6), (2, 7), (3, 5)])
+def test_classify44_blocks_of_a_dense_conjugate_match_a_subspace_walk(p, m):
+    """On a dense basis change of T44-3 the first block is far down the walk.
+    The classifier tests each candidate on its raw rows; a walk over
+    ``enumerate_subspaces`` that tests ``intersect`` and ``classify_subspace``
+    on each ``Subspace`` finds the same tau, the same block and the same
+    number of tested subspaces."""
+    L = random_basis_change(catalog_build("T44-3", GF(p), m=m), 1)
+    v = classify_theorem44(L)
+    tested = 0
+    for tau in enumerate_subspaces(m, m - 4, p):
+        if not tau.contains(center(L)):
+            continue
+        tested += 1
+        if not classify_subspace(L, tau).is_abelian_ideal:
+            continue
+        for S in enumerate_subspaces(m, 4, p):
+            tested += 1
+            if (S.intersect(tau).dim == 0 and classify_subspace(L, S).is_subalgebra
+                    and operators_generate_all(catalog.restrict_to_subalgebra(L, S))):
+                assert (v.case, v.tau, v.block) == ("A4-semidirect", tau, S)
+                assert v.evidence["subspaces_scanned"] == tested > 2
+                return
+    raise AssertionError("no block")
 
 
 def test_classify44_perfect_but_not_absolutely_simple_is_unknown(monkeypatch):

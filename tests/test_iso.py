@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from nlie.catalog import catalog_build, representative_entries
+from nlie import iso
+from nlie.catalog import catalog_build, entries_for_dims, representative_entries
 from nlie.core import NLieAlgebra, bracket, check_fundamental_identity, make_algebra
 from nlie.errors import InvalidParameterError
 from nlie.fields import GF, QQ
@@ -18,6 +19,7 @@ from nlie.iso import (
     are_isomorphic,
     change_basis,
     fingerprint,
+    ideal_count_difference,
     random_basis_change,
     random_invertible_matrix,
 )
@@ -63,6 +65,60 @@ def test_fingerprint_invariant_under_basis_change():
         fp = fingerprint(L)
         for seed in range(3):
             assert fingerprint(random_basis_change(L, seed)) == fp, label
+
+
+def test_fingerprints_at_gf2_dim_8_carry_alpha_beta_and_never_give_no():
+    """The families of ``bench/tasks.families(8)`` over GF(2), each against
+    its conjugates at seeds 1 and 2: the fingerprints are equal and carry
+    (alpha, beta), which no (dim, p) table cuts off.  ``are_isomorphic`` at a
+    node budget of 2000 is never ``no``; to keep the test short it runs on
+    one conjugate per family, the two seeds in turn."""
+    verdicts = Counter()
+    for i, (label, L) in enumerate(entries_for_dims((8,), GF(2))):
+        fp = fingerprint(L)
+        assert fp.alpha_beta is not None, label
+        conjugates = [random_basis_change(L, seed) for seed in (1, 2)]
+        for D in conjugates:
+            assert fingerprint(D) == fp, label
+        res = are_isomorphic(L, conjugates[i % 2], budget=2000)
+        assert res.verdict != "no", (label, res.reason)
+        verdicts[res.verdict] += 1
+    assert verdicts["yes"] >= 17, verdicts  # 17 yes and 7 unknown when written
+
+
+def test_a_stopped_alpha_beta_search_separates_nothing(monkeypatch):
+    """The work of the value-only search depends on the basis: T35-b4 over
+    GF(3) takes 3 units, its conjugate 33.  With a budget between the two,
+    one fingerprint carries (alpha, beta) and the other None, and neither
+    order of the pair is a ``no``."""
+    L = catalog_build("T35-b4", GF(3), m=4)
+    D = random_basis_change(L, 1)
+    monkeypatch.setattr(iso, "_CERTIFICATE_BUDGET", 10)
+    fl, fd = fingerprint(L), fingerprint(D)
+    assert fl.alpha_beta is not None and fd.alpha_beta is None
+    assert fl.differs_from(fd) is None and fd.differs_from(fl) is None
+    for A, B in ((L, D), (D, L)):
+        assert are_isomorphic(A, B).verdict == "yes"
+
+
+def test_ideal_counts_walk_the_planes_of_d_only_within_the_budget(monkeypatch):
+    """A level of ideal counts is compared when the derived algebra D has at
+    most ``_CERTIFICATE_BUDGET`` subspaces of that dimension.  A(6) over
+    GF(3) is perfect, so D = L and its 99,463 planes are not walked, while
+    its 1,093 lines are; A(4) over GF(3) has 1,210 planes, walked on both
+    sides."""
+    walks, walk = Counter(), iso.walk_subspaces
+
+    def counted(m, k, p, containing=None):
+        walks[k] += 1
+        return walk(m, k, p, containing)
+
+    monkeypatch.setattr(iso, "walk_subspaces", counted)
+    for n, planes in ((6, 0), (4, 2)):
+        L = catalog_build("A(n)", GF(3), n=n)
+        walks.clear()
+        assert ideal_count_difference(L, random_basis_change(L, 1)) is None
+        assert (walks[1], walks[2]) == (2, planes), n
 
 
 def test_random_basis_change_preserves_identity_validity():

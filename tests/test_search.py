@@ -207,14 +207,14 @@ def test_value_only_search_gives_the_fingerprint_values():
     """``fingerprint`` asks ``alpha_beta_exact_fp`` for values only.  On every
     catalog family over GF(2) at m <= 6 and over GF(3) at m <= 5, EX41 and
     T43-c1 with t >= 2 included, that search completes under
-    ``_AB_AUTO_LIMIT`` with the (alpha, beta) of the witness mode, carries
+    ``_CERTIFICATE_BUDGET`` with the (alpha, beta) of the witness mode, carries
     no witness and tries no more beta closures.  It stops once beta reaches
     the beta bound of ``_derived_bounds``; the closure totals are pinned."""
     for p, dims, totals in ((2, (4, 5, 6), (515, 787)), (3, (4, 5), (116, 308))):
         value_closures = witness_closures = 0
         for label, L in entries_for_dims(dims, GF(p)):
             full = alpha_beta_exact_fp(L)
-            fast = alpha_beta_exact_fp(L, budget=iso._AB_AUTO_LIMIT, witnesses=False)
+            fast = alpha_beta_exact_fp(L, budget=iso._CERTIFICATE_BUDGET, witnesses=False)
             assert fast.complete, label
             assert (fast.alpha, fast.beta) == (full.alpha, full.beta), label
             assert fast.alpha_witness is fast.beta_witness is None, label
@@ -498,11 +498,13 @@ def test_derived_bounds_hold_on_brute_force_walks(beta_walks):
 def test_alpha_scan_tests_only_level_alpha(monkeypatch, p):
     """On A(n) (m = 4..6) and T44-3 (m = 5..7) the alpha bound is alpha =
     m - 2, so the scan tests subspaces of that level only, and
-    ``subspaces_scanned`` is the number it tests."""
+    ``subspaces_scanned`` is the number it tests.  Each test brackets the
+    rows of a subspace off the pivots of the centre Z, so its level is their
+    number plus dim Z."""
     levels = []
     predicate = search.abelian_subalgebra
-    monkeypatch.setattr(search, "abelian_subalgebra",
-                        lambda L, rows, pivots: levels.append(len(rows)) or predicate(L, rows, pivots))
+    monkeypatch.setattr(search, "abelian_subalgebra", lambda L, rows, pivots: levels.append(
+        len(rows) + L.center.dim) or predicate(L, rows, pivots))
     algebras = [catalog_build("A(n)", GF(p), n=n) for n in (3, 4, 5)]
     algebras += [catalog_build("T44-3", GF(p), m=m) for m in (5, 6, 7)]
     for L in algebras:
