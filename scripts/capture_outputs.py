@@ -27,7 +27,7 @@ that help text wraps the same on every terminal.  A fifth digest covers
 ``classify44 --json``, with the work counts deleted, over GF(2), GF(3) and
 GF(5) at m = 4..7 on the ternary tables of ``tasks.families(m)`` and one
 dense basis change of each (``Builder.conjugate``), which no benchmark
-workload runs; it leaves out the three conjugates of ``SLOW_CLASSIFY44``.
+workload runs.
 A sixth digest covers the isomorphism certificates past the benchmark's
 sizes, with the work counts deleted: over GF(2) at m = 8, for each table of
 ``tasks.families(8)`` and its dense basis change, ``fingerprint --json`` on
@@ -73,11 +73,6 @@ PARSER_ARGVS = [
     ["check", "--", "--json"], ["derived", "DOC", "--s"],
     ["alphabeta", "DOC", "--budget", "-1"], ["iso", "DOC"],
 ] + [[verb, "--help"] for verb in cli.VERBS]
-
-
-# dense conjugates of T44-3 whose block enumeration takes 27 s to 264 s
-SLOW_CLASSIFY44 = frozenset({"GF3 T44-3 m=7 conj", "GF5 T44-3 m=6 conj",
-                             "GF5 T44-3 m=7 conj"})
 
 
 def sha(text):
@@ -198,10 +193,9 @@ def main(argv=None):
                         continue
                     doc = builder.catalog(fid, params, m, p)
                     for d in (doc, builder.conjugate(doc)):
-                        if d.key not in SLOW_CLASSIFY44:
-                            classify44_lines.append(run(
-                                f"extra classify44 {d.key}",
-                                ["classify44", d.path, "--json"])[1])
+                        classify44_lines.append(run(
+                            f"extra classify44 {d.key}",
+                            ["classify44", d.path, "--json"])[1])
         iso8_lines = []
         for fid, params in tasks.families(8):
             doc = builder.catalog(fid, params, 8, 2)

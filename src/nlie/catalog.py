@@ -28,15 +28,13 @@ from .core import (
 from .errors import FundamentalIdentityError, InvalidParameterError
 from .fields import QQ, Field, same_field
 from .invariants import (
-    abelian_ideal,
     brackets_within,
-    center,
     full_space,
     operators_generate_all,
     s_derived_series,
 )
-from .linalg import Subspace, rref, subspace_from_rref_rows, validate_vector
-from .search import reduce_mod_p, walk_subspaces
+from .linalg import Subspace, subspace_from_rref_rows, validate_vector
+from .search import alpha_beta_exact_fp, reduce_mod_p, walk_within
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +582,14 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     perfect L, or a semidirect block) is simple when its operators generate
     M_4 mod p (``operators_generate_all``).  They generate no more mod p than
     over Q, so this certifies simplicity over the closure of Q; a perfect L
-    that fails is not absolutely simple mod p, and gets ``unknown``.  The
-    budget bounds the tau and blocks tested, each charged before it is
-    tested; ``unknown`` is returned at the first test past it.
+    that fails is not absolutely simple mod p, and gets ``unknown``.  For L
+    = S + tau, S simple and tau an abelian ideal, every abelian ideal maps
+    onto one of L/tau = S, which is 0: tau holds them all and is the beta
+    search's witness (beta = dim L - 4).  The blocks are the 4-dimensional
+    subspaces of D = [L, L, L], which holds S = [S, S, S]; a simple one meets
+    tau in an abelian ideal of itself, 0.  The budget bounds the beta lines
+    and the blocks tested together, each charged before it is tested;
+    ``unknown`` is returned at the first test past it.
     """
     require_arity(L, 3, "trichotomy classification")
     m = L.dim
@@ -607,33 +610,23 @@ def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
     if m < 4:
         return Theorem44Verdict("unknown", {"reason": "not solvable and dim < 4"})
 
-    # tau runs over the abelian ideals of dimension m - 4 that contain Z (L/tau
-    # is the simple S, whose centre 0 holds the image of Z), S over the
-    # 4-dimensional subspaces; every subspace tested counts towards the budget
     over_budget = Theorem44Verdict("unknown", {"reason": "budget exceeded"})
-    tested = 0
-    k_tau = m - 4
-    for rows, profile in walk_subspaces(m, k_tau, p_used, center(Lp)):
+    ab = alpha_beta_exact_fp(Lp, budget=budget, compute="beta")
+    if ab.beta is None:
+        return over_budget
+    tested, tau = ab.subspaces_scanned, ab.beta_witness
+    blocks = walk_within(Lp.derived, 4) if ab.beta == m - 4 else ()
+    for rows, pivots in blocks:
         if tested >= budget:
             return over_budget
         tested += 1
-        if not abelian_ideal(Lp, rows, profile):
-            continue
-        tau = subspace_from_rref_rows(Lp.field, m, rows, profile)
-        for srows, spiv in walk_subspaces(m, 4, p_used):
-            if tested >= budget:
-                return over_budget
-            tested += 1
-            # a simple S meets the abelian ideal tau in 0, so tau + S = L: the cheaper
-            # test first, and a Subspace only for an S that is also closed
-            if (len(rref([*tau.basis, *srows], m, p_used)) == m
-                    and brackets_within(Lp, srows, srows, spiv)):
-                S = subspace_from_rref_rows(Lp.field, m, srows, spiv)
-                if operators_generate_all(restrict_to_subalgebra(Lp, S)):
-                    return Theorem44Verdict(
-                        "A4-semidirect",
-                        {"p": p_used, "tau_dim": k_tau, "subspaces_scanned": tested},
-                        tau=tau, block=S)
+        if brackets_within(Lp, rows, rows, pivots):
+            S = subspace_from_rref_rows(Lp.field, m, rows, pivots)
+            if operators_generate_all(restrict_to_subalgebra(Lp, S)):
+                return Theorem44Verdict(
+                    "A4-semidirect",
+                    {"p": p_used, "tau_dim": m - 4, "subspaces_scanned": tested},
+                    tau=tau, block=S)
     return Theorem44Verdict("unknown", {
         "reason": "no simple block + abelian ideal decomposition found mod p",
         "p": p_used, "subspaces_scanned": tested})

@@ -14,8 +14,9 @@ re-verified entry by entry and its exhaustion over GF(p) is a ``no``.  Over Q
 the search tries small-entry columns and forced images only, so the outcome
 there is ``yes`` or ``unknown`` (or ``no`` via fingerprints).  The ideal
 counts come from the centre Z and the derived algebra D, as every ideal J
-has [J, L, .., L] in J n D: they walk the lines and planes of D only.  One
-``_CERTIFICATE_BUDGET`` bounds the work of each certificate before the search.
+has [J, L, .., L] in J n D: they walk the lines and planes of D only
+(``search.walk_within``).  One ``_CERTIFICATE_BUDGET`` bounds the work of
+each certificate before the search.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .invariants import (
     invariant_report,
 )
 from .linalg import Matrix, reduce_vector, rref
-from .search import alpha_beta_exact_fp, gaussian_binomial, walk_subspaces
+from .search import alpha_beta_exact_fp, gaussian_binomial, walk_within
 
 _CERTIFICATE_BUDGET = 20_000
 
@@ -168,16 +169,9 @@ def _ideal_counts(L: NLieAlgebra):
     p, m = L.field.p, L.dim
     z, d = center(L), derived_algebra(L)
     w = z.intersect(d).dim
-    d_columns = list(zip(*d.basis))
-
-    def in_d(coeffs):  # rows of L from coefficient rows over the RREF basis of D
-        return [[sum(map(mul, row, col)) % p for col in d_columns] for row in coeffs]
 
     def ideals_in_d(k):
-        for coeffs, profile in walk_subspaces(d.dim, k, p):
-            rows, pivots = in_d(coeffs), [d.pivots[q] for q in profile]
-            if ideal(L, rows, pivots):
-                yield rows, pivots
+        return ((rows, pivots) for rows, pivots in walk_within(d, k) if ideal(L, rows, pivots))
 
     lines = list(ideals_in_d(1))
     yield gaussian_binomial(z.dim, 1, p) + len(lines) - gaussian_binomial(w, 1, p)

@@ -37,13 +37,14 @@ bound.  Over Q only certified lower bounds are produced, plus the universal
 upper bounds of ``_upper_bounds`` (dim for abelian algebras; else dim-1 for
 alpha, and dim-1 for beta at arity 2, dim-2 at arity >= 3).
 
-The alpha scan, the ideal counts of ``iso`` and the classifier of
-``catalog`` walk the Grassmannian through ``walk_subspaces``, which can walk
-only the subspaces that contain a given one.  The work of a search is the
-subspaces a predicate is called on plus the beta lines tried: that is
-what ``subspaces_scanned`` reports and what a budget bounds.  Each test is
-charged before it is made, and a search stops at the first untested
-subspace once its budget is spent, in the middle of a level if need be.
+The alpha scan walks the Grassmannian through ``walk_subspaces``, which can
+walk only the subspaces that contain a given one; ``walk_within`` walks
+those inside one (the ideal counts of ``iso``, classify44's blocks).  The
+work of a search is the subspaces a predicate is called on plus the beta
+lines tried: that is what ``subspaces_scanned`` reports and what a budget
+bounds.  Each test is charged before it is made, and a search stops at the
+first untested subspace once its budget is spent, in the middle of a level
+if need be.
 
 The scans, the beta spin and the Q bounds test subspaces with the one set
 of subspace predicates, in ``invariants``; the tests check it against a
@@ -55,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import comb
+from operator import mul
 
 from .core import NLieAlgebra, bracket_rows
 from .errors import InvalidParameterError, UnsupportedRequestError
@@ -172,6 +174,16 @@ def walk_subspaces(m, k, p, containing=None):
                     break
                 digits[i] = 0
                 i -= 1
+
+
+def walk_within(W, k):
+    """(RREF rows, pivots) of each k-dimensional subspace of the subspace W, in
+    the order of ``walk_subspaces`` over the whole space (on W's RREF basis, a
+    subspace's entries at W's pivots are its coordinates), as new lists."""
+    p, columns = W.field.p, list(zip(*W.basis))
+    for coeffs, profile in walk_subspaces(W.dim, k, p):
+        yield ([[sum(map(mul, row, col)) % p for col in columns] for row in coeffs],
+               [W.pivots[q] for q in profile])
 
 
 def enumerate_subspaces(m: int, k: int, p: int):

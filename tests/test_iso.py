@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nlie import iso
+from nlie import iso, search
 from nlie.catalog import catalog_build, entries_for_dims, representative_entries
 from nlie.core import NLieAlgebra, bracket, check_fundamental_identity, make_algebra
 from nlie.errors import InvalidParameterError
@@ -107,13 +107,13 @@ def test_ideal_counts_walk_the_planes_of_d_only_within_the_budget(monkeypatch):
     GF(3) is perfect, so D = L and its 99,463 planes are not walked, while
     its 1,093 lines are; A(4) over GF(3) has 1,210 planes, walked on both
     sides."""
-    walks, walk = Counter(), iso.walk_subspaces
+    walks, walk = Counter(), search.walk_subspaces
 
     def counted(m, k, p, containing=None):
         walks[k] += 1
         return walk(m, k, p, containing)
 
-    monkeypatch.setattr(iso, "walk_subspaces", counted)
+    monkeypatch.setattr(search, "walk_subspaces", counted)
     for n, planes in ((6, 0), (4, 2)):
         L = catalog_build("A(n)", GF(3), n=n)
         walks.clear()

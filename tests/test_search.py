@@ -32,6 +32,7 @@ from nlie.search import (
     gaussian_binomial,
     reduce_mod_p,
     walk_subspaces,
+    walk_within,
 )
 
 from oracles import (
@@ -113,9 +114,9 @@ def _walk(m, k, p, containing=None):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_walk_containing_a_subspace_matches_filtered_enumeration(p):
     """``walk_subspaces`` given a subspace Z yields exactly the subspaces of
-    ``enumerate_subspaces`` that contain Z, in its order.  Without Z it
-    yields the whole level in the order of the brute-force
-    ``oracles.level_walk``."""
+    ``enumerate_subspaces`` that contain Z, in its order, and
+    ``walk_within(Z, k)`` those that lie in Z.  Without Z it yields the
+    whole level in the order of the brute-force ``oracles.level_walk``."""
     for m in range(1, 6):
         for k in range(m + 1):
             walk = list(level_walk(m, k, p))
@@ -125,6 +126,9 @@ def test_walk_containing_a_subspace_matches_filtered_enumeration(p):
             for Z in _subspaces_to_contain(m, p):
                 expected = [(S.basis, S.pivots) for S in level if S.contains(Z)]
                 assert _walk(m, k, p, Z) == expected, (m, k, Z.basis)
+                within = [(S.basis, S.pivots) for S in level if Z.contains(S)]
+                assert [(tuple(map(tuple, rows)), tuple(pivots))
+                        for rows, pivots in walk_within(Z, k)] == within, (m, k, Z.basis)
 
 
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 4), (2, 5)], ids=["2", "3", "2-m5"])
