@@ -13,9 +13,11 @@ It makes ``--rounds`` rounds; in each, every task is timed on both trees
 back to back, the tree that goes first alternating from task to task and
 from round to round.  It prints, per tree, the sum over the tasks of each task's fastest
 time, and the ratio NEW / OLD of those sums (below 1 means NEW is faster);
-then the same sums and ratio for each verb, the first word of the task key
-(``alphabeta``, ``fingerprint``, ``iso``, ...), so a change confined to one
-verb shows where it moved.
+then each tree's 95th percentile of those fastest times over the workload's
+tasks (the estimator of ``bench/run.py``'s ``task_p95_ms``) and its ratio, so
+a claim on the tail can be sized too; then the sums and ratio for each verb,
+the first word of the task key (``alphabeta``, ``fingerprint``, ``iso``,
+...), so a change confined to one verb shows where it moved.
 
 Why: the host's speed can drift by tens of percent over minutes, so two
 separate benchmark runs of one tree can differ by more than a change does.
@@ -41,6 +43,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
 import tasks  # noqa: E402
+from run import percentile  # noqa: E402
 
 
 def import_tree(root, name):
@@ -85,6 +88,9 @@ def main(argv=None):
     old, new = (sum(b) for b in best)
     print(f"old {old:.4f} s, new {new:.4f} s (sums of per-task minimums over "
           f"{args.rounds} rounds); new/old {new / old:.4f}")
+    old_p95, new_p95 = (percentile(b, 0.95) * 1e3 for b in best)
+    print(f"p95 of the per-task minimums: old {old_p95:.3f} ms, new {new_p95:.3f} ms; "
+          f"new/old {new_p95 / old_p95:.4f}")
     verbs = {}
     for i, task in enumerate(task_list):
         sums = verbs.setdefault(task.key.split()[0], [0.0, 0.0, 0])

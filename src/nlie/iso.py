@@ -15,8 +15,10 @@ the search tries small-entry columns and forced images only, so the outcome
 there is ``yes`` or ``unknown`` (or ``no`` via fingerprints).  The ideal
 counts come from the centre Z and the derived algebra D, as every ideal J
 has [J, L, .., L] in J n D: they walk the lines and planes of D only
-(``search.walk_within``).  One ``_CERTIFICATE_BUDGET`` bounds the work of
-each certificate before the search.
+(``search.walk_within``), and not at all when L is perfect and absolutely
+simple (the Burnside spin, ``invariants.operators_generate_all``): then both
+are 0.  One ``_CERTIFICATE_BUDGET`` bounds the work of each certificate
+before the search.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .invariants import (
     derived_algebra,
     ideal,
     invariant_report,
+    operators_generate_all,
 )
 from .linalg import Matrix, reduce_vector, rref
 from .search import alpha_beta_exact_fp, gaussian_binomial, walk_within
@@ -165,9 +168,14 @@ def _ideal_counts(L: NLieAlgebra):
     <c>}; conversely every plane through c in P_c is an ideal, and it meets
     D in <c> unless it lies in P_c n D.  This uses only the multilinear,
     antisymmetric table: neither the fundamental identity nor the
-    characteristic."""
+    characteristic.  A perfect L (D = L) whose operators generate all of M_m
+    has no proper nonzero ideal (Burnside's theorem): both counts are 0, with
+    no walk."""
     p, m = L.field.p, L.dim
     z, d = center(L), derived_algebra(L)
+    if d.dim == m and operators_generate_all(L):
+        yield from (0, 0)
+        return
     w = z.intersect(d).dim
 
     def ideals_in_d(k):

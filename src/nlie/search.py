@@ -35,7 +35,10 @@ Both report the canonically first subspace of the largest dimension; asked
 for values only, beta skips that tie-break and stops once it reaches its
 bound.  Over Q only certified lower bounds are produced, plus the universal
 upper bounds of ``_upper_bounds`` (dim for abelian algebras; else dim-1 for
-alpha, and dim-1 for beta at arity 2, dim-2 at arity >= 3).
+alpha, and dim-1 for beta at arity 2, dim-2 at arity >= 3).  The lower
+bounds grow abelian subalgebras S greedily by K(S), whose conditions are
+combinations of the operators [., e_y], on raw RREF rows: only the two
+witnesses become ``Subspace``s.
 
 The alpha scan walks the Grassmannian through ``walk_subspaces``, which can
 walk only the subspaces that contain a given one; ``walk_within`` walks
@@ -58,7 +61,7 @@ from itertools import chain, combinations, product
 from math import comb
 from operator import mul
 
-from .core import NLieAlgebra, bracket_rows
+from .core import NLieAlgebra
 from .errors import InvalidParameterError, UnsupportedRequestError
 from .fields import GF, QQ, is_prime
 from .invariants import (
@@ -72,13 +75,11 @@ from .invariants import (
 )
 from .linalg import (
     Subspace,
-    coordinate_subspace,
+    minor_det,
     null_basis,
     reduce_vector,
     rref,
-    span_rows,
     subspace_from_rref_rows,
-    zero_subspace,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -523,40 +524,47 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
 # certified lower bounds over Q
 
 
-def _grow_abelian(L: NLieAlgebra, seed: Subspace, memo: dict) -> Subspace:
-    """Deterministic greedy growth of an abelian subalgebra containing ``seed``.
+def _grow_abelian(L: NLieAlgebra, rows: tuple, pivots: tuple, memo: dict) -> tuple:
+    """Deterministic greedy growth of an abelian subalgebra containing S, of
+    RREF ``rows`` and ``pivots``; returns the (rows, pivots) of its end.
 
     While there is one, adjoins the first RREF basis vector of K(S) = {v :
-    [v, s_1, .., s_{n-1}] = 0 for all s_j in S} outside the current subspace
-    S.  K(S) depends on S alone, so a step adds only the conditions of the
-    basis tuples that contain the new vector; and so does the end of the
-    growth, so ``memo`` maps each subspace met (by its basis) to the
-    subspace its growth ends at, and a later seed stops at the first one.
+    [v, s_1, .., s_{n-1}] = 0 for all s_j in S} outside S.  The conditions
+    of an (n - 1)-tuple s are the rows of sum_y det(s; y) [., e_y], over the
+    y of ``L.maps[1]`` and ``L.operators`` (by multilinearity).  K(S)
+    depends on S alone, so a step adds only the conditions of the tuples
+    that contain the new vector; and so does the end of the growth, so
+    ``memo`` maps the rows of each subspace met (a Fraction equals and
+    hashes as its int) to its end, and a later seed stops at the first one.
     """
-    f = L.field
-    m = L.dim
+    m, n, zero = L.dim, L.arity, (0,) * L.dim
+    operators = list(zip(L.maps[1], L.operators))
     path = []
     cons = []  # RREF rows of the conditions on v met so far
-    new = combinations(seed.basis, L.arity - 1)
-    current = seed
-    final = memo.get(current.basis)
+    new = combinations(rows, n - 1)
+    final = memo.get(rows)
     while final is None:
-        path.append(current.basis)
-        for y_rows in new:
-            # [y_rows, e_t] is [e_t, y_rows] up to a sign, which keeps the kernel
-            block = [bracket_rows(L, y_rows, (t,)) for t in range(m)]
-            cons += ([w[r] if w else f.zero for w in block] for r in range(m))
-        pivots = rref(cons, m)
-        del cons[len(pivots):]
-        kernel = span_rows(f, m, null_basis(cons, pivots, m))
-        v = next((x for x in kernel.basis
-                  if any(reduce_vector(current.basis, current.pivots, x))), None)
+        path.append(rows)
+        for s in new:
+            block = {}  # r -> the coefficients of v in coordinate r of [v, s]
+            for y, op in operators:
+                d = minor_det(s, y)
+                for r, row in op.items() if d else ():
+                    block[r] = [a + d * x for a, x in zip(block.get(r, zero), row)]
+            cons += block.values()
+        cons_pivots = rref(cons, m)
+        del cons[len(cons_pivots):]
+        kernel = null_basis(cons, cons_pivots, m)
+        rref(kernel, m)  # K(S) in its canonical basis
+        v = next((x for x in kernel if any(reduce_vector(rows, pivots, x))), None)
         if v is None:
-            final = current
+            final = (rows, pivots)
         else:
-            new = [y_rows + (v,) for y_rows in combinations(current.basis, L.arity - 2)]
-            current = span_rows(f, m, list(current.basis) + [v])
-            final = memo.get(current.basis)
+            new = [s + (v,) for s in combinations(rows, n - 2)]
+            grown = list(rows) + [v]
+            pivots = tuple(rref(grown, m))
+            rows = tuple(map(tuple, grown))
+            final = memo.get(rows)
     for basis in path:
         memo[basis] = final
     return final
@@ -567,49 +575,45 @@ def abelian_bounds_q(L: NLieAlgebra) -> AlphaBetaResult:
 
     alpha: greedy growth seeded with the center and with the small coordinate
     spans.  beta: the grown subspaces, all coordinate-subset spans and the
-    center, filtered through the abelian-ideal classifier.
+    center, filtered through the abelian-ideal classifier.  Each candidate is
+    its RREF (rows, pivots); only the witnesses become ``Subspace``s.
     """
     if L.field != QQ:
         raise UnsupportedRequestError("lower-bound search is the Q mode")
-    f = L.field
     m = L.dim
     z = center(L)
-    seeds = [z]
-    seeds += [coordinate_subspace(f, m, (i,)) for i in range(m)]
-    seeds += [coordinate_subspace(f, m, (i, j))
-              for i, j in combinations(range(m), 2)]
-    grown_list = []
-    best_alpha = None
+    unit = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+
+    def coordinate(ranks):  # (rows, pivots) of the coordinate spans of each rank in turn
+        return ((tuple(unit[i] for i in subset), subset)
+                for r in ranks for subset in combinations(range(m), r))
+
+    seeds = [(z.basis, z.pivots), *coordinate((1, 2))]
     memo = {}
-    for seed in seeds:
-        if not abelian_subalgebra(L, seed.basis, seed.pivots):
-            continue
-        grown = _grow_abelian(L, seed, memo)
-        grown_list.append(grown)
-        if best_alpha is None or grown.dim > best_alpha.dim:
-            best_alpha = grown
-    if best_alpha is None:
-        best_alpha = zero_subspace(f, m)
+    grown_list = [_grow_abelian(L, rows, pivots, memo) for rows, pivots in seeds
+                  if abelian_subalgebra(L, rows, pivots)]  # z at least
+    best_alpha = max(grown_list, key=lambda grown: len(grown[0]))  # the first largest
 
     # the candidates: z, the grown subspaces and the 2^m - 1 coordinate spans by
     # dimension, each made only when it could beat the best; a repeated
     # candidate cannot win again: test each basis once
-    best_beta = zero_subspace(f, m)
-    coordinate = (coordinate_subspace(f, m, subset) for r in range(1, m + 1)
-                  for subset in combinations(range(m), r) if r > best_beta.dim)
+    best_beta = ((), ())
+    coordinates = coordinate(r for r in range(1, m + 1) if r > len(best_beta[0]))
     tested = set()
-    for S in chain([z], grown_list, coordinate):
-        if S.dim > best_beta.dim and S.basis not in tested:
-            tested.add(S.basis)
-            if abelian_ideal(L, S.basis, S.pivots):
-                best_beta = S
+    for rows, pivots in chain(seeds[:1], grown_list, coordinates):
+        if len(rows) > len(best_beta[0]) and rows not in tested:
+            tested.add(rows)
+            if abelian_ideal(L, rows, pivots):
+                best_beta = (rows, pivots)
 
     alpha_upper, beta_upper = _upper_bounds(L)
+    alpha_w, beta_w = (subspace_from_rref_rows(L.field, m, *best) if best[0] else None
+                       for best in (best_alpha, best_beta))
     return AlphaBetaResult(
-        alpha=best_alpha.dim,
-        beta=best_beta.dim,
-        alpha_witness=best_alpha if best_alpha.dim else None,
-        beta_witness=best_beta if best_beta.dim else None,
+        alpha=len(best_alpha[0]),
+        beta=len(best_beta[0]),
+        alpha_witness=alpha_w,
+        beta_witness=beta_w,
         mode="lower-bound-q",
         p=None,
         subspaces_scanned=len(seeds) + 1 + len(grown_list) + 2 ** m - 1,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from nlie import iso, search
-from nlie.catalog import catalog_build, entries_for_dims, representative_entries
+from nlie.catalog import catalog_build, direct_sum, entries_for_dims, representative_entries
 from nlie.core import NLieAlgebra, bracket, check_fundamental_identity, make_algebra
 from nlie.errors import InvalidParameterError
 from nlie.fields import GF, QQ
@@ -103,22 +103,31 @@ def test_a_stopped_alpha_beta_search_separates_nothing(monkeypatch):
 
 def test_ideal_counts_walk_the_planes_of_d_only_within_the_budget(monkeypatch):
     """A level of ideal counts is compared when the derived algebra D has at
-    most ``_CERTIFICATE_BUDGET`` subspaces of that dimension.  A(6) over
-    GF(3) is perfect, so D = L and its 99,463 planes are not walked, while
-    its 1,093 lines are; A(4) over GF(3) has 1,210 planes, walked on both
-    sides."""
+    most ``_CERTIFICATE_BUDGET`` subspaces of that dimension.  A(3) + A(3)
+    is perfect, so D = L: over GF(3) its 3,280 lines are walked and its
+    896,260 planes are not, and over GF(2) its 255 lines and 10,795 planes
+    are walked, on both sides.  A(n) is perfect and absolutely simple, so
+    both of its counts are 0, with no walk."""
     walks, walk = Counter(), search.walk_subspaces
 
     def counted(m, k, p, containing=None):
-        walks[k] += 1
-        return walk(m, k, p, containing)
+        for item in walk(m, k, p, containing):
+            walks[k] += 1
+            yield item
 
     monkeypatch.setattr(search, "walk_subspaces", counted)
-    for n, planes in ((6, 0), (4, 2)):
-        L = catalog_build("A(n)", GF(3), n=n)
+    for p, lines, planes in ((3, 3280, 0), (2, 255, 10795)):
+        A = catalog_build("A(n)", GF(p), n=3)
+        L = direct_sum(A, A)
         walks.clear()
         assert ideal_count_difference(L, random_basis_change(L, 1)) is None
-        assert (walks[1], walks[2]) == (2, planes), n
+        assert (walks[1], walks[2]) == (2 * lines, 2 * planes), p
+    for n, p in ((3, 2), (4, 3), (6, 3), (6, 2)):
+        L = catalog_build("A(n)", GF(p), n=n)
+        walks.clear()
+        assert list(iso._ideal_counts(L)) == [0, 0], (n, p)
+        assert ideal_count_difference(L, random_basis_change(L, 1)) is None
+        assert not walks, (n, p)
 
 
 def test_random_basis_change_preserves_identity_validity():

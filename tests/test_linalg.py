@@ -123,8 +123,9 @@ def test_span_keeps_integral_rationals_ints():
 
 def test_library_subspaces_over_q_hold_no_integral_fraction(monkeypatch):
     """Every Subspace built while reporting on the Q catalog at m = 4, 5 and
-    on its conjugates by an upper-triangular basis change of determinant
-    2^m (fractional constants) stores each integral value as an int."""
+    on its conjugates by the upper- and the lower-bidiagonal basis change of
+    determinant 2^m (2 on the diagonal, 1 beside it: fractional constants)
+    stores each integral value as an int."""
     built = []
     init = linalg.Subspace.__init__
 
@@ -135,9 +136,10 @@ def test_library_subspaces_over_q_hold_no_integral_fraction(monkeypatch):
     monkeypatch.setattr(linalg.Subspace, "__init__", recording)
     for _, L in entries_for_dims((4, 5), QQ):
         m = L.dim
-        P = Matrix.from_rows(QQ, [[2 if j == i else 1 if j == i + 1 else 0 for j in range(m)]
-                                  for i in range(m)])
-        for A in (L, change_basis(L, P)):
+        upper, lower = (Matrix.from_rows(QQ, [[2 if j == i else 1 if j == i + side else 0
+                                               for j in range(m)] for i in range(m)])
+                        for side in (1, -1))
+        for A in (L, change_basis(L, upper), change_basis(L, lower)):
             report = invariant_report(A)
             abelian_bounds_q(A)
             full = full_subspace(QQ, m)

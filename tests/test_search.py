@@ -17,6 +17,7 @@ from nlie.fields import GF, QQ
 from nlie.invariants import center, classify_subspace
 from nlie.iso import random_basis_change
 from nlie.linalg import (
+    Matrix,
     coordinate_subspace,
     full_subspace,
     null_basis,
@@ -774,23 +775,31 @@ def test_q_bounds_test_each_beta_candidate_once(monkeypatch):
 def test_q_bounds_match_the_reference_growth(monkeypatch):
     """abelian_bounds_q against ``oracles.abelian_bounds_q_reference`` (whole
     spans, every growth from scratch) on every catalog family over Q at m =
-    4, 5, 6 and the Lie fixtures, one after another in this process, so a
-    memo that outlived its call would show.  Each call keeps one memo, and
-    it maps exactly the subspaces of the reference's growth paths to where
-    their growth ends."""
+    4, 5, 6, on each m = 4, 5 table conjugated by the lower-bidiagonal basis
+    change (2 on the diagonal, 1 below it), whose witnesses hold fractions,
+    and on the Lie fixtures, one after another in this process, so a memo
+    that outlived its call would show.  Each call keeps one memo, and it
+    maps exactly the bases of the reference's growth paths to the (basis,
+    pivots) where their growth ends."""
     memos = []
     grow = search._grow_abelian
 
-    def recorded(L, seed, memo):
+    def recorded(L, rows, pivots, memo):
         memos.append(memo)
-        return grow(L, seed, memo)
+        return grow(L, rows, pivots, memo)
 
     monkeypatch.setattr(search, "_grow_abelian", recorded)
     algebras = entries_for_dims((4, 5, 6), QQ)
+    for label, L in entries_for_dims((4, 5), QQ):
+        m = L.dim
+        P = Matrix.from_rows(QQ, [[2 if j == i else 1 if j == i - 1 else 0 for j in range(m)]
+                                  for i in range(m)])
+        algebras.append((f"{label} conjugate", iso.change_basis(L, P)))
     for fid, params in (("affine", {"dim": 2}), ("heisenberg", {"dim": 3}),
                         ("heisenberg", {"dim": 5}), ("upper", {"n": 2}),
                         ("strictly-upper", {"n": 3})):
         algebras.append((f"lie {fid} {params}", lie_catalog_build(fid, QQ, **params)))
+    fractional = 0
     for label, L in algebras:
         memos.clear()
         res = abelian_bounds_q(L)
@@ -798,4 +807,8 @@ def test_q_bounds_match_the_reference_growth(monkeypatch):
         assert [res.alpha, res.beta, res.alpha_witness, res.beta_witness,
                 res.subspaces_scanned, res.notes] == expected, label
         assert memos and all(memo is memos[0] for memo in memos), label
-        assert memos[0] == {S.basis: path[-1] for path in paths for S in path}, label
+        assert memos[0] == {S.basis: (path[-1].basis, path[-1].pivots)
+                            for path in paths for S in path}, label
+        fractional += any(type(x) is Fraction for W in (res.alpha_witness, res.beta_witness)
+                          if W for r in W.basis for x in r)
+    assert fractional
