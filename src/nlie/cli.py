@@ -298,14 +298,8 @@ def cmd_classify44(args):
 
 def cmd_verify_paper(args):
     quiet = getattr(args, "json", False)
-    lines = []
-
-    def sink(line):
-        lines.append(line)
-        if not quiet:
-            print(line)
-
-    suite = run_suite(only=args.only or None, seed=args.seed, report=sink)
+    suite = run_suite(only=args.only or None, seed=args.seed,
+                      report=None if quiet else print)
     if quiet:
         _emit(args, "verify-paper", suite.to_dict(), [])
     else:

@@ -18,7 +18,7 @@ of n vectors of S come from ``core.bracket_rows`` in ``brackets_within``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 from .core import NLieAlgebra, bracket_rows, bracket_subspaces, require_subspace
@@ -291,6 +291,16 @@ class InvariantReport:
             "nilpotent": self.nilpotent,
             "solvable": {str(s): flag for s, flag in self.solvable},
         }
+
+    def differs_from(self, other: "InvariantReport") -> str | None:
+        """Name of the first compared component separating the two, or None.
+        A value that one side lacks (None, as a fingerprint's ``alpha_beta``
+        when its search stopped at the budget) separates nothing."""
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if f.compare and a != b and None not in (a, b):
+                return f.name
+        return None
 
 
 def invariant_report(L: NLieAlgebra) -> InvariantReport:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, fields, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from itertools import combinations, product
 from operator import mul
 
@@ -56,27 +56,18 @@ class Fingerprint(InvariantReport):
         return dict(super().to_dict(),
                     alpha_beta=list(self.alpha_beta) if self.alpha_beta else None)
 
-    def differs_from(self, other: "Fingerprint") -> str | None:
-        """Name of the first component separating the two, or None.  A value
-        that one side lacks (an ``alpha_beta`` search stopped by the budget)
-        separates nothing."""
-        for f in fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if f.compare and a != b and None not in (a, b):
-                return f.name
-        return None
+
+def _alpha_beta(L: NLieAlgebra) -> tuple | None:
+    """(alpha, beta) of L over GF(p) by the value-only search
+    (``witnesses=False``) under ``_CERTIFICATE_BUDGET``; None when it stops,
+    and over Q, where the exact values are not computed."""
+    res = L.field.p and alpha_beta_exact_fp(L, budget=_CERTIFICATE_BUDGET, witnesses=False)
+    return (res.alpha, res.beta) if res and res.complete else None
 
 
 def fingerprint(L: NLieAlgebra) -> Fingerprint:
-    """Deterministic basis-invariant of L: its invariant report plus alpha/beta.
-
-    Over GF(p) alpha/beta come from the value-only search (``witnesses=False``)
-    under ``_CERTIFICATE_BUDGET``, and are None when it stops; over Q, where
-    the exact values are not computed, they are always None.
-    """
-    res = L.field.p and alpha_beta_exact_fp(L, budget=_CERTIFICATE_BUDGET, witnesses=False)
-    ab = (res.alpha, res.beta) if res and res.complete else None
-    return Fingerprint(**vars(invariant_report(L)), alpha_beta=ab)
+    """Deterministic basis-invariant of L: its invariant report plus alpha/beta."""
+    return Fingerprint(**vars(invariant_report(L)), alpha_beta=_alpha_beta(L))
 
 
 def change_basis(L: NLieAlgebra, P: Matrix) -> NLieAlgebra:
@@ -230,8 +221,12 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
     if L1.entries == L2.entries:
         return IsoResult("yes", Matrix.identity(f, m), "identical tables", 0)
 
-    fp1, fp2 = fingerprint(L1), fingerprint(L2)
-    diff = fp1.differs_from(fp2)
+    # the fingerprints, alpha/beta last: the second search runs only when the
+    # reports agree and the first search completed, as a None separates nothing
+    rep1, rep2 = invariant_report(L1), invariant_report(L2)
+    diff = rep1.differs_from(rep2)
+    if diff is None and (ab1 := _alpha_beta(L1)) is not None:
+        diff = "alpha_beta" if _alpha_beta(L2) not in (None, ab1) else None
     if diff is not None:
         return IsoResult("no", None, f"fingerprint: {diff}", 0)
 
@@ -240,7 +235,7 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
         if reason is not None:
             return IsoResult("no", None, reason, 0)
 
-    return _search_isomorphism(L1, L2, fp1.subspaces, fp2.subspaces, budget)
+    return _search_isomorphism(L1, L2, rep1.subspaces, rep2.subspaces, budget)
 
 
 def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:

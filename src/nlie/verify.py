@@ -1,9 +1,13 @@
 """Machine verification suite for the classification claims behind the catalog.
 
-Nine criteria, each returning a CheckResult with failure details.  All
-arithmetic is exact; alpha/beta statements are established by exact
-searches over small prime fields and linear-algebra statements exactly
-over Q.  The suite is deterministic for a fixed seed.
+Nine criteria.  Each is a generator that yields one (passed, failure text)
+pair per check; one decorator, ``_criterion``, runs it, counts the pairs,
+collects the failing texts into a CheckResult and registers the criterion
+for ``run_suite``.  A failure text is formatted when its pair is yielded,
+so it does no work beyond formatting.  All arithmetic is exact; alpha/beta
+statements are established by exact searches over small prime fields and
+linear-algebra statements exactly over Q.  The suite is deterministic for a
+fixed seed.
 
 Known defect, surfaced honestly rather than patched around: the shipped
 tables for the families T43-c1 (pair count >= 2) and EX41 do NOT satisfy the
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 
 from .catalog import (
@@ -35,7 +40,7 @@ from .core import (
     check_fundamental_identity,
     make_algebra,
 )
-from .errors import FundamentalIdentityError
+from .errors import FundamentalIdentityError, InvalidParameterError
 from .fields import GF, QQ
 from .invariants import (
     center,
@@ -56,6 +61,8 @@ from .search import (
 )
 
 DEFAULT_SEED = 0
+
+_CRITERIA = {}
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,30 @@ class SuiteResult:
     def to_dict(self):
         return {"passed": self.passed,
                 "results": [r.to_dict() for r in self.results]}
+
+
+def _criterion(number: int, name: str):
+    """Make a generator of (passed, failure text) pairs, one per check, into
+    criterion ``number``: a function with the generator's arguments that
+    returns the tally as a CheckResult, registered in ``_CRITERIA``."""
+    def tally(checks):
+        @wraps(checks)
+        def run(*args, **kwargs) -> CheckResult:
+            outcomes = list(checks(*args, **kwargs))
+            failures = tuple(text for passed, text in outcomes if not passed)
+            return CheckResult(number, name, not failures, len(outcomes), failures)
+        _CRITERIA[number] = run
+        return run
+    return tally
+
+
+def _built(construct, *args):
+    """``construct(*args)``, or None when it raises FundamentalIdentityError
+    because its result fails the identity."""
+    try:
+        return construct(*args)
+    except FundamentalIdentityError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +166,15 @@ def _fi_sample_specs():
     return specs
 
 
-def criterion_1() -> CheckResult:
+@_criterion(1, "fundamental identity over Q and mod {2,5}")
+def criterion_1():
     """Fundamental-identity validity of the catalog plus a mutation detection check."""
-    failures = []
-    checks = 0
     for label, fid, params in _fi_sample_specs():
         L = catalog_build(fid, QQ, **params)
-        checks += 1
-        if not L.fi_checked:
-            failures.append(f"{label}: identity fails over Q")
+        yield L.fi_checked, f"{label}: identity fails over Q"
         for p in (2, 5):
-            Lp = reduce_mod_p(L, p)
-            checks += 1
-            if not check_fundamental_identity(Lp).holds:
-                failures.append(f"{label}: identity fails mod {p}")
+            yield (check_fundamental_identity(reduce_mod_p(L, p)).holds,
+                   f"{label}: identity fails mod {p}")
 
     # the stated mutation check: flipping the sign of the [e1,e2,e3] constant
     # of the simple 4-dim table must be reported as a violation
@@ -157,7 +183,6 @@ def criterion_1() -> CheckResult:
         (1, 2, 3): {4: -1},
     })
     report = check_fundamental_identity(mutated)
-    checks += 1
     if report.holds:
         # cross-check the verdict with the independent expander; a diagonal
         # rescaling of the simple table preserves the identity over every
@@ -167,22 +192,18 @@ def criterion_1() -> CheckResult:
         oracle_zero = all(
             all(x == QQ.zero for x in naive_fi_residual(mutated, xs, ys))
             for xs, ys in sample)
-        failures.append(
-            "sign-flip mutation passes the identity (independent expander "
-            f"agrees on sampled instances: {oracle_zero}); single-entry "
-            "rescalings of the simple table are identity-preserving")
-    else:
-        v = report.violations[0]
-        residual = naive_fi_residual(
-            mutated, tuple(i - 1 for i in v.x_indices),
-            tuple(j - 1 for j in v.y_indices))
-        checks += 1
-        if residual != v.residual:
-            failures.append("checker residual disagrees with the independent expander")
-        if all(x == QQ.zero for x in residual):
-            failures.append("independent expander found no residual for the reported tuple")
-    return CheckResult(1, "fundamental identity over Q and mod {2,5}",
-                       not failures, checks, tuple(failures))
+        yield (False, "sign-flip mutation passes the identity (independent expander "
+               f"agrees on sampled instances: {oracle_zero}); single-entry "
+               "rescalings of the simple table are identity-preserving")
+        return
+    yield True, "sign-flip mutation detected"
+    v = report.violations[0]
+    residual = naive_fi_residual(
+        mutated, tuple(i - 1 for i in v.x_indices),
+        tuple(j - 1 for j in v.y_indices))
+    yield residual == v.residual, "checker residual disagrees with the independent expander"
+    yield (not all(x == QQ.zero for x in residual),
+           "independent expander found no residual for the reported tuple")
 
 
 _AB_EXPECTED = (
@@ -195,48 +216,31 @@ _AB_EXPECTED = (
 )
 
 
-def criterion_2() -> CheckResult:
+@_criterion(2, "alpha/beta values by exhaustive enumeration at p=2,3")
+def criterion_2():
     """Exhaustive alpha/beta values at p in {2, 3}, with cross-prime agreement."""
-    failures = []
-    checks = 0
     for fid, params, expected in _AB_EXPECTED:
         got = {}
         for p in (2, 3):
-            L = catalog_build(fid, GF(p), **params)
-            res = alpha_beta_exact_fp(L)
+            res = alpha_beta_exact_fp(catalog_build(fid, GF(p), **params))
             got[p] = (res.alpha, res.beta)
-            checks += 1
-            if got[p] != expected:
-                failures.append(f"{fid}{params} at p={p}: got {got[p]}, expected {expected}")
-        checks += 1
-        if got[2] != got[3]:
-            failures.append(f"{fid}{params}: primes disagree {got}")
-    return CheckResult(2, "alpha/beta values by exhaustive enumeration at p=2,3",
-                       not failures, checks, tuple(failures))
+            yield got[p] == expected, f"{fid}{params} at p={p}: got {got[p]}, expected {expected}"
+        yield got[2] == got[3], f"{fid}{params}: primes disagree {got}"
 
 
-def criterion_3() -> CheckResult:
+@_criterion(3, "abelian-ideal codimension bound over GF(2), m <= 6")
+def criterion_3():
     """beta <= dim-2 for every non-abelian catalog algebra (m <= 6, GF(2)),
     and no abelian ideal of codimension 1 exists."""
-    failures = []
-    checks = 0
     for label, L in entries_for_dims((4, 5, 6), GF(2)):
         m = L.dim
         res = alpha_beta_exact_fp(L, compute="beta")
-        checks += 1
-        if res.beta is None or res.beta > m - 2:
-            failures.append(f"{label}: beta={res.beta} exceeds dim-2={m - 2}")
+        yield (res.beta is not None and res.beta <= m - 2,
+               f"{label}: beta={res.beta} exceeds dim-2={m - 2}")
         # codimension-1 sweep, independent of the beta branch and bound
-        checks += 1
-        bad = None
-        for S in enumerate_subspaces(m, m - 1, 2):
-            if classify_subspace(L, S).is_abelian_ideal:
-                bad = S
-                break
-        if bad is not None:
-            failures.append(f"{label}: found a codim-1 abelian ideal")
-    return CheckResult(3, "abelian-ideal codimension bound over GF(2), m <= 6",
-                       not failures, checks, tuple(failures))
+        yield (not any(classify_subspace(L, S).is_abelian_ideal
+                       for S in enumerate_subspaces(m, m - 1, 2)),
+               f"{label}: found a codim-1 abelian ideal")
 
 
 def _t3435_cases(m):
@@ -249,75 +253,52 @@ def _t3435_cases(m):
     return cases
 
 
-def criterion_4() -> CheckResult:
+@_criterion(4, "derived-dim 1/2 families: dimensions and distinctness")
+def criterion_4():
     """Structure of the derived-dimension-1 and -2 families at m in {5, 6, 7}:
     dimensions, the codimension-2 abelian ideal, 2-step solvability, and
     pairwise non-isomorphism at fixed m."""
-    failures = []
-    checks = 0
     for m in (5, 6, 7):
-        built = []
-        for fid, params, d1 in _t3435_cases(m):
+        cases = _t3435_cases(m)
+        for fid, params, d1 in cases:
             label = f"{fid} m={m}"
             L = catalog_build(fid, QQ, **params)
-            built.append((label, fid, params, d1))
             rep = invariant_report(L)
             expected_z = m - 3 if d1 == 1 else m - 4
-            checks += 3
-            if rep.derived_dim != d1:
-                failures.append(f"{label}: derived dim {rep.derived_dim} != {d1}")
-            if rep.center_dim != expected_z:
-                failures.append(f"{label}: center dim {rep.center_dim} != {expected_z}")
-            if not is_2step_s_solvable(L, 2):
-                failures.append(f"{label}: not 2-step solvable")
+            yield rep.derived_dim == d1, f"{label}: derived dim {rep.derived_dim} != {d1}"
+            yield rep.center_dim == expected_z, f"{label}: center dim {rep.center_dim} != {expected_z}"
+            yield is_2step_s_solvable(L, 2), f"{label}: not 2-step solvable"
             ideal = coordinate_subspace(QQ, m, range(m - 2))
-            cls = classify_subspace(L, ideal)
-            checks += 2
-            if not cls.is_abelian_ideal:
-                failures.append(f"{label}: span(x1..x{m - 2}) is not an abelian ideal")
-            if not ideal.contains(derived_algebra(L)):
-                failures.append(f"{label}: derived algebra not inside the codim-2 ideal")
+            yield (classify_subspace(L, ideal).is_abelian_ideal,
+                   f"{label}: span(x1..x{m - 2}) is not an abelian ideal")
+            yield (ideal.contains(derived_algebra(L)),
+                   f"{label}: derived algebra not inside the codim-2 ideal")
         # pairwise distinction at this m, over GF(2)
-        f2 = [(lbl, catalog_build(fid, GF(2), **params))
-              for lbl, fid, params, _ in built]
+        f2 = [(f"{fid} m={m}", catalog_build(fid, GF(2), **params))
+              for fid, params, _ in cases]
         for (la, A), (lb, B) in combinations(f2, 2):
-            checks += 1
-            verdict = are_isomorphic(A, B)
-            if verdict.verdict != "no":
-                failures.append(f"{la} vs {lb}: not separated ({verdict.verdict})")
+            verdict = are_isomorphic(A, B).verdict
+            yield verdict == "no", f"{la} vs {lb}: not separated ({verdict})"
     # the dimension-4 cores of the three fingerprint-tied cases
     cores = [(fid, catalog_build(fid, GF(2), m=4, **extra))
              for fid, extra in (("T35-b4", {}), ("T35-b5", {}),
                                 ("T35-b6", {"alpha": 1}))]
     for (la, A), (lb, B) in combinations(cores, 2):
-        checks += 1
-        verdict = are_isomorphic(A, B)
-        if verdict.verdict != "no":
-            failures.append(f"core {la} vs {lb} at m=4: {verdict.verdict}")
-    return CheckResult(4, "derived-dim 1/2 families: dimensions and distinctness",
-                       not failures, checks, tuple(failures))
+        verdict = are_isomorphic(A, B).verdict
+        yield verdict == "no", f"core {la} vs {lb} at m=4: {verdict}"
 
 
-def criterion_5() -> CheckResult:
+@_criterion(5, "codim-1 hypo-abelian ideal for nilpotent alpha=dim-1")
+def criterion_5():
     """Every nilpotent catalog algebra with alpha = dim-1 has a codimension-1
     hypo-abelian ideal, found by exhaustive scan over GF(2)."""
-    failures = []
-    checks = 0
     samples = [("EX33", catalog_build("EX33", GF(2))),
                ("EX42 m=5", catalog_build("EX42", GF(2), m=5)),
                ("EX42 m=6", catalog_build("EX42", GF(2), m=6))]
     for label, L in samples:
-        m = L.dim
-        found = None
-        for S in enumerate_subspaces(m, m - 1, 2):
-            if classify_subspace(L, S).is_hypo_abelian_ideal:
-                found = S
-                break
-        checks += 1
-        if found is None:
-            failures.append(f"{label}: no codim-1 hypo-abelian ideal found")
-    return CheckResult(5, "codim-1 hypo-abelian ideal for nilpotent alpha=dim-1",
-                       not failures, checks, tuple(failures))
+        yield (any(classify_subspace(L, S).is_hypo_abelian_ideal
+                   for S in enumerate_subspaces(L.dim, L.dim - 1, 2)),
+               f"{label}: no codim-1 hypo-abelian ideal found")
 
 
 def _criterion6_inputs():
@@ -330,141 +311,96 @@ def _criterion6_inputs():
             ("heisenberg(3)+abelian(1)", direct_sum(heis, ab1))]
 
 
-def criterion_6() -> CheckResult:
+@_criterion(6, "trivial-extension constructions")
+def criterion_6():
     """Trivial extensions of 2-step solvable Lie algebras with a codim-1
     abelian ideal: identity holds, second derived term vanishes, beta equals
     dim-2 over GF(2) and GF(3), and the embedded copy is hypo-abelian."""
-    failures = []
-    checks = 0
     for label, J0 in _criterion6_inputs():
-        checks += 1
-        if not is_2step_s_solvable(J0, 2):
-            failures.append(f"{label}: input not 2-step solvable")
+        solvable = is_2step_s_solvable(J0, 2)
+        yield solvable, f"{label}: input not 2-step solvable"
+        if not solvable:
             continue
-        bounds = abelian_bounds_q(J0)
-        checks += 1
-        if bounds.beta != J0.dim - 1:
-            failures.append(f"{label}: no codim-1 abelian ideal found (beta>={bounds.beta})")
+        beta = abelian_bounds_q(J0).beta
+        yield beta == J0.dim - 1, f"{label}: no codim-1 abelian ideal found (beta>={beta})"
+        if beta != J0.dim - 1:
             continue
-        try:
-            L = trivial_extension(J0)
-        except FundamentalIdentityError:
-            checks += 1
-            failures.append(f"{label}: extension violates the identity")
+        L = _built(trivial_extension, J0)
+        yield L is not None, f"{label}: extension violates the identity"
+        if L is None:
             continue
-        checks += 1  # extension passed the identity check by construction
-        checks += 1
-        if not is_2step_s_solvable(L, 2):
-            failures.append(f"ext({label}): second derived term nonzero")
+        yield is_2step_s_solvable(L, 2), f"ext({label}): second derived term nonzero"
         for p in (2, 3):
             res = alpha_beta_exact_fp(reduce_mod_p(L, p), compute="beta")
-            checks += 1
-            if res.beta != L.dim - 2:
-                failures.append(f"ext({label}) mod {p}: beta={res.beta} != {L.dim - 2}")
+            yield res.beta == L.dim - 2, f"ext({label}) mod {p}: beta={res.beta} != {L.dim - 2}"
         embedded = coordinate_subspace(QQ, L.dim, range(J0.dim))
-        cls = classify_subspace(L, embedded)
-        checks += 1
-        if not cls.is_hypo_abelian_ideal:
-            failures.append(f"ext({label}): embedded copy not a hypo-abelian ideal")
-    return CheckResult(6, "trivial-extension constructions", not failures,
-                       checks, tuple(failures))
+        yield (classify_subspace(L, embedded).is_hypo_abelian_ideal,
+               f"ext({label}): embedded copy not a hypo-abelian ideal")
 
 
-def criterion_7() -> CheckResult:
+@_criterion(7, "associated binary algebras (Jacobi + examples)")
+def criterion_7():
     """Associated binary algebras: Jacobi at every basis vector for every
     catalog algebra (m <= 6), plus the two quantitative examples."""
-    failures = []
-    checks = 0
     for label, L in entries_for_dims((4, 5, 6), QQ):
         if L.arity != 3:
             continue
         f = L.field
         for i in range(L.dim):
             w = tuple(f.one if t == i else f.zero for t in range(L.dim))
-            checks += 1
-            try:
-                associated_lie(L, w)
-            except FundamentalIdentityError:
-                failures.append(f"{label}: Jacobi fails at basis vector {i + 1}")
+            yield (_built(associated_lie, L, w) is not None,
+                   f"{label}: Jacobi fails at basis vector {i + 1}")
 
-    ex32 = catalog_build("EX32-1", QQ)
-    L0 = associated_lie(ex32, (0, 0, 0, 1))
+    L0 = associated_lie(catalog_build("EX32-1", QQ), (0, 0, 0, 1))
     z0 = center(L0)
     d0 = derived_algebra(L0)
-    checks += 3
-    if z0.dim != 1:
-        failures.append(f"assoc(EX32-1, x4): center dim {z0.dim} != 1")
-    if d0.dim != 3:
-        failures.append(f"assoc(EX32-1, x4): derived dim {d0.dim} != 3")
-    if subspace_intersect(z0, d0).dim != 0:
-        failures.append("assoc(EX32-1, x4): center meets the derived subalgebra")
+    yield z0.dim == 1, f"assoc(EX32-1, x4): center dim {z0.dim} != 1"
+    yield d0.dim == 3, f"assoc(EX32-1, x4): derived dim {d0.dim} != 3"
+    yield (subspace_intersect(z0, d0).dim == 0,
+           "assoc(EX32-1, x4): center meets the derived subalgebra")
 
-    ex42 = catalog_build("EX42", QQ, m=6)
-    L0 = associated_lie(ex42, (1, 0, 0, 0, 0, 0))
+    L0 = associated_lie(catalog_build("EX42", QQ, m=6), (1, 0, 0, 0, 0, 0))
     res = alpha_beta_exact_fp(reduce_mod_p(L0, 2))
-    checks += 1
-    if (res.alpha, res.beta) != (5, 5):
-        failures.append(f"assoc(EX42 m=6, x1): alpha/beta {(res.alpha, res.beta)} != (5, 5)")
-    return CheckResult(7, "associated binary algebras (Jacobi + examples)",
-                       not failures, checks, tuple(failures))
+    ab = (res.alpha, res.beta)
+    yield ab == (5, 5), f"assoc(EX42 m=6, x1): alpha/beta {ab} != (5, 5)"
 
 
-def criterion_8() -> CheckResult:
+@_criterion(8, "alpha = dim-2 trichotomy and direct-sum checks")
+def criterion_8():
     """Trichotomy checks and the strong-semisimplicity corroboration."""
-    failures = []
-    checks = 0
-
     v = classify_theorem44(catalog_build("EX33", QQ))
-    checks += 1
-    if v.case != "3-solvable":
-        failures.append(f"EX33 classified as {v.case}")
+    yield v.case == "3-solvable", f"EX33 classified as {v.case}"
 
     a4 = catalog_build("A(n)", QQ, n=3)
     v = classify_theorem44(a4)
-    checks += 1
-    if v.case != "simple-A4":
-        failures.append(f"simple 4-dim algebra classified as {v.case}")
+    yield v.case == "simple-A4", f"simple 4-dim algebra classified as {v.case}"
 
     sd = direct_sum(a4, abelian_algebra(QQ, 3, 2))
     v = classify_theorem44(sd)
-    checks += 1
-    if v.case != "A4-semidirect" or v.tau is None or v.tau.dim != 2:
-        failures.append(f"A4+F^2 classified as {v.case} (tau={v.tau and v.tau.dim})")
-    else:
+    has_tau = v.case == "A4-semidirect" and v.tau is not None and v.tau.dim == 2
+    yield has_tau, f"A4+F^2 classified as {v.case} (tau={v.tau and v.tau.dim})"
+    if has_tau:
         sd2 = reduce_mod_p(sd, 2)
-        cls = classify_subspace(sd2, v.tau)
-        checks += 1
-        if not cls.is_abelian_ideal:
-            failures.append("reported tau is not an abelian ideal")
-        checks += 1
-        if v.block is None or subspace_intersect(v.block, v.tau).dim != 0 \
-                or v.block.dim + v.tau.dim != sd.dim:
-            failures.append("reported block is not complementary to tau")
-        else:
+        yield classify_subspace(sd2, v.tau).is_abelian_ideal, "reported tau is not an abelian ideal"
+        complementary = (v.block is not None and subspace_intersect(v.block, v.tau).dim == 0
+                         and v.block.dim + v.tau.dim == sd.dim)
+        yield complementary, "reported block is not complementary to tau"
+        if complementary:
             block = restrict_to_subalgebra(sd2, v.block)
-            checks += 1
-            if classify_theorem44(block).case != "simple-A4":
-                failures.append("reported block is not simple")
+            yield classify_theorem44(block).case == "simple-A4", "reported block is not simple"
 
-    a4a4 = direct_sum(a4, a4)
-    res = alpha_beta_exact_fp(reduce_mod_p(a4a4, 2), compute="beta")
-    checks += 1
-    if res.beta != 0:
-        failures.append(f"beta(A4+A4) over GF(2) = {res.beta} != 0")
-    return CheckResult(8, "alpha = dim-2 trichotomy and direct-sum checks",
-                       not failures, checks, tuple(failures))
+    res = alpha_beta_exact_fp(reduce_mod_p(direct_sum(a4, a4), 2), compute="beta")
+    yield res.beta == 0, f"beta(A4+A4) over GF(2) = {res.beta} != 0"
 
 
-def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
+@_criterion(9, "property suites (randomized + enumeration counts)")
+def criterion_9(seed: int = DEFAULT_SEED):
     """Standalone property suites: randomized multilinearity/antisymmetry,
     fingerprint invariance under basis change, and subspace enumeration counts."""
-    failures = []
-    checks = 0
     rng = random.Random(seed)
 
     reps_q = representative_entries(QQ)
-    reps_f3 = representative_entries(GF(3))
-    pool = reps_q + reps_f3
+    pool = reps_q + representative_entries(GF(3))
     for case in range(1000):
         label, L = pool[rng.randrange(len(pool))]
         f = L.field
@@ -480,11 +416,9 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
         i, j = rng.sample(range(n), 2)
         swapped = list(vecs)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        lhs = bracket(L, vecs)
-        rhs = bracket(L, swapped)
-        checks += 1
-        if lhs != tuple(f.neg(x) for x in rhs):
-            failures.append(f"case {case} ({label}): antisymmetry fails")
+        ok = bracket(L, vecs) == tuple(f.neg(x) for x in bracket(L, swapped))
+        yield ok, f"case {case} ({label}): antisymmetry fails"
+        if not ok:
             break
         slot = rng.randrange(n)
         u, v = rand_vec(), rand_vec()
@@ -497,61 +431,38 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CheckResult:
         with_v[slot] = v
         with_c = list(vecs)
         with_c[slot] = combo
-        left = bracket(L, with_c)
-        right = tuple(f.add(a, f.mul(c, b))
-                      for a, b in zip(bracket(L, with_u), bracket(L, with_v)))
-        checks += 1
-        if left != right:
-            failures.append(f"case {case} ({label}): multilinearity fails")
+        ok = bracket(L, with_c) == tuple(
+            f.add(a, f.mul(c, b)) for a, b in zip(bracket(L, with_u), bracket(L, with_v)))
+        yield ok, f"case {case} ({label}): multilinearity fails"
+        if not ok:
             break
 
     for label, L in reps_q:
         fp = fingerprint(L)
         for s in range(20):
-            checks += 1
-            if fingerprint(random_basis_change(L, seed + s)) != fp:
-                failures.append(f"{label}: fingerprint not invariant (seed {seed + s})")
+            ok = fingerprint(random_basis_change(L, seed + s)) == fp
+            yield ok, f"{label}: fingerprint not invariant (seed {seed + s})"
+            if not ok:
                 break
 
     for p in (2, 3):
         for m in range(1, 7):
             for k in range(0, m + 1):
-                seen = set()
-                count = 0
-                for S in enumerate_subspaces(m, k, p):
-                    count += 1
-                    seen.add(S.basis)
-                expected = gaussian_binomial(m, k, p)
-                checks += 2
-                if count != expected:
-                    failures.append(f"count(m={m},k={k},p={p}) = {count} != {expected}")
-                if len(seen) != count:
-                    failures.append(f"duplicates in enumeration m={m},k={k},p={p}")
-    return CheckResult(9, "property suites (randomized + enumeration counts)",
-                       not failures, checks, tuple(failures))
-
-
-_CRITERIA = {
-    1: lambda seed: criterion_1(),
-    2: lambda seed: criterion_2(),
-    3: lambda seed: criterion_3(),
-    4: lambda seed: criterion_4(),
-    5: lambda seed: criterion_5(),
-    6: lambda seed: criterion_6(),
-    7: lambda seed: criterion_7(),
-    8: lambda seed: criterion_8(),
-    9: criterion_9,
-}
+                bases = [S.basis for S in enumerate_subspaces(m, k, p)]
+                count, expected = len(bases), gaussian_binomial(m, k, p)
+                yield count == expected, f"count(m={m},k={k},p={p}) = {count} != {expected}"
+                yield len(set(bases)) == count, f"duplicates in enumeration m={m},k={k},p={p}"
 
 
 def run_suite(only=None, seed: int = DEFAULT_SEED, report=print) -> SuiteResult:
     """Run the verification criteria (all by default) and report one line each."""
     selected = sorted(set(only)) if only else sorted(_CRITERIA)
+    unknown = [cid for cid in selected if cid not in _CRITERIA]
+    if unknown:
+        raise InvalidParameterError(f"unknown criterion: {unknown[0]}")
     results = []
     for cid in selected:
-        if cid not in _CRITERIA:
-            raise ValueError(f"unknown criterion: {cid}")
-        res = _CRITERIA[cid](seed)
+        res = criterion_9(seed) if cid == 9 else _CRITERIA[cid]()
         results.append(res)
         if report is not None:
             report(res.summary())

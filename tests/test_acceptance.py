@@ -34,14 +34,15 @@ def _report(result):
     return result
 
 
-def _assert_clean(result):
+def _assert_clean(result, checks_run):
     _report(result)
     assert result.passed, f"criterion {result.criterion}: {list(result.failures)}"
+    assert result.checks_run == checks_run
 
 
 def test_criterion_1_fundamental_identity():
     # faithful to the stated criterion; known-unattainable for two families
-    _assert_clean(criterion_1())
+    _assert_clean(criterion_1(), 373)
 
 
 def test_criterion_1_known_defects_are_exactly_the_expected_ones():
@@ -59,32 +60,32 @@ def test_criterion_1_known_defects_are_exactly_the_expected_ones():
 
 
 def test_criterion_2_alpha_beta_values():
-    _assert_clean(criterion_2())
+    _assert_clean(criterion_2(), 18)
 
 
 def test_criterion_3_codimension_bound():
-    _assert_clean(criterion_3())
+    _assert_clean(criterion_3(), 124)
 
 
 def test_criterion_4_family_structure_and_distinctness():
-    _assert_clean(criterion_4())
+    _assert_clean(criterion_4(), 195)
 
 
 def test_criterion_5_hypo_abelian_codim_1():
-    _assert_clean(criterion_5())
+    _assert_clean(criterion_5(), 3)
 
 
 def test_criterion_6_trivial_extensions():
-    _assert_clean(criterion_6())
+    _assert_clean(criterion_6(), 28)
 
 
 def test_criterion_7_associated_lie():
-    _assert_clean(criterion_7())
+    _assert_clean(criterion_7(), 240)
 
 
 def test_criterion_8_trichotomy():
-    _assert_clean(criterion_8())
+    _assert_clean(criterion_8(), 7)
 
 
 def test_criterion_9_property_suites():
-    _assert_clean(criterion_9())
+    _assert_clean(criterion_9(), 2608)

@@ -191,6 +191,17 @@ def test_verify_paper_single_criterion(capsys):
     assert "criterion 2 [PASS]" in out
 
 
+@pytest.mark.parametrize("only,unknown", [
+    (["10"], 10), (["0"], 0), (["1", "10"], 10),
+], ids=["10", "0", "1-and-10"])
+def test_verify_paper_unknown_criterion_runs_none(capsys, only, unknown):
+    argv = [arg for number in only for arg in ("--only", number)]
+    code, out, err = run(capsys, "verify-paper", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown criterion: {unknown}\n"
+
+
 def test_derived_s_above_arity_is_unsupported(capsys, tmp_path):
     lie_path = tmp_path / "affine.json"
     run(capsys, "lie-catalog", "affine", "--dim", "2", "--out", str(lie_path))

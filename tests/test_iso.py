@@ -101,6 +101,31 @@ def test_a_stopped_alpha_beta_search_separates_nothing(monkeypatch):
         assert are_isomorphic(A, B).verdict == "yes"
 
 
+def test_iso_runs_an_alpha_beta_search_only_where_it_can_separate(monkeypatch):
+    """``are_isomorphic`` compares the invariant reports first and runs the
+    second side's alpha/beta search only when the reports agree and the
+    first side's search completed (same pair and budget as above)."""
+    calls, search_fp = [], iso.alpha_beta_exact_fp
+
+    def counted(L, **options):
+        calls.append(L)
+        return search_fp(L, **options)
+
+    monkeypatch.setattr(iso, "alpha_beta_exact_fp", counted)
+    monkeypatch.setattr(iso, "_CERTIFICATE_BUDGET", 10)
+    L = catalog_build("T35-b4", GF(3), m=4)
+    D = random_basis_change(L, 1)
+    for A, B, searched in ((L, D, [L, D]), (D, L, [D])):
+        calls.clear()
+        assert are_isomorphic(A, B).verdict == "yes"
+        assert calls == searched
+    calls.clear()
+    res = are_isomorphic(catalog_build("T34-a1", GF(2), m=5),
+                         catalog_build("T35-b2", GF(2), m=5))
+    assert res.reason == "fingerprint: derived_dim"
+    assert calls == []
+
+
 def test_ideal_counts_walk_the_planes_of_d_only_within_the_budget(monkeypatch):
     """A level of ideal counts is compared when the derived algebra D has at
     most ``_CERTIFICATE_BUDGET`` subspaces of that dimension.  A(3) + A(3)
