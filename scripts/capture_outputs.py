@@ -32,6 +32,11 @@ A sixth digest covers the isomorphism certificates past the benchmark's
 sizes, with the work counts deleted: over GF(2) at m = 8, for each table of
 ``tasks.families(8)`` and its dense basis change, ``fingerprint --json`` on
 both and ``iso --budget 2000 --json`` on the pair.
+A seventh digest covers the beta search where the arity is m - 1, with the
+work counts deleted: over GF(2) and GF(3) at m = 5..8, for each table of
+``tasks.families(m)`` of arity m - 1 (L21-*, A(n)) and its dense basis
+change, ``alphabeta --json``.  The benchmark runs those tables as published
+and at m <= 7 only.
 
 With ``--compare OLD``, where OLD is the saved stdout of an earlier run, it
 then prints, for each column, the keys whose hash moved, and the keys that
@@ -205,6 +210,16 @@ def main(argv=None):
                               (doc.key, ["iso", doc.path, conj.path, "--budget", "2000",
                                          "--json"])):
                 iso8_lines.append(run(f"extra {argv[0]} {key}", argv)[1])
+        arity_lines = []
+        for p in (2, 3):
+            for m in (5, 6, 7, 8):
+                for fid, params in tasks.families(m):
+                    if params.get("n") != m - 1:
+                        continue
+                    doc = builder.catalog(fid, params, m, p)
+                    for d in (doc, builder.conjugate(doc)):
+                        arity_lines.append(run(f"extra alphabeta {d.key}",
+                                               ["alphabeta", d.path, "--json"])[1])
         parser_lines = parser_answers(tmp)
     print(f"{len(lines)} outputs, digest {sha(chr(10).join(lines))}")
     print(f"without work counts, digest {sha(chr(10).join(work_free_lines))}")
@@ -216,6 +231,8 @@ def main(argv=None):
           f"outputs, digest {sha(chr(10).join(classify44_lines))}")
     print(f"fingerprint and iso over GF(2) at m = 8 without work counts: "
           f"{len(iso8_lines)} outputs, digest {sha(chr(10).join(iso8_lines))}")
+    print(f"alphabeta at arity m - 1 over GF(2, 3) without work counts: "
+          f"{len(arity_lines)} outputs, digest {sha(chr(10).join(arity_lines))}")
     if args.compare:
         with open(args.compare, encoding="utf-8") as old:
             compare(read_rows(old), read_rows(printed))

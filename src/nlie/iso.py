@@ -222,11 +222,13 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
         return IsoResult("yes", Matrix.identity(f, m), "identical tables", 0)
 
     # the fingerprints, alpha/beta last: the second search runs only when the
-    # reports agree and the first search completed, as a None separates nothing
+    # reports agree and the first search completed, as a None separates nothing;
+    # the first is the side with fewer nonzero constants (L1 on a tie)
     rep1, rep2 = invariant_report(L1), invariant_report(L2)
     diff = rep1.differs_from(rep2)
-    if diff is None and (ab1 := _alpha_beta(L1)) is not None:
-        diff = "alpha_beta" if _alpha_beta(L2) not in (None, ab1) else None
+    first, second = sorted((L1, L2), key=lambda L: sum(len(v) - v.count(0) for _, v in L.entries))
+    if diff is None and (ab1 := _alpha_beta(first)) is not None:
+        diff = "alpha_beta" if _alpha_beta(second) not in (None, ab1) else None
     if diff is not None:
         return IsoResult("no", None, f"fingerprint: {diff}", 0)
 

@@ -19,7 +19,9 @@ criterion, carried to n-Lie algebras by Kasymov 1987).  An abelian ideal J
 containing an ideal I also lies in K(I) = {v : [v, i, x_1, .., x_{n-2}] = 0
 for all i in I and all x}.  Both are kernels linear in v, so dim K(I) n T
 bounds every branch below I; the root is Z in T (K(Z) = L), and where T = Z
-or the beta bound of ``_derived_bounds`` is dim Z it tries no line at all.
+or the beta bound of ``_derived_bounds`` is dim Z it tries no line at all;
+that bound counts the brackets an abelian ideal lets occur (beta <= 2 at
+arity dim - 1), and a node of its dimension is a leaf.
 Nodes grow by one line <v> of (K(I) n T)/I at a time.  A line inside (D +
 I)/I, D = [L, .., L], is spun to the ideal closure of I + <v> (the spinning
 closure of the MeatAxe; Lux, Mueller & Ringe 1994).  A line outside it is
@@ -241,12 +243,14 @@ def _derived_bounds(L: NLieAlgebra) -> tuple:
     An abelian subalgebra S of dim k containing Z gives d <= C(m - z, n) -
     C(k - z, n): in a basis through Z, then S, then a complement, a basis
     bracket vanishes when an argument is central or all lie in S.  An abelian
-    ideal J of dim k gives d <= k + C(m - k, n): a bracket with two arguments
-    in J vanishes, and one with one argument in J lies in J."""
+    ideal J of dim k containing Z gives d <= min(k, (k - z) C(m - k, n - 1))
+    + C(m - k, n): a bracket with two arguments in J vanishes, and one with
+    one argument in J off Z lies in J (k = z passes; at arity m - 1, k <= 2)."""
     m, n, z = L.dim, L.arity, center(L).dim
     d = derived_algebra(L).dim
     alpha = max(k for k in range(z, m + 1) if comb(k - z, n) <= comb(m - z, n) - d)
-    beta = max(k for k in range(_upper_bounds(L)[1] + 1) if d <= k + comb(m - k, n))
+    beta = max(k for k in range(z, _upper_bounds(L)[1] + 1)
+               if d <= min(k, (k - z) * comb(m - k, n - 1)) + comb(m - k, n))
     return alpha, beta
 
 
@@ -367,10 +371,11 @@ def _beta_search(L, limit, budget, spent, notes, witnesses=True):
     one child (see the module docstring): the closure of I + <v>, spun, if v
     lies in D + I, else I + <v> if every [v, e_y] lies in I.  Each
     line tried counts one against what ``budget`` leaves after ``spent``,
-    and a child met before is not expanded again.  A spin is given up once
-    it passes ``limit``, the beta bound of ``_derived_bounds``; where that
-    bound is dim Z, beta is dim Z and no line is tried.  So no abelian ideal
-    below I is larger than min(dim K(I) n T, limit), the bound of the branch.
+    and a child met before is not expanded again.  No abelian ideal is
+    larger than ``limit``, the beta bound of ``_derived_bounds``: a spin past
+    it is given up, a child that reaches it is a leaf, and where it is dim Z
+    no line is tried.  So no abelian ideal below I is larger than min(dim K(I)
+    n T, limit), the bound of the branch.
 
     With ``witnesses`` a branch is pruned when its bound is below the best
     dimension found, so every abelian ideal of the largest dimension is
@@ -420,6 +425,8 @@ def _beta_search(L, limit, budget, spent, notes, witnesses=True):
             seen.add(key)
             if len(child) > best[0] or (len(child) == best[0] and key < best[1:]):
                 best = (len(child),) + key
+            if len(child) >= limit:  # no abelian ideal is larger: a leaf
+                continue
             child_cons = cons + _fp_constraints(by_y2, new, p, m)
             child_cons_pivots = rref(child_cons, m, p)
             del child_cons[len(child_cons_pivots):]

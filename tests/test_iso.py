@@ -104,7 +104,10 @@ def test_a_stopped_alpha_beta_search_separates_nothing(monkeypatch):
 def test_iso_runs_an_alpha_beta_search_only_where_it_can_separate(monkeypatch):
     """``are_isomorphic`` compares the invariant reports first and runs the
     second side's alpha/beta search only when the reports agree and the
-    first side's search completed (same pair and budget as above)."""
+    first side's search completed (same pair as above).  The first search is
+    on the side with fewer nonzero structure constants, whatever the order
+    of the arguments: T35-b4 has 2 and its conjugate 4, and its search takes
+    3 units.  On a tie (T35-b4 with e3 and e4 swapped) the order is kept."""
     calls, search_fp = [], iso.alpha_beta_exact_fp
 
     def counted(L, **options):
@@ -112,10 +115,14 @@ def test_iso_runs_an_alpha_beta_search_only_where_it_can_separate(monkeypatch):
         return search_fp(L, **options)
 
     monkeypatch.setattr(iso, "alpha_beta_exact_fp", counted)
-    monkeypatch.setattr(iso, "_CERTIFICATE_BUDGET", 10)
     L = catalog_build("T35-b4", GF(3), m=4)
     D = random_basis_change(L, 1)
-    for A, B, searched in ((L, D, [L, D]), (D, L, [D])):
+    swap = Matrix.from_rows(GF(3), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    S = change_basis(L, swap)
+    for budget, A, B, searched in ((10, L, D, [L, D]), (10, D, L, [L, D]),
+                                   (2, L, D, [L]), (2, D, L, [L]),
+                                   (10, L, S, [L, S]), (10, S, L, [S, L])):
+        monkeypatch.setattr(iso, "_CERTIFICATE_BUDGET", budget)
         calls.clear()
         assert are_isomorphic(A, B).verdict == "yes"
         assert calls == searched

@@ -22,6 +22,7 @@ from nlie.linalg import (
     full_subspace,
     null_basis,
     span,
+    subspace_from_rref_rows,
     unit_vector,
     zero_subspace,
 )
@@ -215,7 +216,7 @@ def test_value_only_search_gives_the_fingerprint_values():
     ``_CERTIFICATE_BUDGET`` with the (alpha, beta) of the witness mode, carries
     no witness and tries no more beta closures.  It stops once beta reaches
     the beta bound of ``_derived_bounds``; the closure totals are pinned."""
-    for p, dims, totals in ((2, (4, 5, 6), (515, 787)), (3, (4, 5), (116, 308))):
+    for p, dims, totals in ((2, (4, 5, 6), (193, 693)), (3, (4, 5), (77, 308))):
         value_closures = witness_closures = 0
         for label, L in entries_for_dims(dims, GF(p)):
             full = alpha_beta_exact_fp(L)
@@ -308,14 +309,41 @@ def beta_walks():
     return out
 
 
-def test_beta_search_matches_brute_force_walk(beta_walks):
+@pytest.fixture(scope="module")
+def arity_walks():
+    """(label, L, beta, the canonically first abelian ideal of dimension beta
+    or None at 0) for the arity m - 1 families (L21-*, A(n)) over GF(2) at m
+    = 6 and over GF(3) at m = 5, as published and after a dense basis
+    change, by a walk down through every subspace (``oracles.level_walk``)
+    tested by ``abelian_ideal``.  Those over GF(2) at m = 5 are in
+    ``beta_walks``."""
+    out = []
+    for m, p in ((6, 2), (5, 3)):
+        for label, L in entries_for_dims((m,), GF(p)):
+            if L.arity != m - 1:
+                continue
+            for name, Lx in ((f"{label} GF({p})", L),
+                             (f"{label} GF({p}) conj", random_basis_change(L, 5))):
+                for k in range(m, -1, -1):
+                    hit = next((sub for sub in level_walk(m, k, p)
+                                if invariants.abelian_ideal(Lx, *sub)), None)
+                    if hit:
+                        out.append((name, Lx, k, subspace_from_rref_rows(Lx.field, m, *hit)
+                                    if k else None))
+                        break
+    return out
+
+
+def test_beta_search_matches_brute_force_walk(beta_walks, arity_walks):
     """The branch and bound from the centre gives the beta and the witness
     (the canonically first abelian ideal of the largest dimension) of a walk
-    through every subspace."""
-    for label, L, (beta, hits), _ in beta_walks:
+    through every subspace, on ``beta_walks`` and ``arity_walks``."""
+    walks = [(label, L, beta, hits[0] if beta else None)
+             for label, L, (beta, hits), _ in beta_walks]
+    for label, L, beta, witness in walks + arity_walks:
         res = alpha_beta_exact_fp(L, compute="beta")
         assert res.beta_exact, label
-        assert (res.beta, res.beta_witness) == (beta, hits[0] if beta else None), label
+        assert (res.beta, res.beta_witness) == (beta, witness), label
 
 
 def test_every_largest_abelian_ideal_contains_the_center(beta_walks):
@@ -483,11 +511,14 @@ def test_trace_rows_pin_the_simple_algebras(p):
         assert res.subspaces_scanned == 0
 
 
-def test_derived_bounds_hold_on_brute_force_walks(beta_walks):
+def test_derived_bounds_hold_on_brute_force_walks(beta_walks, arity_walks):
     """Alpha and beta of a walk through every subspace lie within the bounds
     of ``_derived_bounds``, on every algebra of ``beta_walks`` and on tables
     that violate the fundamental identity (EX41 as published, and a small
-    table); the bounds use neither the identity nor the characteristic."""
+    table); the bounds use neither the identity nor the characteristic.  So
+    does beta on every algebra of ``arity_walks``, where the bound of 2 is
+    attained on the 20 tables of L21-b1, -b2, -c1, -c2 and -c3, and a bound
+    one lower would fail."""
     walks = [(label, L, beta, alpha) for label, L, (beta, _), (alpha, _) in beta_walks]
     for label, L in [(f"EX41 GF({p})", catalog_build("EX41", GF(p))) for p in (2, 3)] + [
             ("FI-violating", _fi_violating_table())]:
@@ -497,6 +528,30 @@ def test_derived_bounds_hold_on_brute_force_walks(beta_walks):
     for label, L, beta, alpha in walks:
         bound_alpha, bound_beta = search._derived_bounds(L)
         assert alpha <= bound_alpha and beta <= bound_beta, label
+    tight = 0
+    for label, L, beta, _ in arity_walks:
+        bound_beta = search._derived_bounds(L)[1]
+        assert beta <= bound_beta, label
+        tight += beta == bound_beta == 2
+    assert tight == 20
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_beta_bound_is_2_at_arity_dim_minus_1(p):
+    """At arity n = m - 1 a basis bracket has two arguments in an abelian
+    ideal of dimension 3 or more, so it vanishes: the beta bound of
+    ``_derived_bounds`` is 2 on L21-b1, -b2, -c1, -c2 and -c3 at m = 5..8,
+    where the count k + C(m - k, n) allows m - 2.  On L21-d(r) with r = 3,
+    where d = 3 and Z = 0, it is 0: beta is decided with no line tried."""
+    for m in range(5, 9):
+        for fid, params in (("L21-b1", {}), ("L21-b2", {}), ("L21-c1", {}),
+                            ("L21-c2", {"alpha": 1}), ("L21-c3", {})):
+            L = catalog_build(fid, GF(p), n=m - 1, **params)
+            assert search._derived_bounds(L)[1] == 2, (fid, m)
+        L = catalog_build("L21-d(r)", GF(p), n=m - 1, r=3)
+        assert search._derived_bounds(L)[1] == 0, m
+        res = alpha_beta_exact_fp(L, compute="beta")
+        assert (res.beta, res.beta_exact, res.subspaces_scanned) == (0, True, 0), m
 
 
 @pytest.mark.parametrize("p", [2, 3])
