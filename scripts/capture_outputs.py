@@ -37,6 +37,10 @@ work counts deleted: over GF(2) and GF(3) at m = 5..8, for each table of
 ``tasks.families(m)`` of arity m - 1 (L21-*, A(n)) and its dense basis
 change, ``alphabeta --json``.  The benchmark runs those tables as published
 and at m <= 7 only.
+An eighth digest covers the witness-mode beta search on dense tables, with
+the work counts deleted: for each table of ``tasks.families(m)`` at (p, m) =
+(2, 6), (3, 5) and (5, 4) and its dense basis change, ``alphabeta --json``.
+No benchmark workload asks for witnesses on a basis change.
 
 With ``--compare OLD``, where OLD is the saved stdout of an earlier run, it
 then prints, for each column, the keys whose hash moved, and the keys that
@@ -220,6 +224,13 @@ def main(argv=None):
                     for d in (doc, builder.conjugate(doc)):
                         arity_lines.append(run(f"extra alphabeta {d.key}",
                                                ["alphabeta", d.path, "--json"])[1])
+        witness_lines = []
+        for p, m in ((2, 6), (3, 5), (5, 4)):
+            for fid, params in tasks.families(m):
+                doc = builder.catalog(fid, params, m, p)
+                for d in (doc, builder.conjugate(doc)):
+                    witness_lines.append(run(f"extra alphabeta-dense {d.key}",
+                                             ["alphabeta", d.path, "--json"])[1])
         parser_lines = parser_answers(tmp)
     print(f"{len(lines)} outputs, digest {sha(chr(10).join(lines))}")
     print(f"without work counts, digest {sha(chr(10).join(work_free_lines))}")
@@ -233,6 +244,8 @@ def main(argv=None):
           f"{len(iso8_lines)} outputs, digest {sha(chr(10).join(iso8_lines))}")
     print(f"alphabeta at arity m - 1 over GF(2, 3) without work counts: "
           f"{len(arity_lines)} outputs, digest {sha(chr(10).join(arity_lines))}")
+    print(f"alphabeta with witnesses on dense tables without work counts: "
+          f"{len(witness_lines)} outputs, digest {sha(chr(10).join(witness_lines))}")
     if args.compare:
         with open(args.compare, encoding="utf-8") as old:
             compare(read_rows(old), read_rows(printed))

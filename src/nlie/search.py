@@ -33,14 +33,16 @@ J, or J holds an image w = [v, e_y] outside I, whose line lies in D + I and
 spins to a closure inside J.  A node is pruned by dim K(I) n T as a
 maximum-clique search is pruned by the size of its candidate set
 (Carraghan & Pardalos 1990).
-Both report the canonically first subspace of the largest dimension; asked
-for values only, beta skips that tie-break and stops once it reaches its
-bound.  Over Q only certified lower bounds are produced, plus the universal
-upper bounds of ``_upper_bounds`` (dim for abelian algebras; else dim-1 for
-alpha, and dim-1 for beta at arity 2, dim-2 at arity >= 3).  The lower
-bounds grow abelian subalgebras S greedily by K(S), whose conditions are
-combinations of the operators [., e_y], on raw RREF rows: only the two
-witnesses become ``Subspace``s.
+Both report the canonically first subspace of the largest dimension.  Beta
+also prunes a branch below I whose bound only ties the best ideal once the
+first subspace of that dimension containing I (in the walk's order) cannot
+precede it; asked for values only, beta skips that tie-break and stops once
+it reaches its bound.  Over Q only certified lower bounds are produced,
+plus the universal upper bounds of ``_upper_bounds`` (dim for abelian
+algebras; else dim-1 for alpha, and dim-1 for beta at arity 2, dim-2 at
+arity >= 3).  The lower bounds grow abelian subalgebras S greedily by K(S),
+whose conditions are combinations of the operators [., e_y], on raw RREF
+rows: only the two witnesses become ``Subspace``s.
 
 The alpha scan walks the Grassmannian through ``walk_subspaces``, which can
 walk only the subspaces that contain a given one; ``walk_within`` walks
@@ -378,11 +380,14 @@ def _beta_search(L, limit, budget, spent, notes, witnesses=True):
     n T, limit), the bound of the branch.
 
     With ``witnesses`` a branch is pruned when its bound is below the best
-    dimension found, so every abelian ideal of the largest dimension is
-    reached and the canonically first one is kept.  Without them only the
-    value is sought: a branch is pruned unless its bound exceeds the best
-    dimension found, and a child is expanded only when dim K(child) n T
-    does, so the search returns as soon as the best reaches ``limit``.
+    dimension found, or equals it and the best's key (pivots, rows) is no
+    greater than that of the first subspace of ``walk_subspaces`` of this
+    dimension containing I: the walk's keys strictly increase, so no tie
+    below I can precede the best, and the canonically first abelian ideal
+    of the largest dimension is kept.  Without them only the value is
+    sought: a branch is pruned unless its bound exceeds the best dimension
+    found, and a child is expanded only when dim K(child) n T does, so the
+    search returns as soon as the best reaches ``limit``.
     """
     p, m = L.field.p, L.dim
     by_y2 = L.maps[2].values()
@@ -401,9 +406,17 @@ def _beta_search(L, limit, budget, spent, notes, witnesses=True):
         derived = [reduce_vector(rows, pivots, d, p) for d in L.derived.basis]
         derived_pivots = rref(derived, m, p)  # (D + I)/I, empty when D lies in I
         del derived[len(derived_pivots):]
+        bound, floor = min(m - len(cons), limit), None
         for v in _fp_points(quotient, p):
-            if min(m - len(cons), limit) < best[0] + gain:
+            if bound < best[0] + gain:
                 return True
+            if not gain and bound == best[0]:  # only a tie below I: can its key precede best's?
+                if floor is None:  # the first key of the walk of the bound's level above I
+                    first, profile = next(walk_subspaces(
+                        m, bound, p, subspace_from_rref_rows(L.field, m, rows, pivots)))
+                    floor = (tuple(profile), tuple(map(tuple, first)))
+                if best[1:] <= floor:
+                    return True
             if spent + tried >= budget:
                 return False
             tried += 1

@@ -293,26 +293,26 @@ def test_alphabeta_budget_stop_is_undecided(capsys, ex33_path, ex33_gf2_path):
     stopped searches named, and no claim that the primes agree.  The budget
     bounds the subspaces tested, the count reported: on EX33 the alpha scan
     starts at the alpha bound 3 and hits at the first subspace it tests,
-    and the beta search then tries 7 candidate ideals at p = 2 and 13 at
-    p = 3."""
+    and the beta search then tries 1 candidate ideal at p = 2 and at p = 3."""
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--budget", "0")
     assert code == 3
     assert "primes agree" not in out
     assert "undecided: alpha scan stopped in dimension 3 after 0 subspaces: budget 0" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3",
-                       "--budget", "13", "--json")
+                       "--budget", "1", "--json")
     assert code == 3
     runs = json.loads(out)["result"]["runs"]
-    assert [(r["alpha_exact"], r["beta_exact"]) for r in runs] == [(True, True), (True, False)]
-    assert [r["subspaces_scanned"] for r in runs] == [8, 13]
-    assert runs[1]["notes"] == ["beta search stopped after 12 candidate ideals: budget 13"]
-    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "7")
+    assert [(r["alpha_exact"], r["beta_exact"]) for r in runs] == [(True, False)] * 2
+    assert [r["subspaces_scanned"] for r in runs] == [1, 1]
+    note = "beta search stopped after 0 candidate ideals: budget 1"
+    assert [r["notes"] for r in runs] == [[note], [note]]
+    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "1")
     assert code == 3
     assert "alpha = 3, beta = None" in out
-    assert "undecided: beta search stopped after 6 candidate ideals: budget 7" in out
-    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "8")
+    assert "undecided: beta search stopped after 0 candidate ideals: budget 1" in out
+    code, out, _ = run(capsys, "alphabeta", ex33_gf2_path, "--budget", "2")
     assert code == 0
-    assert "alpha = 3, beta = 2 (exact over GF(2); 8 subspaces)" in out
+    assert "alpha = 3, beta = 2 (exact over GF(2); 2 subspaces)" in out
     code, out, _ = run(capsys, "alphabeta", ex33_path, "--p", "2", "--p", "3")
     assert code == 0
     assert "primes agree: True" in out
