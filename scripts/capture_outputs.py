@@ -41,6 +41,9 @@ An eighth digest covers the witness-mode beta search on dense tables, with
 the work counts deleted: for each table of ``tasks.families(m)`` at (p, m) =
 (2, 6), (3, 5) and (5, 4) and its dense basis change, ``alphabeta --json``.
 No benchmark workload asks for witnesses on a basis change.
+A ninth digest covers the value-only beta search of ``fingerprint`` and
+``iso`` on the same tables, with the work counts deleted: ``fingerprint
+--json`` on each.  The sixth digest covers it only over GF(2) at m = 8.
 
 With ``--compare OLD``, where OLD is the saved stdout of an earlier run, it
 then prints, for each column, the keys whose hash moved, and the keys that
@@ -224,13 +227,15 @@ def main(argv=None):
                     for d in (doc, builder.conjugate(doc)):
                         arity_lines.append(run(f"extra alphabeta {d.key}",
                                                ["alphabeta", d.path, "--json"])[1])
-        witness_lines = []
+        witness_lines, fingerprint_lines = [], []
         for p, m in ((2, 6), (3, 5), (5, 4)):
             for fid, params in tasks.families(m):
                 doc = builder.catalog(fid, params, m, p)
                 for d in (doc, builder.conjugate(doc)):
                     witness_lines.append(run(f"extra alphabeta-dense {d.key}",
                                              ["alphabeta", d.path, "--json"])[1])
+                    fingerprint_lines.append(run(f"extra fingerprint-dense {d.key}",
+                                                 ["fingerprint", d.path, "--json"])[1])
         parser_lines = parser_answers(tmp)
     print(f"{len(lines)} outputs, digest {sha(chr(10).join(lines))}")
     print(f"without work counts, digest {sha(chr(10).join(work_free_lines))}")
@@ -246,6 +251,8 @@ def main(argv=None):
           f"{len(arity_lines)} outputs, digest {sha(chr(10).join(arity_lines))}")
     print(f"alphabeta with witnesses on dense tables without work counts: "
           f"{len(witness_lines)} outputs, digest {sha(chr(10).join(witness_lines))}")
+    print(f"fingerprint on dense tables without work counts: {len(fingerprint_lines)} "
+          f"outputs, digest {sha(chr(10).join(fingerprint_lines))}")
     if args.compare:
         with open(args.compare, encoding="utf-8") as old:
             compare(read_rows(old), read_rows(printed))

@@ -22,36 +22,48 @@ bounds every branch below I; the root is Z in T (K(Z) = L), and where T = Z
 or the beta bound of ``_derived_bounds`` is dim Z it tries no line at all;
 that bound counts the brackets an abelian ideal lets occur (beta <= 2 at
 arity dim - 1), and a node of its dimension is a leaf.
-Nodes grow by one line <v> of (K(I) n T)/I at a time.  A line inside (D +
-I)/I, D = [L, .., L], is spun to the ideal closure of I + <v> (the spinning
-closure of the MeatAxe; Lux, Mueller & Ringe 1994).  A line outside it is
-not spun: the images [v, e_y] lie in D, so when all of them lie in I
-(always when D lies in I) the child is I + <v>, abelian as v is in K(I),
-and otherwise the line is skipped.  No abelian ideal J above I is lost:
-either [J, L, .., L] lies in I, and every line of J/I gives a child inside
-J, or J holds an image w = [v, e_y] outside I, whose line lies in D + I and
-spins to a closure inside J.  A node is pruned by dim K(I) n T as a
-maximum-clique search is pruned by the size of its candidate set
-(Carraghan & Pardalos 1990).
-Both report the canonically first subspace of the largest dimension.  Beta
-also prunes a branch below I whose bound only ties the best ideal once the
-first subspace of that dimension containing I (in the walk's order) cannot
+Nodes grow by one line <v> of W/I at a time, W = K(I) n T.  A line inside
+(D + I)/I, D = [L, .., L], is spun to the ideal closure of I + <v> (the
+spinning closure of the MeatAxe; Lux, Mueller & Ringe 1994).  A line outside
+it is not spun: the images [v, e_y] lie in D, so when all of them lie in I
+(always when D lies in I) the child is I + <v>, abelian as v is in K(I), and
+otherwise the line is skipped.  No abelian ideal J above I is lost: either
+[J, L, .., L] lies in I, and every line of J/I gives a child inside J, or J
+holds an image w = [v, e_y] outside I, whose line lies in D + I and spins to
+a closure inside J.
+A node is judged on W as one subspace, as a maximum-clique search judges a
+node by its candidate set (Carraghan & Pardalos 1990); no rule below loses
+an abelian ideal.  When dim W is within the cap, one test checks W itself:
+I is abelian and W lies in K(I), so W is an abelian ideal when the
+representatives of W/I commute and map into W; then it holds every abelian
+ideal above I and ends the node, and else the branch's bound is dim W - 1.  Once a line outside (D + I)/I fails its test, only the lines
+left in ((D + I) n W)/I (spun) and in (N(I) n W)/I, N(I) = {v : [v, e_y] in
+I for all y} (children as they stand), are tried: a line in neither lies
+outside D + I and fails the same test.  Both sets are kernels of maps read
+off the images of W/I's basis, computed only at a node where a line fails.
+Both searches report the canonically first subspace of the largest
+dimension.  Beta also prunes a branch below I whose bound only ties the best
+ideal once the first subspace of that dimension between I and W (in the
+walk's order; its pivots are I's and then the first of W's others) cannot
 precede it; asked for values only, beta skips that tie-break and stops once
-it reaches its bound.  Over Q only certified lower bounds are produced,
-plus the universal upper bounds of ``_upper_bounds`` (dim for abelian
-algebras; else dim-1 for alpha, and dim-1 for beta at arity 2, dim-2 at
-arity >= 3).  The lower bounds grow abelian subalgebras S greedily by K(S),
-whose conditions are combinations of the operators [., e_y], on raw RREF
-rows: only the two witnesses become ``Subspace``s.
+it reaches its bound.  The order in which it tries lines moves only the
+work it reports, as it keeps the best ideal by dimension, then by key.
+
+Over Q only certified lower bounds are produced, plus the universal upper
+bounds of ``_upper_bounds`` (dim for abelian algebras; else dim-1 for alpha,
+and dim-1 for beta at arity 2, dim-2 at arity >= 3).  The lower bounds grow
+abelian subalgebras S greedily by K(S), whose conditions are combinations of
+the operators [., e_y], on raw RREF rows: only the two witnesses become
+``Subspace``s.
 
 The alpha scan walks the Grassmannian through ``walk_subspaces``, which can
 walk only the subspaces that contain a given one; ``walk_within`` walks
 those inside one (the ideal counts of ``iso``, classify44's blocks).  The
 work of a search is the subspaces a predicate is called on plus the beta
-lines tried: that is what ``subspaces_scanned`` reports and what a budget
-bounds.  Each test is charged before it is made, and a search stops at the
-first untested subspace once its budget is spent, in the middle of a level
-if need be.
+lines and whole kernels tried: that is what ``subspaces_scanned`` reports
+and what a budget bounds.  Each test is charged before it is made, and a
+search stops at the first untested subspace once its budget is spent, in
+the middle of a level if need be.
 
 The scans, the beta spin and the Q bounds test subspaces with the one set
 of subspace predicates, in ``invariants``; the tests check it against a
@@ -139,6 +151,20 @@ def _containing_solutions(m, profile, free, z_basis, p):
     return x0, directions
 
 
+def _profile_start(m, profile, z_basis, p):
+    """(RREF rows, free positions, D) of the first subspace of pivot
+    ``profile`` that contains span(z_basis), in odometer order: its free
+    entries are x0, those of the others x0 + t.D (``_containing_solutions``)."""
+    free = _profile_free_positions(m, profile)
+    base = [[0] * m for _ in profile]
+    for r, c in enumerate(profile):
+        base[r][c] = 1
+    x0, directions = _containing_solutions(m, profile, free, z_basis, p)
+    for (r, j), c in zip(free, x0):
+        base[r][j] = c
+    return base, free, directions
+
+
 def walk_subspaces(m, k, p, containing=None):
     """(RREF rows, pivot profile) of every k-dimensional subspace of GF(p)^m
     that contains the subspace ``containing`` (when given), in canonical
@@ -158,13 +184,7 @@ def walk_subspaces(m, k, p, containing=None):
     for profile in combinations(range(m), k):
         if not z_pivots <= set(profile):
             continue
-        free = _profile_free_positions(m, profile)
-        base = [[0] * m for _ in range(k)]
-        for r, c in enumerate(profile):
-            base[r][c] = 1
-        x0, directions = _containing_solutions(m, profile, free, z_basis, p)
-        for (r, j), c in zip(free, x0):
-            base[r][j] = c
+        base, free, directions = _profile_start(m, profile, z_basis, p)
         steps = [[(r, j, c) for (r, j), c in zip(free, d) if c] for d in directions]
         digits = [0] * len(steps)
         i = 0  # the odometer digit that moved last; -1 once all of them wrapped
@@ -360,34 +380,96 @@ def _fp_spin(L, rows, pivots, cons, v, limit):
     return rows, rref(rows, m, p), new
 
 
+def _fp_kernel_in(basis, images, p):
+    """RREF rows of the vectors sum a_q basis[q] with sum a_q images[q] = 0,
+    for ``basis`` in RREF (so the map from the a to the vectors keeps RREF)."""
+    k = len(basis)
+    rows = [list(col) for col in zip(*images) if any(col)]
+    coeffs = null_basis(rows, rref(rows, k, p), k, p)
+    rref(coeffs, k, p)
+    return [[sum(map(mul, a, col)) % p for col in zip(*basis)] for a in coeffs]
+
+
+def _fp_admissible(L, rows, pivots, quotient, derived, derived_pivots, drawn):
+    """The lines of (K(I) n T)/I, given by its RREF basis ``quotient``, that
+    can give a child of the ideal I = span(rows) and are not in ``drawn``:
+    first those of ((D + I) n W)/I, then the others of (N(I) n W)/I, with
+    N(I) = {v : [v, e_y] in I for every y}.  Each set is the kernel of a map
+    read off the images of the basis (reduced against (D + I)/I, or each
+    [q, e_y] against I)."""
+    p, m = L.field.p, L.dim
+    spun = _fp_kernel_in(
+        quotient, [reduce_vector(derived, derived_pivots, q, p) for q in quotient], p)
+    zero = [0] * m
+    fixed = _fp_kernel_in(quotient, [
+        list(chain.from_iterable(reduce_vector(rows, pivots, image(contribs, q, p, m) or zero, p)
+                                 for contribs in L.maps[1].values()))
+        for q in quotient], p)
+    spun_pivots = [next(j for j, x in enumerate(row) if x) for row in spun]
+    others = (v for v in _fp_points(fixed, p) if any(reduce_vector(spun, spun_pivots, v, p)))
+    return (v for v in chain(_fp_points(spun, p), others) if tuple(v) not in drawn)
+
+
+def _first_rows(rows, quotient, profile, m, p):
+    """RREF rows of the first subspace of pivots ``profile`` in the order of
+    ``walk_subspaces`` between I = span(rows), in RREF, and W = I +
+    span(quotient).  I's pivots are among W's, and on W's RREF basis a
+    subspace's coordinates are its entries at W's pivots, so it is the first
+    subspace of that profile above I's coordinates, in the order
+    ``walk_within`` keeps."""
+    within = list(rows) + quotient
+    within_pivots = rref(within, m, p)
+    index = {c: q for q, c in enumerate(within_pivots)}
+    coords = [[row[c] for c in within_pivots] for row in rows]
+    first = _profile_start(len(within), [index[c] for c in profile], coords, p)[0]
+    columns = list(zip(*within))
+    return tuple(tuple(sum(map(mul, r, col)) % p for col in columns) for r in first)
+
+
 def _beta_search(L, limit, budget, spent, notes, witnesses=True):
     """Largest abelian ideal by branch and bound from the centre Z; returns
     (beta or None when the budget stopped it, the canonically first witness
-    or None at beta = 0 or without ``witnesses``, the lines tried).
+    or None at beta = 0 or without ``witnesses``, the tests made).
 
     A node is an abelian ideal I containing Z, kept with the RREF rows
-    ``cons`` of the conditions that cut out K(I) n T, where K(I) = {v : [v,
-    I, L, .., L] = 0} and T is the kernel of ``_fp_trace_rows``; every
+    ``cons`` of the conditions that cut out W = K(I) n T, where K(I) = {v :
+    [v, I, L, .., L] = 0} and T is the kernel of ``_fp_trace_rows``; every
     abelian ideal containing I lies in both.  The root is Z with the trace
-    rows alone, as K(Z) = L.  Each line <v> of (K(I) n T)/I gives at most
-    one child (see the module docstring): the closure of I + <v>, spun, if v
-    lies in D + I, else I + <v> if every [v, e_y] lies in I.  Each
-    line tried counts one against what ``budget`` leaves after ``spent``,
-    and a child met before is not expanded again.  No abelian ideal is
-    larger than ``limit``, the beta bound of ``_derived_bounds``: a spin past
-    it is given up, a child that reaches it is a leaf, and where it is dim Z
-    no line is tried.  So no abelian ideal below I is larger than min(dim K(I)
-    n T, limit), the bound of the branch.
+    rows alone, as K(Z) = L.  No abelian ideal is larger than ``limit``, the
+    beta bound of ``_derived_bounds``: a spin past it is given up, a child
+    that reaches it is a leaf, and where it is dim Z no line is tried.  So
+    no abelian ideal below I is larger than min(dim W, limit), the bound of
+    the branch.  Each line <v> of W/I gives at most one child: the closure
+    of I + <v>, spun, if v lies in D + I, else I + <v> if every [v, e_y]
+    lies in I (see the module docstring).  Three rules decide a node on W;
+    none loses an abelian ideal:
 
-    With ``witnesses`` a branch is pruned when its bound is below the best
-    dimension found, or equals it and the best's key (pivots, rows) is no
-    greater than that of the first subspace of ``walk_subspaces`` of this
-    dimension containing I: the walk's keys strictly increase, so no tie
-    below I can precede the best, and the canonically first abelian ideal
-    of the largest dimension is kept.  Without them only the value is
-    sought: a branch is pruned unless its bound exceeds the best dimension
-    found, and a child is expanded only when dim K(child) n T does, so the
-    search returns as soon as the best reaches ``limit``.
+    1. When W is within ``limit`` and larger than I, one test checks W
+       itself: the representatives of W/I commute and map into W (I is
+       abelian and W lies in K(I), so that makes W an abelian ideal).  If
+       they do, W holds every abelian ideal below I and is the one the
+       branch can give; if not, each of those is a proper subspace of W and
+       the bound falls to dim W - 1.
+    2. With ``witnesses``, a branch whose bound equals the best dimension
+       is pruned once the best's key (pivots, rows) is no greater than that
+       of the first subspace of ``walk_subspaces`` of that dimension between
+       I and W (``_first_rows``): every abelian ideal below I of that
+       dimension lies between them, the walk's keys strictly increase, and
+       a tie replaces the best only with a smaller key.
+    3. Once a line outside (D + I)/I fails its test, the lines left are
+       drawn only from ((D + I) n W)/I and (N(I) n W)/I
+       (``_fp_admissible``): a line in neither lies outside D + I and has an
+       image outside I, so it would fail the same test.
+
+    The test of rule 1 and each line tried count one against what
+    ``budget`` leaves after ``spent``; a line that is not tried is not
+    counted, and a child met before is not expanded again.  With
+    ``witnesses`` a branch is also pruned when its bound is below the best
+    dimension found, so the canonically first abelian ideal of the largest
+    dimension is kept.  Without them only the value is sought: a branch is
+    pruned unless its bound exceeds the best dimension found, and a child is
+    expanded only when dim K(child) n T does, so the search returns as soon
+    as the best reaches ``limit``.
     """
     p, m = L.field.p, L.dim
     by_y2 = L.maps[2].values()
@@ -402,30 +484,60 @@ def _beta_search(L, limit, budget, spent, notes, witnesses=True):
         nonlocal best, tried
         kernel = (reduce_vector(rows, pivots, x, p) for x in null_basis(cons, cons_pivots, m, p))
         quotient = [r for r in kernel if any(r)]
-        quotient = quotient[:len(rref(quotient, m, p))]
+        quotient_pivots = rref(quotient, m, p)  # W/I
+        del quotient[len(quotient_pivots):]
         derived = [reduce_vector(rows, pivots, d, p) for d in L.derived.basis]
         derived_pivots = rref(derived, m, p)  # (D + I)/I, empty when D lies in I
         del derived[len(derived_pivots):]
         bound, floor = min(m - len(cons), limit), None
-        for v in _fp_points(quotient, p):
+
+        def pruned():
+            """No abelian ideal below I can replace the best."""
+            nonlocal floor
             if bound < best[0] + gain:
                 return True
-            if not gain and bound == best[0]:  # only a tie below I: can its key precede best's?
-                if floor is None:  # the first key of the walk of the bound's level above I
-                    first, profile = next(walk_subspaces(
-                        m, bound, p, subspace_from_rref_rows(L.field, m, rows, pivots)))
-                    floor = (tuple(profile), tuple(map(tuple, first)))
-                if best[1:] <= floor:
-                    return True
+            if gain or bound > best[0]:
+                return False
+            if floor is None:  # the first key of the walk of the bound's level from I to W
+                # its pivots: I's, then the first of W's others (those of W/I)
+                floor = (tuple(sorted(chain(pivots, quotient_pivots[:bound - len(rows)]))),)
+            if best[1] == floor[0] and len(floor) == 1:  # the rows decide
+                floor += (_first_rows(rows, quotient, floor[0], m, p),)
+            return best[1:] <= floor
+
+        if quotient and bound == m - len(cons):  # rule 1: W itself
+            if pruned():
+                return True
             if spent + tried >= budget:
                 return False
             tried += 1
+            within = list(rows) + quotient  # I is abelian and W lies in K(I): W/I decides
+            if (all(commute(by_y2, u, v, p, m) for u, v in combinations(quotient, 2))
+                    and ideal(L, within, list(pivots) + quotient_pivots, quotient)):
+                key = (tuple(rref(within, m, p)), tuple(map(tuple, within)))
+                if len(within) > best[0] or (len(within) == best[0] and key < best[1:]):
+                    best = (len(within),) + key
+                return True
+            bound, floor = bound - 1, None
+        # drawn: the lines tried before rule 3, which applies only where D is not in I
+        lines, drawn = _fp_points(quotient, p), set() if derived else None
+        while not pruned():
+            v = next(lines, None)
+            if v is None:
+                return True
+            if spent + tried >= budget:
+                return False
+            tried += 1
+            if drawn is not None:
+                drawn.add(tuple(v))
             if not any(reduce_vector(derived, derived_pivots, v, p)):
                 closure = _fp_spin(L, rows, pivots, cons, v, limit)
                 if closure is None:
                     continue
                 child, child_pivots, new = closure
-            elif derived and not ideal(L, rows, pivots, (v,)):
+            elif drawn is not None and not ideal(L, rows, pivots, (v,)):
+                lines = _fp_admissible(L, rows, pivots, quotient, derived, derived_pivots, drawn)
+                drawn = None  # rule 3: every line left can give a child
                 continue
             else:  # an abelian ideal, so within ``limit``
                 inv = pow(next(x for x in v if x), p - 2, p)
@@ -505,10 +617,10 @@ def alpha_beta_exact_fp(L: NLieAlgebra, *, budget: int = DEFAULT_BUDGET,
     ideals of the largest dimension and stops at the beta bound (see
     ``_beta_search``).  ``subspaces_scanned`` counts the work, and the budget
     bounds it: the subspaces the alpha scan tests (those that contain the
-    centre) plus the candidate lines of the beta search, which gets what
-    alpha left.  A search stops at the first test past the budget; the value
-    it stopped is None, reported inexact, and the note names where it
-    stopped.
+    centre) plus the candidate lines and whole kernels the beta search
+    tests, which gets what alpha left.  A search stops at the first test
+    past the budget; the value it stopped is None, reported inexact, and the
+    note names where it stopped.
     """
     if L.field.p is None:
         raise UnsupportedRequestError(

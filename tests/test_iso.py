@@ -107,7 +107,7 @@ def test_iso_runs_an_alpha_beta_search_only_where_it_can_separate(monkeypatch):
     first side's search completed (same pair as above).  The first search is
     on the side with fewer nonzero structure constants, whatever the order
     of the arguments: T35-b4 has 2 and its conjugate 4, and its search takes
-    3 units.  On a tie (T35-b4 with e3 and e4 swapped) the order is kept."""
+    2 units.  On a tie (T35-b4 with e3 and e4 swapped) the order is kept."""
     calls, search_fp = [], iso.alpha_beta_exact_fp
 
     def counted(L, **options):
@@ -120,7 +120,7 @@ def test_iso_runs_an_alpha_beta_search_only_where_it_can_separate(monkeypatch):
     swap = Matrix.from_rows(GF(3), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     S = change_basis(L, swap)
     for budget, A, B, searched in ((10, L, D, [L, D]), (10, D, L, [L, D]),
-                                   (2, L, D, [L]), (2, D, L, [L]),
+                                   (1, L, D, [L]), (1, D, L, [L]),
                                    (10, L, S, [L, S]), (10, S, L, [S, L])):
         monkeypatch.setattr(iso, "_CERTIFICATE_BUDGET", budget)
         calls.clear()
