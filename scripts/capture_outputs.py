@@ -19,11 +19,11 @@ documents at m = 6 and 7, which the benchmark does not time (its
 ``--q-bounds`` tasks stop at m = 5) and whose growth paths run deepest; it is
 kept apart so that the first two digests stay comparable with earlier
 checkouts.  A fourth digest covers the command line itself: exit code,
-stdout and stderr of ``nlie.cli.main`` on each argv of ``PARSER_ARGVS`` (the
-help, version, abbreviation and usage-error cases of
-``tests/test_cli.py::test_parser_of_one_verb_answers_like_the_full_parser``,
-with DOC an EX33 document over Q), with ``COLUMNS=80`` set in process so
-that help text wraps the same on every terminal.  A fifth digest covers
+stdout and stderr of ``nlie.cli.main`` on each argv of ``PARSER_ARGVS`` in
+``tests/test_cli.py`` (the help, version, abbreviation and usage-error cases
+of ``test_parser_of_one_verb_answers_like_the_full_parser``, with DOC an EX33
+document over Q), with ``COLUMNS=80`` set in process so that help text
+wraps the same on every terminal.  A fifth digest covers
 ``classify44 --json``, with the work counts deleted, over GF(2), GF(3) and
 GF(5) at m = 4..7 on the ternary tables of ``tasks.families(m)`` and one
 dense basis change of each (``Builder.conjugate``), which no benchmark
@@ -68,6 +68,7 @@ from unittest import mock
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from nlie import cli  # noqa: E402
 from nlie.catalog import catalog_build  # noqa: E402
@@ -75,16 +76,7 @@ from nlie.core import serialize_algebra  # noqa: E402
 from nlie.fields import QQ  # noqa: E402
 from checks import WORK_KEYS  # noqa: E402
 import tasks  # noqa: E402
-
-
-PARSER_ARGVS = [
-    ["--help"], ["--version"], [], ["bogus"], ["-h"], ["--json"],
-    ["check", "--bogus", "x"], ["check"], ["check", "--version"], ["catalog", "build"],
-    ["derived", "x", "--s", "4"], ["alphabeta"],
-    ["check", "--js", "DOC"], ["check", "DOC", "--bogus"], ["check", "DOC", "extra"],
-    ["check", "--", "--json"], ["derived", "DOC", "--s"],
-    ["alphabeta", "DOC", "--budget", "-1"], ["iso", "DOC"],
-] + [[verb, "--help"] for verb in cli.VERBS]
+from test_cli import PARSER_ARGVS  # noqa: E402
 
 
 def sha(text):

@@ -131,11 +131,6 @@ def _a4_table():
             (1, 2, 4): {3: 1}, (1, 2, 3): {4: 1}}
 
 
-def _require_dim(m, minimum, family):
-    if not isinstance(m, int) or m < minimum:
-        raise InvalidParameterError(f"{family} requires dim >= {minimum}, got {m}")
-
-
 def _require_nonzero_alpha(field, alpha, family):
     a = field.validate(alpha)
     if field.is_zero(a):
@@ -143,23 +138,15 @@ def _require_nonzero_alpha(field, alpha, family):
     return a
 
 
-def _require_n(n, family, minimum=2):
-    if not isinstance(n, int) or n < minimum:
-        raise InvalidParameterError(f"{family} requires arity n >= {minimum}, got {n}")
-
-
 def _build_l21_b1(field, n=3):
-    _require_n(n, "L21-b1")
     return make_algebra(field, n, n + 1, {tuple(range(2, n + 2)): {1: 1}})
 
 
 def _build_l21_b2(field, n=3):
-    _require_n(n, "L21-b2")
     return make_algebra(field, n, n + 1, {tuple(range(1, n + 1)): {1: 1}})
 
 
 def _build_l21_c1(field, n=3):
-    _require_n(n, "L21-c1")
     return make_algebra(field, n, n + 1, {
         tuple(range(2, n + 2)): {1: 1},
         (1,) + tuple(range(3, n + 2)): {2: 1},
@@ -167,7 +154,6 @@ def _build_l21_c1(field, n=3):
 
 
 def _build_l21_c2(field, n=3, alpha=1):
-    _require_n(n, "L21-c2")
     a = _require_nonzero_alpha(field, alpha, "L21-c2")
     return make_algebra(field, n, n + 1, {
         tuple(range(2, n + 2)): {1: a, 2: 1},
@@ -176,7 +162,6 @@ def _build_l21_c2(field, n=3, alpha=1):
 
 
 def _build_l21_c3(field, n=3):
-    _require_n(n, "L21-c3")
     return make_algebra(field, n, n + 1, {
         (1,) + tuple(range(3, n + 2)): {1: 1},
         tuple(range(2, n + 2)): {2: 1},
@@ -184,7 +169,6 @@ def _build_l21_c3(field, n=3):
 
 
 def _build_l21_d(field, n=3, r=None):
-    _require_n(n, "L21-d(r)")
     if r is None:
         r = n + 1
     if not isinstance(r, int) or not (3 <= r <= n + 1):
@@ -197,52 +181,43 @@ def _build_l21_d(field, n=3, r=None):
 
 
 def _build_a_n(field, n=3):
-    _require_n(n, "A(n)")
     return _build_l21_d(field, n, n + 1)
 
 
 def _build_t34_a1(field, m=5):
-    _require_dim(m, 4, "T34-a1")
     return make_algebra(field, 3, m, {(2, m - 1, m): {1: 1}})
 
 
 def _build_t34_a2(field, m=5):
-    _require_dim(m, 4, "T34-a2")
     return make_algebra(field, 3, m, {(1, m - 1, m): {1: 1}})
 
 
 def _build_t35_b1(field, m=6):
-    _require_dim(m, 6, "T35-b1")
     return make_algebra(field, 3, m, {(3, m - 1, m): {2: 1},
                                       (4, m - 1, m): {1: 1}})
 
 
 def _build_t35_b2(field, m=5):
-    _require_dim(m, 5, "T35-b2")
     return make_algebra(field, 3, m, {(2, m - 1, m): {2: 1},
                                       (3, m - 1, m): {1: 1}})
 
 
 def _build_t35_b3(field, m=5):
-    _require_dim(m, 5, "T35-b3")
     return make_algebra(field, 3, m, {(2, m - 1, m): {1: 1},
                                       (3, m - 1, m): {2: 1}})
 
 
 def _build_t35_b4(field, m=4):
-    _require_dim(m, 4, "T35-b4")
     return make_algebra(field, 3, m, {(1, m - 1, m): {1: 1},
                                       (2, m - 1, m): {2: 1}})
 
 
 def _build_t35_b5(field, m=4):
-    _require_dim(m, 4, "T35-b5")
     return make_algebra(field, 3, m, {(1, m - 1, m): {2: 1},
                                       (2, m - 1, m): {1: 1}})
 
 
 def _build_t35_b6(field, m=4, alpha=1):
-    _require_dim(m, 4, "T35-b6")
     a = _require_nonzero_alpha(field, alpha, "T35-b6")
     return make_algebra(field, 3, m, {(2, m - 1, m): {1: a, 2: 1},
                                       (1, m - 1, m): {2: 1}})
@@ -253,7 +228,6 @@ def _t43_c1_tmax(m):
 
 
 def _build_t43_c1(field, m=5, t=None):
-    _require_dim(m, 5, "T43-c1")
     tmax = _t43_c1_tmax(m)
     if t is None:
         t = tmax
@@ -265,7 +239,6 @@ def _build_t43_c1(field, m=5, t=None):
 
 
 def _build_t43_c2(field, m=4):
-    _require_dim(m, 3, "T43-c2")
     return make_algebra(field, 3, m, {(1, 2, m): {1: 1}})
 
 
@@ -274,7 +247,6 @@ def _t43_c3_tmax(m):
 
 
 def _build_t43_c3(field, m=5, t=None):
-    _require_dim(m, 4, "T43-c3")
     tmax = _t43_c3_tmax(m)
     if t is None:
         t = tmax
@@ -310,7 +282,6 @@ def _build_ex41(field):
 
 
 def _build_ex42(field, m=5):
-    _require_dim(m, 4, "EX42")
     return make_algebra(field, 3, m, {(1, 2, i): {i - 1: 1}
                                       for i in range(4, m + 1)})
 
@@ -321,7 +292,10 @@ def _build_t44_3(field, m=6, action=None):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Registry record: stable id, parameters, minimal dimension, builder."""
+    """Registry record: stable id, parameters, minimal dimension, builder.
+
+    ``build`` enforces ``min_dim`` on a given dimension ``m`` or arity ``n``
+    (dimension n + 1); the builders' defaults meet it."""
 
     family_id: str
     summary: str
@@ -330,6 +304,11 @@ class CatalogEntry:
     builder: object
 
     def build(self, field: Field = QQ, **params) -> NLieAlgebra:
+        for name, what, least in (("m", "dim", self.min_dim), ("n", "arity n", self.min_dim - 1)):
+            v = params.get(name, least)
+            if name in self.params and (not isinstance(v, int) or v < least):
+                raise InvalidParameterError(
+                    f"{self.family_id} requires {what} >= {least}, got {v}")
         return self.builder(field, **params)
 
 
@@ -415,19 +394,19 @@ def representative_entries(field: Field = QQ):
     return out
 
 
-def entries_for_dims(dims, field: Field = QQ, alpha=1):
+def entries_for_dims(dims, field: Field = QQ):
     """Every family instantiated at each valid dimension in ``dims``."""
     out = []
     for m in dims:
         specs = []
         if m >= 4:
             specs += [("L21-b1", {"n": m - 1}), ("L21-b2", {"n": m - 1}),
-                      ("L21-c1", {"n": m - 1}), ("L21-c2", {"n": m - 1, "alpha": alpha}),
+                      ("L21-c1", {"n": m - 1}), ("L21-c2", {"n": m - 1, "alpha": 1}),
                       ("L21-c3", {"n": m - 1}), ("L21-d(r)", {"n": m - 1, "r": 3}),
                       ("A(n)", {"n": m - 1})]
             specs += [("T34-a1", {"m": m}), ("T34-a2", {"m": m}),
                       ("T35-b4", {"m": m}), ("T35-b5", {"m": m}),
-                      ("T35-b6", {"m": m, "alpha": alpha}),
+                      ("T35-b6", {"m": m, "alpha": 1}),
                       ("T43-c2", {"m": m}), ("EX42", {"m": m})]
             specs += [("T43-c3", {"m": m, "t": t})
                       for t in range(1, _t43_c3_tmax(m) + 1)]
@@ -458,7 +437,8 @@ def _lie_from_table(field, dim, table):
 
 
 def _build_lie_abelian(field, dim=3):
-    _require_dim(dim, 1, "abelian")
+    if not isinstance(dim, int) or dim < 1:
+        raise InvalidParameterError(f"abelian requires dim >= 1, got {dim}")
     return with_fi_checked(make_algebra(field, 2, dim, {}))
 
 

@@ -332,7 +332,7 @@ VERBS = {
     "center": (cmd_center, "center of the algebra", [_ALGEBRA]),
     "derived": (cmd_derived, "derived series", [
         _ALGEBRA,
-        _arg("--s", type=int, default=2, choices=(2, 3), help="series parameter"),
+        _arg("--s", type=int, default=2, help="series parameter, 2 to the arity"),
         _arg("--steps", type=int, default=None, help="maximum steps shown")]),
     "classify": (cmd_classify, "classify a subspace against an algebra", [
         _ALGEBRA, _arg("subspace", help="subspace-v1 document")]),

@@ -42,37 +42,14 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Common interface of the two supported exact fields."""
+    """Base of the two exact fields, holding what they share.  Each defines
+    ``zero``, ``one``, ``add``, ``sub``, ``mul``, ``neg``, ``inv``, ``from_int``,
+    ``parse`` and ``validate`` (a scalar of the field, or FieldMismatchError)."""
 
     p: int | None = None
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    def validate(self, x):
-        """Return ``x`` as a scalar of this field, or raise FieldMismatchError."""
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
     def format(self, x) -> str:
-        raise NotImplementedError
+        return str(x)
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -132,9 +109,6 @@ class RationalField(Field):
             return self.validate(Fraction(int(num), int(den)))
         return int(text)
 
-    def format(self, x):
-        return str(x)
-
     def __repr__(self):
         return "Q"
 
@@ -190,9 +164,6 @@ class PrimeField(Field):
         if not isinstance(text, str) or not _INT_RE.match(text):
             raise ParseError(f"malformed GF({self.p}) scalar: {text!r}")
         return int(text) % self.p
-
-    def format(self, x):
-        return str(x)
 
     def __repr__(self):
         return f"GF({self.p})"

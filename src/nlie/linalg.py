@@ -109,7 +109,8 @@ def reduce_vector(rows, pivots, v, p=None):
 
 
 def rref(rows, ncols, p=None):
-    """Reduce a list of raw row lists to RREF in place; returns the pivot list.
+    """Reduce a list of raw row lists to RREF in place and delete its zero
+    rows, leaving a basis of the row space; returns the pivot list.
 
     The scalars are those of ``reduce_vector``: ints in [0, p) reduced mod
     a prime ``p``, or rationals with ``p=None``.
@@ -139,6 +140,7 @@ def rref(rows, ncols, p=None):
                     rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
         pivots.append(c)
         r += 1
+    del rows[r:]
     return pivots
 
 
@@ -214,6 +216,7 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple]:
         rows = [list(r) for r in self.rows]
         pivots = rref(rows, self.ncols, self.field.p)
+        rows += [[self.field.zero] * self.ncols] * (self.nrows - len(rows))
         return Matrix(self.field, self.nrows, self.ncols,
                       tuple(tuple(r) for r in rows)), tuple(pivots)
 
@@ -332,7 +335,7 @@ def span_rows(field: Field, ambient_dim: int, rows: list) -> Subspace:
     """The trusted core of ``span``, for raw rows of scalars of ``field`` (see
     ``rref``) that the library built itself; reduces the list ``rows``."""
     pivots = rref(rows, ambient_dim, field.p)
-    return subspace_from_rref_rows(field, ambient_dim, rows[: len(pivots)], pivots)
+    return subspace_from_rref_rows(field, ambient_dim, rows, pivots)
 
 
 def zero_subspace(field: Field, ambient_dim: int) -> Subspace:

@@ -324,7 +324,6 @@ def _fp_trace_rows(L):
             if any(row):
                 rows.append(row)
     pivots = rref(rows, m, p)
-    del rows[len(pivots):]
     return rows, pivots
 
 
@@ -485,10 +484,8 @@ def _beta_search(L, limit, budget, spent, notes, witnesses=True):
         kernel = (reduce_vector(rows, pivots, x, p) for x in null_basis(cons, cons_pivots, m, p))
         quotient = [r for r in kernel if any(r)]
         quotient_pivots = rref(quotient, m, p)  # W/I
-        del quotient[len(quotient_pivots):]
         derived = [reduce_vector(rows, pivots, d, p) for d in L.derived.basis]
         derived_pivots = rref(derived, m, p)  # (D + I)/I, empty when D lies in I
-        del derived[len(derived_pivots):]
         bound, floor = min(m - len(cons), limit), None
 
         def pruned():
@@ -554,7 +551,6 @@ def _beta_search(L, limit, budget, spent, notes, witnesses=True):
                 continue
             child_cons = cons + _fp_constraints(by_y2, new, p, m)
             child_cons_pivots = rref(child_cons, m, p)
-            del child_cons[len(child_cons_pivots):]
             dim_k = m - len(child_cons_pivots)
             if (dim_k > len(child) and dim_k >= best[0] + gain
                     and not expand(child, child_pivots, child_cons, child_cons_pivots)):
@@ -685,7 +681,6 @@ def _grow_abelian(L: NLieAlgebra, rows: tuple, pivots: tuple, memo: dict) -> tup
                     block[r] = [a + d * x for a, x in zip(block.get(r, zero), row)]
             cons += block.values()
         cons_pivots = rref(cons, m)
-        del cons[len(cons_pivots):]
         kernel = null_basis(cons, cons_pivots, m)
         rref(kernel, m)  # K(S) in its canonical basis
         v = next((x for x in kernel if any(reduce_vector(rows, pivots, x))), None)

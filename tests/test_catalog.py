@@ -1,3 +1,5 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from nlie.core import (
 )
 from nlie.errors import FundamentalIdentityError, InvalidParameterError
 from nlie.fields import GF, QQ
-from nlie import catalog
+from nlie import catalog, cli
 from nlie.invariants import (
     center,
     classify_subspace,
@@ -125,6 +127,27 @@ def test_strict_build_raises_on_defective_family():
 def test_parameter_validation(fid, params):
     with pytest.raises(InvalidParameterError):
         catalog_build(fid, QQ, **params)
+
+
+@pytest.mark.parametrize("fid", [fid for fid, e in CATALOG.items()
+                                 if "m" in e.params or "n" in e.params])
+def test_min_dim_is_the_least_dimension_build_accepts(capsys, fid):
+    """``min_dim``, as ``catalog list`` prints it, is what ``catalog build``
+    enforces on the dimension m or the arity n (dimension n + 1)."""
+    entry = CATALOG[fid]
+    name, least = ("m", entry.min_dim) if "m" in entry.params else ("n", entry.min_dim - 1)
+    for field in (QQ, GF(2)):
+        assert catalog_build(fid, field, **{name: least}).dim == entry.min_dim
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(fid)} requires"):
+            catalog_build(fid, field, **{name: least - 1})
+    assert cli.main(["catalog", "list", "--json"]) == 0
+    listed = json.loads(capsys.readouterr().out)["result"]["families"]
+    assert [f["min_dim"] for f in listed if f["id"] == fid] == [entry.min_dim]
+
+
+def test_registry_entry_enforces_min_dim_itself():
+    with pytest.raises(InvalidParameterError, match=r"^EX42 requires dim >= 4, got 3$"):
+        CATALOG["EX42"].build(QQ, m=3)
 
 
 def test_unknown_family():

@@ -210,6 +210,20 @@ def test_derived_s_above_arity_is_unsupported(capsys, tmp_path):
     assert "arity" in err
 
 
+def test_derived_takes_any_s_from_2_to_the_arity(capsys, tmp_path):
+    path = str(tmp_path / "b1.json")
+    run(capsys, "catalog", "build", "L21-b1", "--n", "4", "--out", path)
+    code, out, _ = run(capsys, "derived", path, "--s", "4")
+    assert code == 0
+    assert "4-derived series dims: [5, 1, 0]" in out
+    code, _, err = run(capsys, "derived", path, "--s", "5")
+    assert code == 3
+    assert "s=5 exceeds the arity 4" in err
+    code, _, err = run(capsys, "derived", path, "--s", "1")
+    assert code == 2
+    assert "s must be in 2..4, got 1" in err
+
+
 @pytest.mark.parametrize("field,ambient,message", [
     (GF(2), 4, "field mismatch"),
     (QQ, 5, "ambient dimension mismatch"),
@@ -402,14 +416,19 @@ _VERBS = ["check", "report", "center", "derived", "classify", "alphabeta", "asso
           "verify-paper"]
 
 
-@pytest.mark.parametrize("argv", [
+# help, version, abbreviation and usage-error argvs; DOC stands for an EX33
+# document (``scripts/capture_outputs.py`` digests the answers to these too)
+PARSER_ARGVS = [
     ["--help"], ["--version"], [], ["bogus"], ["-h"], ["--json"],
     ["check", "--bogus", "x"], ["check"], ["check", "--version"], ["catalog", "build"],
-    ["derived", "x", "--s", "4"], ["alphabeta"],
+    ["derived", "x", "--s", "two"], ["alphabeta"],
     ["check", "--js", "DOC"], ["check", "DOC", "--bogus"], ["check", "DOC", "extra"],
     ["check", "--", "--json"], ["derived", "DOC", "--s"],
     ["alphabeta", "DOC", "--budget", "-1"], ["iso", "DOC"],
-] + [[verb, "--help"] for verb in _VERBS], ids=" ".join)
+] + [[verb, "--help"] for verb in _VERBS]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
 def test_parser_of_one_verb_answers_like_the_full_parser(capsys, monkeypatch, ex33_path, argv):
     """When argv names a verb only that verb's parser is built; abbreviations,
     help, version and usage errors (exit code, stdout and stderr) stay those

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nlie.errors import FieldMismatchError, InvalidParameterError, ParseError
-from nlie.fields import GF, QQ, is_prime
+from nlie.fields import GF, QQ, Field, PrimeField, RationalField, is_prime
 from nlie.linalg import minor_det, rref
 
 from oracles import det_cofactor, rref_fractions
@@ -74,6 +74,18 @@ def test_validate_enforces_domains():
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+_ARITHMETIC = ("add", "sub", "mul", "neg", "inv", "from_int", "validate", "parse")
+
+
+@pytest.mark.parametrize("cls", [RationalField, PrimeField], ids=["Q", "GF"])
+def test_each_field_defines_the_interface_and_inherits_the_rest(cls):
+    """The interface ``Field`` names: each field defines the scalar operations
+    in its own body and takes ``format`` and ``is_zero`` from ``Field``."""
+    assert all(name in vars(cls) for name in _ARITHMETIC)
+    assert cls.format is Field.format and cls.is_zero is Field.is_zero
+    assert not any(name in vars(Field) for name in _ARITHMETIC)
 
 
 def test_rational_scalars_are_ints_when_integral():

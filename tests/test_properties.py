@@ -18,7 +18,7 @@ from nlie.invariants import (
     s_derived_series,
 )
 from nlie.iso import fingerprint, random_basis_change
-from nlie.linalg import Matrix, span, subspace_intersect, subspace_sum
+from nlie.linalg import Matrix, rref, span, subspace_intersect, subspace_sum
 from nlie.search import alpha_beta_exact_fp, enumerate_subspaces, gaussian_binomial
 
 from oracles import naive_bracket
@@ -61,6 +61,23 @@ def test_rref_idempotent_and_preserves_row_space(M):
     R2, pivots2 = R.rref()
     assert R == R2 and pivots == pivots2
     assert span(M.field, M.ncols, M.rows) == span(M.field, M.ncols, R.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.integers(1, 4))
+def test_rref_leaves_a_basis_of_the_row_space(M, c):
+    """With a zero row and a dependent row added, ``rref`` keeps one row per
+    pivot, spanning the input's rows; ``Matrix.rref`` keeps ``nrows`` rows."""
+    f = M.field
+    c = f.from_int(c)
+    dependent = [f.add(f.mul(c, x), y) for x, y in zip(M.rows[0], M.rows[-1])]
+    rows = [list(r) for r in M.rows] + [[f.zero] * M.ncols, dependent]
+    padded = Matrix.from_rows(f, rows)
+    pivots = rref(rows, M.ncols, f.p)
+    assert len(rows) == len(pivots)
+    assert span(f, M.ncols, rows) == span(f, M.ncols, M.rows)
+    R, pivots2 = padded.rref()
+    assert len(R.rows) == R.nrows == M.nrows + 2 and list(pivots2) == pivots
 
 
 @settings(max_examples=60, deadline=None)
