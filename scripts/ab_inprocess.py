@@ -17,7 +17,10 @@ then each tree's 95th percentile of those fastest times over the workload's
 tasks (the estimator of ``bench/run.py``'s ``task_p95_ms``) and its ratio, so
 a claim on the tail can be sized too; then the sums and ratio for each verb,
 the first word of the task key (``alphabeta``, ``fingerprint``, ``iso``,
-...), so a change confined to one verb shows where it moved.
+...), so a change confined to one verb shows where it moved; last, the five
+tasks with the lowest and the five with the highest ratio NEW / OLD of their
+fastest times (key, old ms, new ms), so a claim on the tail can name the
+tasks that moved, and a regression of one task cannot hide inside a sum.
 
 Why: the host's speed can drift by tens of percent over minutes, so two
 separate benchmark runs of one tree can differ by more than a change does.
@@ -100,6 +103,11 @@ def main(argv=None):
     for verb, (verb_old, verb_new, count) in sorted(verbs.items()):
         print(f"  {verb}: {count} tasks, old {verb_old:.4f} s, new {verb_new:.4f} s; "
               f"new/old {verb_new / verb_old:.4f}")
+    moved = sorted((b / a, task.key, a, b) for task, a, b in zip(task_list, *best))
+    for which, part in (("lowest", moved[:5]), ("highest", moved[-5:])):
+        print(f"the five tasks with the {which} new/old ratio of per-task minimums:")
+        for ratio, key, a, b in part:
+            print(f"  {key}: old {a * 1e3:.3f} ms, new {b * 1e3:.3f} ms; new/old {ratio:.4f}")
     return 0
 
 

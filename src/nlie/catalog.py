@@ -290,12 +290,21 @@ def _build_t44_3(field, m=6, action=None):
     return semidirect_A4(field, m, action)
 
 
+def _require_params(family_id: str, takes: tuple, given) -> None:
+    """Refuse a parameter name that the family ``family_id`` does not take."""
+    extra = [name for name in given if name not in takes]
+    if extra:
+        raise InvalidParameterError(f"{family_id} takes {', '.join(takes) or 'no parameters'}, "
+                                    f"got {', '.join(extra)}")
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """Registry record: stable id, parameters, minimal dimension, builder.
 
-    ``build`` enforces ``min_dim`` on a given dimension ``m`` or arity ``n``
-    (dimension n + 1); the builders' defaults meet it."""
+    ``build`` refuses a parameter not in ``params`` and enforces ``min_dim``
+    on a given dimension ``m`` or arity ``n`` (dimension n + 1); the
+    builders' defaults meet it."""
 
     family_id: str
     summary: str
@@ -304,6 +313,7 @@ class CatalogEntry:
     builder: object
 
     def build(self, field: Field = QQ, **params) -> NLieAlgebra:
+        _require_params(self.family_id, self.params, params)
         for name, what, least in (("m", "dim", self.min_dim), ("n", "arity n", self.min_dim - 1)):
             v = params.get(name, least)
             if name in self.params and (not isinstance(v, int) or v < least):
@@ -497,6 +507,7 @@ class LieCatalogEntry:
     builder: object
 
     def build(self, field: Field = QQ, **params) -> NLieAlgebra:
+        _require_params(self.family_id, self.params, params)
         return self.builder(field, **params)
 
 

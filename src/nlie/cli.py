@@ -233,10 +233,7 @@ def cmd_catalog(args):
         params["t"] = args.t
     if args.r is not None:
         params["r"] = args.r
-    try:
-        L = catalog_build(args.family, field, **params)
-    except TypeError as exc:
-        raise NLieError(f"bad parameters for {args.family}: {exc}") from exc
+    L = catalog_build(args.family, field, **params)
     return _output_algebra(args, "catalog-build", L)
 
 
@@ -247,10 +244,7 @@ def cmd_lie_catalog(args):
     if args.n is not None:
         params["n"] = args.n
     field = QQ if args.p is None else GF(args.p)
-    try:
-        L = lie_catalog_build(args.family, field, **params)
-    except TypeError as exc:
-        raise NLieError(f"bad parameters for {args.family}: {exc}") from exc
+    L = lie_catalog_build(args.family, field, **params)
     return _output_algebra(args, "lie-catalog-build", L)
 
 

@@ -253,23 +253,54 @@ def bracket_basis(L: NLieAlgebra, indices) -> tuple:
 def bracket_rows(L: NLieAlgebra, rows, y=()):
     """``[rows..., e_y]`` for trusted raw rows and an increasing index tuple y.
 
-    The sum is exact and reduced mod p once at the end; returns a list of
-    scalars, or None when the bracket is zero.
+    Each item's k x k minor (k = len(rows)) is written out inline for k = 1,
+    2 and 3, by the formulas of ``minor_det``, which serves k = 0 and k >= 4
+    (and ``Matrix.det``).
+    The sum is exact and reduced mod p once at the end, so an unreduced minor
+    that is a multiple of p does no harm; returns a list of scalars, or None
+    when the bracket is zero.
     """
     f = L.field
     out = None
-    for cols, sparse in L.maps[len(rows)].get(y, ()):
-        d = minor_det(rows, cols, f.p)
-        if d:
-            if out is None:
-                out = [f.zero] * L.dim
-            for t, c in sparse:
-                out[t] += d * c
-    if out is None:
-        return None
-    if f.p is not None:
+    k = len(rows)
+    items = L.maps[k].get(y, ())
+    # one loop per k, so that no item pays a call or a branch on k
+    if k == 3:
+        r0, r1, r2 = rows
+        for (c0, c1, c2), sparse in items:
+            d = (r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
+                 - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
+                 + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0]))
+            if d:
+                out = out or [f.zero] * L.dim
+                for t, c in sparse:
+                    out[t] += d * c
+    elif k == 1:
+        (r0,) = rows
+        for (c0,), sparse in items:
+            d = r0[c0]
+            if d:
+                out = out or [f.zero] * L.dim
+                for t, c in sparse:
+                    out[t] += d * c
+    elif k == 2:
+        r0, r1 = rows
+        for (c0, c1), sparse in items:
+            d = r0[c0] * r1[c1] - r0[c1] * r1[c0]
+            if d:
+                out = out or [f.zero] * L.dim
+                for t, c in sparse:
+                    out[t] += d * c
+    else:
+        for cols, sparse in items:
+            d = minor_det(rows, cols, f.p)
+            if d:
+                out = out or [f.zero] * L.dim
+                for t, c in sparse:
+                    out[t] += d * c
+    if out and f.p is not None:
         out = [x % f.p for x in out]
-    return out if any(out) else None
+    return out if out and any(out) else None
 
 
 def bracket(L: NLieAlgebra, vectors) -> tuple:

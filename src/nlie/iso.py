@@ -10,15 +10,17 @@ alpha/beta come from the value-only search, which reports no witness.
 (``yes``), a fingerprint mismatch (``no``), over GF(p) unequal numbers of 1-
 or 2-dimensional ideals (``no``), and a backtracking search that checks each
 bracket relation at its earliest depth; its ``yes`` carries a witness matrix
-re-verified entry by entry and its exhaustion over GF(p) is a ``no``.  Over Q
-the search tries small-entry columns and forced images only, so the outcome
-there is ``yes`` or ``unknown`` (or ``no`` via fingerprints).  The ideal
-counts come from the centre Z and the derived algebra D, as every ideal J
-has [J, L, .., L] in J n D: they walk the lines and planes of D only
-(``search.walk_within``), and not at all when L is perfect and absolutely
-simple (the Burnside spin, ``invariants.operators_generate_all``): then both
-are 0.  One ``_CERTIFICATE_BUDGET`` bounds the work of each certificate
-before the search.
+P re-checked on raw rows (P invertible, and for every increasing key the
+bracket of L2 on P's columns equal to P applied to L1's value there) and its
+exhaustion over GF(p) is a ``no``.  Over Q the search tries small-entry
+columns and forced images only, so the outcome there is ``yes`` or
+``unknown`` (or ``no`` via fingerprints).  The ideal counts come from the
+centre Z and the derived algebra D, as every ideal J has [J, L, .., L] in
+J n D: they walk the lines and planes of D only (``search.walk_within``),
+and not at all when L is perfect and absolutely simple (the Burnside spin,
+``invariants.operators_generate_all``): then both are 0.  One
+``_CERTIFICATE_BUDGET`` bounds the work of each certificate before the
+search.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 from itertools import combinations, product
-from operator import mul
+from operator import itemgetter, mul
 
 from .core import NLieAlgebra, bracket, bracket_basis, bracket_rows, make_algebra
 from .errors import DimensionMismatchError, InvalidParameterError
@@ -139,11 +141,16 @@ class IsoResult:
 
 
 def _verify_witness(L1, L2, P: Matrix) -> bool:
-    """P maps L1 onto L2: L2 in the basis of P's columns has L1's table."""
-    try:
-        return change_basis(L2, P) == L1
-    except InvalidParameterError:  # P is singular
+    """P maps L1 onto L2: P is invertible and, for every increasing key
+    (those where L1's bracket is zero included), the bracket of L2 on P's
+    columns at key is P applied to L1's value there.  This is
+    ``change_basis(L2, P) == L1`` on raw rows, without P's inverse."""
+    if not P.is_invertible():
         return False
+    cols, table, zero = P.transpose().rows, L1.table, (L1.field.zero,) * L1.dim
+    return all(tuple(bracket_rows(L2, [cols[i] for i in key]) or zero)
+               == (P.matvec(table[key]) if key in table else zero)
+               for key in combinations(range(L1.dim), L1.arity))
 
 
 def _ideal_counts(L: NLieAlgebra):
@@ -304,7 +311,8 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
         steps.append([(key, place(bracket_basis(L1, key)))
                       for key in combinations(sorted(order[:d + 1]), L1.arity) if i in key])
     # a slot that no relation reads is never computed
-    steps = [[(key, s) for key, s in st if not isinstance(s, int) or s in read] for st in steps]
+    steps = [[(itemgetter(*key), s) for key, s in st if not isinstance(s, int) or s in read]
+             for st in steps]
 
     # static per-index candidate pools, in lexicographic order
     candidates_all = [c for c in product(vals, repeat=m) if any(c)]
@@ -349,8 +357,8 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
             assigned[i] = cand
             if isinstance(head, int):
                 images[head] = cand
-            for key, s in steps[depth]:
-                img = bracket_rows(L2, [assigned[j] for j in key]) or zero
+            for get, s in steps[depth]:
+                img = bracket_rows(L2, get(assigned)) or zero
                 if isinstance(s, int):
                     images[s] = img
                 elif img != combine(s):

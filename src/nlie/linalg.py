@@ -49,6 +49,8 @@ def minor_det(rows, cols, p=None):
 
     With a prime ``p`` the entries are ints in [0, p) and the result is
     reduced mod p; with ``p=None`` they are rationals (ints or Fractions).
+    It serves ``Matrix.det``, ``search._grow_abelian`` and ``core.bracket_rows``
+    at k = 0 and k >= 4 rows, which writes k = 1, 2, 3 out by these formulas.
     """
     n = len(cols)
     if n == 2:

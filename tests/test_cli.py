@@ -93,6 +93,28 @@ def test_catalog_build_parameter_error(capsys, tmp_path):
     assert "nonzero" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "build", "EX31", "--dim", "5"], "EX31 takes no parameters, got m"),
+    (["catalog", "build", "T34-a1", "--n", "5"], "T34-a1 takes m, got n"),
+    (["catalog", "build", "L21-c2", "--dim", "5", "--n", "4"], "L21-c2 takes n, alpha, got m"),
+    (["lie-catalog", "upper", "--dim", "4"], "upper takes n, got dim"),
+    (["lie-catalog", "affine", "--n", "3"], "affine takes dim, got n"),
+])
+def test_parameter_a_family_does_not_take_is_named_from_the_registry(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, dim", [
+    (["catalog", "build", "T34-a1", "--dim", "5"], 5),
+    (["lie-catalog", "upper", "--n", "2"], 3),
+])
+def test_parameter_a_family_takes_builds(capsys, argv, dim):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert parse_algebra(json.dumps(json.loads(out)["result"])).dim == dim
+
+
 def test_catalog_build_and_check_roundtrip(capsys, tmp_path):
     out_path = str(tmp_path / "b6.json")
     code, _, _ = run(capsys, "catalog", "build", "T35-b6",

@@ -242,6 +242,72 @@ def test_verify_witness_rejects_singular_wrong_and_unrelated_maps(field):
         assert not _verify_witness(L, D, Matrix.identity(field, m))
 
 
+def _certifies(L1, L2, P):
+    """The certificate ``_verify_witness`` replaces: L2 in the basis of P's
+    columns has L1's table."""
+    return P.is_invertible() and change_basis(L2, P) == L1
+
+
+def _perturbed_columns(P):
+    """P with one entry of column j raised by one, for each column j."""
+    f, m = P.field, P.nrows
+    for j in range(m):
+        rows = [list(row) for row in P.rows]
+        rows[(j + 1) % m][j] = f.add(rows[(j + 1) % m][j], f.one)
+        yield Matrix.from_rows(f, rows)
+
+
+@pytest.mark.parametrize("field, dims, yes, stopped", [(GF(2), (4, 5), 74, 6),
+                                                      (GF(3), (4,), 35, 3)], ids=str)
+def test_verify_witness_accepts_every_search_witness_and_agrees_on_perturbed_ones(
+        field, dims, yes, stopped):
+    """The families and levels of the benchmark's identify-fp iso pairs, each
+    against a conjugate, both ways round: every ``yes`` witness the search
+    returns within 20,000 nodes passes the raw-row check again, and for each witness with one
+    column perturbed the check agrees with ``change_basis(L2, P) == L1``,
+    rejecting at least one.  The other searches stop at the budget."""
+    verdicts, rejected = Counter(), 0
+    for label, L in entries_for_dims(dims, field):
+        D = random_basis_change(L, 1)
+        for A, B in ((L, D), (D, L)):
+            res = are_isomorphic(A, B, budget=20_000)
+            verdicts[res.verdict] += 1
+            if res.verdict != "yes":
+                assert res.reason.startswith("search stopped"), (label, res.reason)
+                continue
+            assert _verify_witness(A, B, res.witness), label
+            for Q in _perturbed_columns(res.witness):
+                assert _verify_witness(A, B, Q) == _certifies(A, B, Q), label
+                rejected += not _certifies(A, B, Q)
+    assert verdicts == Counter(yes=yes, unknown=stopped)
+    assert rejected
+
+
+def test_verify_witness_over_q_rejects_singular_perturbed_and_unrelated_maps():
+    """Over Q, the search's witness for EX32-1 against a conjugate passes;
+    the witness with two columns made equal, with one column perturbed, and
+    checked against EX32-2 (the same shape) fails; and a rank-1 map that
+    carries every bracket of EX33 correctly fails on its rank alone."""
+    L, other = catalog_build("EX32-1", QQ), catalog_build("EX32-2", QQ)
+    D = random_basis_change(L, 1)
+    res = are_isomorphic(L, D, budget=20_000)
+    assert res.verdict == "yes"
+    P = res.witness
+    assert _verify_witness(L, D, P)
+    singular = [list(row) for row in P.rows]
+    for row in singular:
+        row[0] = row[1]
+    assert not _verify_witness(L, D, Matrix.from_rows(QQ, singular))
+    for Q in _perturbed_columns(P):
+        assert _verify_witness(L, D, Q) == _certifies(L, D, Q)
+    assert not all(_verify_witness(L, D, Q) for Q in _perturbed_columns(P))
+    assert other.dim == L.dim and not _verify_witness(other, D, P)
+    for field in (QQ, GF(2), GF(3)):
+        ex33 = catalog_build("EX33", field)  # [x1, x2, x3] = x4
+        rank_one = Matrix.from_rows(field, [[0] * 4, [0] * 4, [0] * 4, [1, 0, 0, 0]])
+        assert not _verify_witness(ex33, ex33, rank_one)
+
+
 def test_iso_no_for_b_cores_over_gf2():
     for (_, A), (_, B) in combinations(_b_cores(), 2):
         # fingerprints tie, so the numbers of 1-dimensional ideals decide

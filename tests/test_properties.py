@@ -1,12 +1,13 @@
 """Property-based checks with hypothesis."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nlie.catalog import catalog_build, representative_entries
-from nlie.core import bracket, check_fundamental_identity, make_algebra, \
+from nlie.core import bracket, bracket_rows, check_fundamental_identity, make_algebra, \
     parse_algebra, serialize_algebra
 from nlie.fields import GF, QQ
 from nlie.invariants import (
@@ -153,6 +154,72 @@ def test_bracket_agrees_with_naive_oracle(data):
     L, vecs = data
     vecs = (vecs * 3)[: L.arity]
     assert bracket(L, vecs) == naive_bracket(L, vecs)
+
+
+def _scalars(field):
+    if field.p is None:
+        return st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=2))
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def tables_with_rows(draw):
+    """A random antisymmetric table of arity n = 2..5 on m = n..n+2 basis
+    vectors (the identity need not hold), k = 0..n raw rows, among them zero,
+    repeated and dependent ones, and an increasing (n - k)-tuple y."""
+    field = draw(fields)
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(n, n + 2))
+    scalar = _scalars(field)
+    keys = draw(st.lists(st.sampled_from(list(combinations(range(1, m + 1), n))),
+                         unique=True, min_size=1))
+    L = make_algebra(field, n, m, {key: draw(st.lists(scalar, min_size=m, max_size=m))
+                                   for key in keys})
+    k = draw(st.integers(0, n))
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("random",) * 3 + ("zero",)
+                                    + (("repeat", "dependent") if rows else ())))
+        if kind == "random":
+            row = [field.validate(x) for x in draw(st.lists(scalar, min_size=m, max_size=m))]
+        elif kind == "zero":
+            row = [field.zero] * m
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            c = field.validate(draw(scalar))
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = [field.add(field.mul(c, a), b) for a, b in zip(u, v)]
+        rows.append(row)
+    y = draw(st.sampled_from(list(combinations(range(m), n - k))))
+    return L, rows, y
+
+
+def _single_key(field, n, m):
+    return make_algebra(field, n, m, {tuple(range(1, n + 1)): {1: 1}})
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables_with_rows())
+# 2 x 2 and 3 x 3 minors that are nonzero multiples of p: 2*2 - 1*1 = 3,
+# 2*3 - 1*1 = 5 and det [[1, 1, 0], [0, 1, 1], [1, 0, 1]] = 2
+@example((_single_key(GF(3), 3, 3), [[2, 1, 0], [1, 2, 0]], (2,)))
+@example((_single_key(GF(5), 3, 4), [[2, 1, 0, 1], [1, 3, 0, 4]], (2,)))
+@example((_single_key(GF(2), 3, 3), [[1, 1, 0], [0, 1, 1], [1, 0, 1]], ()))
+@example((_single_key(GF(2), 4, 4), [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]], (3,)))
+# every term of a dense 3 x 3 expansion counts: 1*(-2) - 2*2 + 3*8 = 18
+@example((_single_key(QQ, 3, 3), [[1, 2, 3], [4, 0, 1], [2, 2, 1]], ()))
+def test_bracket_rows_matches_the_oracle_on_random_tables(case):
+    """``bracket_rows`` (its minors inline for k = 1, 2, 3, by ``minor_det``
+    otherwise) equals the brute-force bracket [rows..., e_y...], and is None
+    exactly when that bracket is zero."""
+    L, rows, y = case
+    f, m = L.field, L.dim
+    units = [[f.one if t == j else f.zero for t in range(m)] for j in y]
+    want = naive_bracket(L, rows + units)
+    got = bracket_rows(L, rows, y)
+    assert (got is None) == (not any(want))
+    assert tuple(got or want) == want
 
 
 @settings(max_examples=20, deadline=None)
