@@ -44,6 +44,10 @@ No benchmark workload asks for witnesses on a basis change.
 A ninth digest covers the value-only beta search of ``fingerprint`` and
 ``iso`` on the same tables, with the work counts deleted: ``fingerprint
 --json`` on each.  The sixth digest covers it only over GF(2) at m = 8.
+A tenth digest covers ``iso --json`` on pairs that the benchmark does not
+compare, with the work counts kept: every pair of tables of
+``tasks.families(m)`` with equal invariant reports, over GF(2) at m = 4..7
+and over GF(3) at m = 4 and 5 (116 pairs, isomorphic or not).
 
 With ``--compare OLD``, where OLD is the saved stdout of an earlier run, it
 then prints, for each column, the keys whose hash moved, and the keys that
@@ -63,6 +67,7 @@ import os
 import pathlib
 import sys
 import tempfile
+from itertools import combinations
 from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -72,8 +77,9 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from nlie import cli  # noqa: E402
 from nlie.catalog import catalog_build  # noqa: E402
-from nlie.core import serialize_algebra  # noqa: E402
+from nlie.core import load_algebra, serialize_algebra  # noqa: E402
 from nlie.fields import QQ  # noqa: E402
+from nlie.invariants import invariant_report  # noqa: E402
 from checks import WORK_KEYS  # noqa: E402
 import tasks  # noqa: E402
 from test_cli import PARSER_ARGVS  # noqa: E402
@@ -228,6 +234,14 @@ def main(argv=None):
                                              ["alphabeta", d.path, "--json"])[1])
                     fingerprint_lines.append(run(f"extra fingerprint-dense {d.key}",
                                                  ["fingerprint", d.path, "--json"])[1])
+        tied_lines = []
+        for p, m in ((2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5)):
+            docs = [builder.catalog(fid, params, m, p) for fid, params in tasks.families(m)]
+            reports = [invariant_report(load_algebra(d.path)) for d in docs]
+            for (d1, r1), (d2, r2) in combinations(zip(docs, reports), 2):
+                if r1.differs_from(r2) is None:
+                    tied_lines.append(run(f"extra iso-tied {d1.key} vs {d2.key}",
+                                          ["iso", d1.path, d2.path, "--json"])[0])
         parser_lines = parser_answers(tmp)
     print(f"{len(lines)} outputs, digest {sha(chr(10).join(lines))}")
     print(f"without work counts, digest {sha(chr(10).join(work_free_lines))}")
@@ -245,6 +259,8 @@ def main(argv=None):
           f"{len(witness_lines)} outputs, digest {sha(chr(10).join(witness_lines))}")
     print(f"fingerprint on dense tables without work counts: {len(fingerprint_lines)} "
           f"outputs, digest {sha(chr(10).join(fingerprint_lines))}")
+    print(f"iso on report-tied catalog pairs over GF(2, 3): {len(tied_lines)} "
+          f"outputs, digest {sha(chr(10).join(tied_lines))}")
     if args.compare:
         with open(args.compare, encoding="utf-8") as old:
             compare(read_rows(old), read_rows(printed))

@@ -562,8 +562,11 @@ def restrict_to_subalgebra(L: NLieAlgebra, S: Subspace) -> NLieAlgebra:
     return make_algebra(f, L.arity, k, entries)
 
 
+DEFAULT_CLASSIFY44_BUDGET = 2_000_000
+
+
 def classify_theorem44(L: NLieAlgebra, *, p: int | None = None,
-                       budget: int = 2_000_000) -> Theorem44Verdict:
+                       budget: int = DEFAULT_CLASSIFY44_BUDGET) -> Theorem44Verdict:
     """Trichotomy for ternary algebras: 3-solvable, simple 4-dim, or a
     semidirect sum of the simple block with an abelian ideal.
 

@@ -15,6 +15,7 @@ import sys
 from . import __version__
 from .catalog import (
     CATALOG,
+    DEFAULT_CLASSIFY44_BUDGET,
     associated_lie,
     catalog_build,
     classify_theorem44,
@@ -26,6 +27,7 @@ from .core import (
     check_fundamental_identity,
     load_algebra,
     load_subspace,
+    save_algebra,
     serialize_algebra,
 )
 from .errors import InvalidParameterError, NLieError, ParseError, UnsupportedRequestError
@@ -37,8 +39,8 @@ from .invariants import (
     invariant_report,
     s_derived_series,
 )
-from .iso import are_isomorphic, fingerprint
-from .search import abelian_bounds_q, alpha_beta_exact_fp, reduce_mod_p
+from .iso import DEFAULT_ISO_BUDGET, are_isomorphic, fingerprint
+from .search import DEFAULT_BUDGET, abelian_bounds_q, alpha_beta_exact_fp, reduce_mod_p
 from .verify import run_suite
 
 SCHEMA = "nlie-report-v1"
@@ -145,6 +147,9 @@ def cmd_alphabeta(args):
     L = load_algebra(args.algebra)
     for p in args.p or ():
         _require_own_prime(L, p)
+    if args.q_bounds and (L.field.p or args.p):
+        conflict = f"a document over GF({L.field.p})" if L.field.p else "--p"
+        raise InvalidParameterError(f"--q-bounds (bounds over Q) conflicts with {conflict}")
     runs = []
     lines = []
     if L.field.p is not None:
@@ -191,12 +196,11 @@ def cmd_assoc_lie(args):
 
 
 def _output_algebra(args, verb, L):
-    text = serialize_algebra(L)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_algebra(L, args.out)
         _emit(args, verb, {"written": args.out}, [f"written: {args.out}"])
     else:
+        text = serialize_algebra(L)
         _emit(args, verb, json.loads(text), text.rstrip().splitlines())
     return EXIT_OK
 
@@ -305,8 +309,8 @@ def _arg(*names, **options):
     return names, options
 
 
-def _budget(text):
-    """The value of ``--budget``, a count of work: an integer >= 0."""
+def _count(text):
+    """The value of a count option (``--budget``, ``--steps``): an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -327,7 +331,7 @@ VERBS = {
     "derived": (cmd_derived, "derived series", [
         _ALGEBRA,
         _arg("--s", type=int, default=2, help="series parameter, 2 to the arity"),
-        _arg("--steps", type=int, default=None, help="maximum steps shown")]),
+        _arg("--steps", type=_count, default=None, help="maximum steps shown")]),
     "classify": (cmd_classify, "classify a subspace against an algebra", [
         _ALGEBRA, _arg("subspace", help="subspace-v1 document")]),
     "alphabeta": (cmd_alphabeta, "maximal abelian subalgebra/ideal dims", [
@@ -335,7 +339,7 @@ VERBS = {
         _arg("--p", type=int, action="append",
              help="reduce mod p and enumerate exhaustively (repeatable)"),
         _arg("--q-bounds", action="store_true", help="certified lower bounds over Q"),
-        _arg("--budget", type=_budget, default=10_000_000)]),
+        _arg("--budget", type=_count, default=DEFAULT_BUDGET)]),
     "assoc-lie": (cmd_assoc_lie, "associated binary algebra at w", [
         _ALGEBRA, _arg("--w", required=True, help="comma-separated coordinates of w"),
         _OUT]),
@@ -355,9 +359,10 @@ VERBS = {
     "iso": (cmd_iso, "isomorphism semidecision", [
         _arg("algebra1"), _arg("algebra2"),
         _arg("--p", type=int, help="compare reductions mod p"),
-        _arg("--budget", type=_budget, default=2_000_000)]),
+        _arg("--budget", type=_count, default=DEFAULT_ISO_BUDGET)]),
     "classify44": (cmd_classify44, "trichotomy: 3-solvable / simple 4-dim / semidirect", [
-        _ALGEBRA, _arg("--p", type=int), _arg("--budget", type=_budget, default=2_000_000)]),
+        _ALGEBRA, _arg("--p", type=int),
+        _arg("--budget", type=_count, default=DEFAULT_CLASSIFY44_BUDGET)]),
     "verify-paper": (cmd_verify_paper, "run the full verification suite", [
         _arg("--only", type=int, action="append",
              help="run a single criterion (repeatable)"),

@@ -7,20 +7,16 @@ fingerprints is necessary for isomorphism.  It compares values only, so its
 alpha/beta come from the value-only search, which reports no witness.
 
 ``are_isomorphic`` is exact.  Its certificates, in order: identical tables
-(``yes``), a fingerprint mismatch (``no``), over GF(p) unequal numbers of 1-
-or 2-dimensional ideals (``no``), and a backtracking search that checks each
+(``yes``), unequal invariant reports (``no``), over GF(p) unequal numbers of
+1-dimensional ideals (``no``), and a backtracking search that checks each
 bracket relation at its earliest depth; its ``yes`` carries a witness matrix
 P re-checked on raw rows (P invertible, and for every increasing key the
 bracket of L2 on P's columns equal to P applied to L1's value there) and its
 exhaustion over GF(p) is a ``no``.  Over Q the search tries small-entry
 columns and forced images only, so the outcome there is ``yes`` or
-``unknown`` (or ``no`` via fingerprints).  The ideal counts come from the
-centre Z and the derived algebra D, as every ideal J has [J, L, .., L] in
-J n D: they walk the lines and planes of D only (``search.walk_within``),
-and not at all when L is perfect and absolutely simple (the Burnside spin,
-``invariants.operators_generate_all``): then both are 0.  One
-``_CERTIFICATE_BUDGET`` bounds the work of each certificate before the
-search.
+``unknown`` (or ``no`` via the reports).  No alpha/beta search runs and no
+plane is counted: neither ever separated catalog or census tables whose
+reports and numbers of ideal lines agree.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 from itertools import combinations, product
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .core import NLieAlgebra, bracket, bracket_basis, bracket_rows, make_algebra
 from .errors import DimensionMismatchError, InvalidParameterError
@@ -42,15 +38,18 @@ from .invariants import (
     invariant_report,
     operators_generate_all,
 )
-from .linalg import Matrix, reduce_vector, rref
+from .linalg import Matrix, reduce_vector
 from .search import alpha_beta_exact_fp, gaussian_binomial, walk_within
 
 _CERTIFICATE_BUDGET = 20_000
+DEFAULT_ISO_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
 class Fingerprint(InvariantReport):
-    """Invariant summary; each component, when not None, is stable under change of basis."""
+    """Invariant summary; each component, when not None, is stable under
+    change of basis.  ``are_isomorphic`` compares the report part only;
+    alpha_beta is reported, never used as a certificate."""
 
     alpha_beta: tuple | None   # (alpha, beta) over GF(p) if the search completed
 
@@ -59,17 +58,14 @@ class Fingerprint(InvariantReport):
                     alpha_beta=list(self.alpha_beta) if self.alpha_beta else None)
 
 
-def _alpha_beta(L: NLieAlgebra) -> tuple | None:
-    """(alpha, beta) of L over GF(p) by the value-only search
-    (``witnesses=False``) under ``_CERTIFICATE_BUDGET``; None when it stops,
-    and over Q, where the exact values are not computed."""
-    res = L.field.p and alpha_beta_exact_fp(L, budget=_CERTIFICATE_BUDGET, witnesses=False)
-    return (res.alpha, res.beta) if res and res.complete else None
-
-
 def fingerprint(L: NLieAlgebra) -> Fingerprint:
-    """Deterministic basis-invariant of L: its invariant report plus alpha/beta."""
-    return Fingerprint(**vars(invariant_report(L)), alpha_beta=_alpha_beta(L))
+    """Deterministic basis-invariant of L: its invariant report plus (alpha,
+    beta) over GF(p) by the value-only search (``witnesses=False``) under
+    ``_CERTIFICATE_BUDGET``; alpha_beta is None when that search stops, and
+    over Q, where the exact values are not computed."""
+    res = L.field.p and alpha_beta_exact_fp(L, budget=_CERTIFICATE_BUDGET, witnesses=False)
+    ab = (res.alpha, res.beta) if res and res.complete else None
+    return Fingerprint(**vars(invariant_report(L)), alpha_beta=ab)
 
 
 def change_basis(L: NLieAlgebra, P: Matrix) -> NLieAlgebra:
@@ -153,73 +149,40 @@ def _verify_witness(L1, L2, P: Matrix) -> bool:
                for key in combinations(range(L1.dim), L1.arity))
 
 
-def _ideal_counts(L: NLieAlgebra):
-    """Yield the number of 1-dimensional ideals of L over GF(p), then that
-    of the 2-dimensional ones, from the centre Z and the derived algebra D.
+def _ideal_line_count(L: NLieAlgebra) -> int:
+    """The number of 1-dimensional ideals of L over GF(p), from the centre Z
+    and the derived algebra D.
 
-    Every ideal J has [J, L, .., L] in J n D.  A line outside D is an ideal
-    exactly when it lies in Z, and a line inside D is tested.  A plane J
-    with J n D = 0 is a plane of Z that meets Z n D (of dimension w)
-    trivially: p^(2w) [dim Z - w, 2]_p of them.  The planes inside D are
-    tested.  A plane with J n D = <c> has [J, L, .., L] in <c>, so <c> is an
-    ideal line of D and J lies in the kernel P_c = {x : [x, L, .., L] in
-    <c>}; conversely every plane through c in P_c is an ideal, and it meets
-    D in <c> unless it lies in P_c n D.  This uses only the multilinear,
-    antisymmetric table: neither the fundamental identity nor the
-    characteristic.  A perfect L (D = L) whose operators generate all of M_m
-    has no proper nonzero ideal (Burnside's theorem): both counts are 0, with
-    no walk."""
-    p, m = L.field.p, L.dim
+    Every ideal J has [J, L, .., L] in J n D, so a line outside D is an ideal
+    exactly when it lies in Z, and a line inside D is tested
+    (``search.walk_within``).  This uses only the multilinear, antisymmetric
+    table: neither the fundamental identity nor the characteristic.  A
+    perfect L (D = L) whose operators generate all of M_m has no proper
+    nonzero ideal (Burnside's theorem): the count is 0, with no walk."""
+    p = L.field.p
     z, d = center(L), derived_algebra(L)
-    if d.dim == m and operators_generate_all(L):
-        yield from (0, 0)
-        return
-    w = z.intersect(d).dim
-
-    def ideals_in_d(k):
-        return ((rows, pivots) for rows, pivots in walk_within(d, k) if ideal(L, rows, pivots))
-
-    lines = list(ideals_in_d(1))
-    yield gaussian_binomial(z.dim, 1, p) + len(lines) - gaussian_binomial(w, 1, p)
-
-    zero = (0,) * m
-    through_c = 0
-    for (c,), (pc,) in lines:
-        # P_c: the common kernel of the operators followed by the projection
-        # along <c> (c[pc] = 1), which takes row r of an operator to row r
-        # minus c[r] times row pc
-        rows = [[(a - cr * b) % p for a, b in zip(op.get(r, zero), op.get(pc, zero))]
-                for op in L.operators for r, cr in enumerate(c) if r in op or cr]
-        on_d = [[sum(map(mul, row, v)) % p for v in d.basis] for row in rows]
-        dim_p = m - len(rref(rows, m, p))
-        dim_pd = d.dim - len(rref(on_d, d.dim, p))
-        through_c += gaussian_binomial(dim_p - 1, 1, p) - gaussian_binomial(dim_pd - 1, 1, p)
-    yield (p ** (2 * w) * gaussian_binomial(z.dim - w, 2, p)
-           + sum(1 for _ in ideals_in_d(2)) + through_c)
+    if d.dim == L.dim and operators_generate_all(L):
+        return 0
+    in_d = sum(1 for rows, pivots in walk_within(d, 1) if ideal(L, rows, pivots))
+    return gaussian_binomial(z.dim, 1, p) - gaussian_binomial(z.intersect(d).dim, 1, p) + in_d
 
 
 def ideal_count_difference(L1: NLieAlgebra, L2: NLieAlgebra) -> str | None:
     """Why two algebras over GF(p) are not isomorphic, by the numbers of their
-    k-dimensional ideals (k = 1, 2, k < dim), which an isomorphism preserves;
-    None if they agree.  The counts come from ``_ideal_counts``, which walks
-    only the lines and planes of the derived algebra D.  A level is compared
-    when D has at most ``_CERTIFICATE_BUDGET`` subspaces of that dimension;
-    dim D is part of the fingerprint, so both sides agree on it."""
-    m, d, p = L1.dim, derived_algebra(L1).dim, L1.field.p
-    counts = zip(_ideal_counts(L1), _ideal_counts(L2))
-    for k in (1, 2):
-        if k >= m or gaussian_binomial(d, k, p) > _CERTIFICATE_BUDGET:
-            break  # the rule is monotone in k
-        c1, c2 = next(counts)
-        if c1 != c2:
-            return f"ideal count in dimension {k}: {c1} vs {c2}"
-    return None
+    1-dimensional ideals, which an isomorphism preserves; None if they agree,
+    or if the derived algebra D has more than ``_CERTIFICATE_BUDGET`` lines
+    (dim D is part of the invariant report, so both sides agree on it)."""
+    if gaussian_binomial(derived_algebra(L1).dim, 1, L1.field.p) > _CERTIFICATE_BUDGET:
+        return None
+    c1, c2 = _ideal_line_count(L1), _ideal_line_count(L2)
+    return f"ideal count in dimension 1: {c1} vs {c2}" if c1 != c2 else None
 
 
 def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
-                   budget: int = 2_000_000) -> IsoResult:
+                   budget: int = DEFAULT_ISO_BUDGET) -> IsoResult:
     """Decide isomorphism where feasible.  Certificates, in order: identical
-    tables, fingerprint, ideal counts (GF(p) only), backtracking search."""
+    tables, the invariant report, the number of 1-dimensional ideals (GF(p)
+    only), backtracking search.  No alpha/beta search runs."""
     if L1.arity != L2.arity or L1.dim != L2.dim or L1.field != L2.field:
         raise InvalidParameterError("isomorphism requires equal arity, dimension and field")
     m = L1.dim
@@ -228,14 +191,8 @@ def are_isomorphic(L1: NLieAlgebra, L2: NLieAlgebra, *,
     if L1.entries == L2.entries:
         return IsoResult("yes", Matrix.identity(f, m), "identical tables", 0)
 
-    # the fingerprints, alpha/beta last: the second search runs only when the
-    # reports agree and the first search completed, as a None separates nothing;
-    # the first is the side with fewer nonzero constants (L1 on a tie)
     rep1, rep2 = invariant_report(L1), invariant_report(L2)
     diff = rep1.differs_from(rep2)
-    first, second = sorted((L1, L2), key=lambda L: sum(len(v) - v.count(0) for _, v in L.entries))
-    if diff is None and (ab1 := _alpha_beta(first)) is not None:
-        diff = "alpha_beta" if _alpha_beta(second) not in (None, ab1) else None
     if diff is not None:
         return IsoResult("no", None, f"fingerprint: {diff}", 0)
 

@@ -58,7 +58,7 @@ the operators [., e_y], on raw RREF rows: only the two witnesses become
 
 The alpha scan walks the Grassmannian through ``walk_subspaces``, which can
 walk only the subspaces that contain a given one; ``walk_within`` walks
-those inside one (the ideal counts of ``iso``, classify44's blocks).  The
+those inside one (the ideal lines of ``iso``, classify44's blocks).  The
 work of a search is the subspaces a predicate is called on plus the beta
 lines and whole kernels tried: that is what ``subspaces_scanned`` reports
 and what a budget bounds.  Each test is charged before it is made, and a

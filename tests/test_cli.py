@@ -382,6 +382,36 @@ def test_budget_must_be_a_count(capsys, ex33_path, verb, value):
     assert f"argument --budget: must be an integer >= 0, got '{value}'" in err
 
 
+def test_derived_steps_is_a_count(capsys, tmp_path):
+    """``--steps`` is a count: a negative value is a usage error (exit 2)
+    with the message of ``--budget``, and 0 shows the first term only.  On
+    EX42 at m = 6 the 2-derived series is [6, 3, 0]."""
+    path = str(tmp_path / "ex42.json")
+    run(capsys, "catalog", "build", "EX42", "--dim", "6", "--out", path)
+    for value in ("-1", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["derived", path, "--steps", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --steps: must be an integer >= 0, got '{value}'" in err
+    for steps, dims in (("0", [6]), ("1", [6, 3]), ("2", [6, 3, 0]), ("5", [6, 3, 0])):
+        code, out, _ = run(capsys, "derived", path, "--steps", steps)
+        assert code == 0
+        assert f"2-derived series dims: {dims}\n" in out
+
+
+def test_alphabeta_refuses_q_bounds_it_would_ignore(capsys, ex33_path, ex33_gf2_path):
+    """``--q-bounds`` is for a document over Q alone: on a GF(p) document,
+    or with ``--p`` on a Q document, it is refused (exit 2, nothing on
+    stdout) instead of being ignored."""
+    for argv, message in (
+            ([ex33_gf2_path, "--q-bounds"], "conflicts with a document over GF(2)"),
+            ([ex33_path, "--q-bounds", "--p", "2"], "conflicts with --p")):
+        code, out, err = run(capsys, "alphabeta", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 @pytest.mark.parametrize("verb", [["alphabeta", "D"], ["verify-paper"]])
 def test_threads_option_is_gone(capsys, verb):
     with pytest.raises(SystemExit) as exc:
