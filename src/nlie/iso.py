@@ -8,8 +8,10 @@ alpha/beta come from the value-only search, which reports no witness.
 
 ``are_isomorphic`` is exact.  Its certificates, in order: identical tables
 (``yes``), unequal invariant reports (``no``), over GF(p) unequal numbers of
-1-dimensional ideals (``no``), and a backtracking search that checks each
-bracket relation at its earliest depth; its ``yes`` carries a witness matrix
+1-dimensional ideals (``no``), and a backtracking search whose columns lie
+in the mates of the invariant subspaces that hold their basis vectors, stay
+independent modulo those mates where L1 requires it, and meet each bracket
+relation at its earliest depth; its ``yes`` carries a witness matrix
 P re-checked on raw rows (P invertible, and for every increasing key the
 bracket of L2 on P's columns equal to P applied to L1's value there) and its
 exhaustion over GF(p) is a ``no``.  Over Q the search tries small-entry
@@ -24,6 +26,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
+from functools import reduce
 from itertools import combinations, product
 from operator import itemgetter
 
@@ -38,7 +41,7 @@ from .invariants import (
     invariant_report,
     operators_generate_all,
 )
-from .linalg import Matrix, reduce_vector
+from .linalg import Matrix, full_subspace, reduce_vector, subspace_intersect
 from .search import alpha_beta_exact_fp, gaussian_binomial, walk_within
 
 _CERTIFICATE_BUDGET = 20_000
@@ -208,21 +211,29 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
     """Backtracking search for an isomorphism L1 -> L2 of the same shape.
 
     ``subspaces1`` and ``subspaces2`` are the ``InvariantReport.subspaces`` of
-    the two algebras; an isomorphism maps each subspace of L1 onto its mate.
-
-    Images of basis vectors are assigned most-constrained index first, with
-    candidates in lexicographic order, pruned by linear independence and
-    invariant-subspace containment.  A relation plan, made once from L1,
-    checks each linear relation among the assigned e_i and their brackets
-    at the depth where its last vector is known, and gives an e_i in the
-    span of those vectors its forced image as the only candidate (over Q
-    too, whatever its entries).  A candidate pool larger than ``budget``
-    gives ``unknown`` before any node is visited.
+    the two algebras; an isomorphism maps each subspace u of L1 onto its mate
+    w.  Images of basis vectors are assigned most-constrained index first,
+    those of e_i in lexicographic order from a pool: over GF(p) the nonzero
+    points of the intersection of the mates of the u that hold e_i, over Q
+    its columns with entries in {-1, 0, 1}.  The column a_d at depth d must
+    be independent of S_d, the span of the columns so far, and of S_d + w for
+    each pair that a plan from L1 keeps at d: an isomorphism maps T_d + u
+    onto S_d + w (T_d the span of the e_i assigned), so a_d lies in S_d + w
+    only if e_{i_d} lies in T_d + u.  The plan keeps (d, u) unless e_{i_d}
+    lies in T_d + u, u in T_d, or T_d + u meets U only inside T_d, U the
+    intersection of the u that hold e_{i_d}.  A relation plan, made once
+    from L1, checks each linear relation among the assigned e_i and their
+    brackets at the depth where its last vector is known, and gives an e_i
+    in the span of those vectors its forced image as the only candidate
+    (over Q too, whatever its entries).  Each candidate tried is a node; more
+    than ``budget`` columns in F^m (over Q with entries in {-1, 0, 1}) give
+    ``unknown`` before any node is visited.
     """
     m = L1.dim
     f = L1.field
+    p = f.p
 
-    vals = list(range(f.p)) if f.p is not None else [QQ.validate(-1), QQ.zero, QQ.one]
+    vals = list(range(p)) if p is not None else [QQ.validate(-1), QQ.zero, QQ.one]
     pool_size = len(vals) ** m - 1
     if pool_size > budget:
         return IsoResult("unknown", None,
@@ -230,19 +241,60 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
                          f"the node budget {budget}", 0)
 
     def inside(w, v):  # v in the subspace w, without validating v
-        return not any(reduce_vector(w.basis, w.pivots, v, f.p))
+        return not any(reduce_vector(w.basis, w.pivots, v, p))
 
-    # the image of e_i must lie in every invariant subspace of L2 whose mate
-    # contains e_i; mates are aligned per series, the center first
-    pairs = [(u, w) for t1, t2 in zip(subspaces1, subspaces2) for u, w in zip(t1, t2)
-             if u.dim == w.dim and u.dim < m]
+    def adjoin(rows, pivots, r):
+        """Echelon rows and pivots with the nonzero residual list r added."""
+        piv = next(j for j, x in enumerate(r) if x)
+        if r[piv] != 1:
+            inv = f.inv(r[piv])
+            r = [f.mul(inv, x) for x in r]
+        return rows + [r], pivots + [piv]
+
+    def grow(rows, pivots, *vectors):
+        """Echelon rows and pivots of span(rows) + span(vectors)."""
+        for v in vectors:
+            r = reduce_vector(rows, pivots, v, p)
+            if any(r):
+                rows, pivots = adjoin(rows, pivots, r)
+        return rows, pivots
+
+    # the distinct proper mate pairs, aligned per series (the center first)
+    pairs = list({(u.basis, w.basis): (u, w) for t1, t2 in zip(subspaces1, subspaces2)
+                  for u, w in zip(t1, t2) if u.dim == w.dim and 0 < u.dim < m}.values())
     unit = [tuple(f.one if t == i else f.zero for t in range(m)) for i in range(m)]
-    targets = [[w for u, w in pairs if inside(u, unit[i])] for i in range(m)]
+    holds = [tuple(k for k, (u, _) in enumerate(pairs) if inside(u, e)) for e in unit]
 
     # most-constrained first: high bracket degree, then small image pool
     degree = Counter(i for cols, _ in L1.entries for i in cols)
     order = sorted(range(m), key=lambda i: (
-        -degree[i], min((w.dim for w in targets[i]), default=m), i))
+        -degree[i], min((pairs[k][1].dim for k in holds[i]), default=m), i))
+
+    # per set of pairs holding some e_i: the intersections U of the u and V of the w
+    meets = {ks: [reduce(subspace_intersect, [pairs[k][side] for k in ks]) if ks
+                  else full_subspace(f, m) for side in (0, 1)] for ks in set(holds)}
+
+    # the plan: along the order, one echelon of T_d + u per pair; checks[d]
+    # lists the pairs kept at depth d.  T_d + u meets U outside T_d when U = L1
+    # (u outside T_d), never when U = <e_i>, and else when U has fewer
+    # dimensions modulo T_d + u than modulo T_d
+    checks = [[] for _ in range(m)]
+    sums = [(list(u.basis), list(u.pivots)) for u, _ in pairs]
+    for d, i in enumerate(order):
+        U = meets[holds[i]][0]
+        base = None  # the dimension of U modulo T_d, once needed
+        for k, (rows, pivots) in enumerate(sums):
+            sums[k] = grow(rows, pivots, unit[i])
+            if len(sums[k][0]) == len(rows) or len(rows) == d or U.dim == 1:
+                continue  # e_i in T_d + u, or u inside T_d, or U = <e_i>
+            if U.dim < m:
+                if base is None:
+                    base = len(grow([unit[j] for j in order[:d]], order[:d], *U.basis)[0]) - d
+                if len(grow(rows, pivots, *U.basis)[0]) - len(rows) == base:
+                    continue
+            checks[d].append(k)
+    # carry[d]: the pairs whose echelon of S_d + w a node at depth d keeps
+    carry = [sorted(set().union(*checks[d:])) for d in range(m + 1)]
 
     # the relation plan, from L1 alone: by one echelon, each known vector at a
     # depth (e_i, then each [e_key] with all indices assigned) is a new slot, whose
@@ -271,11 +323,19 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
     steps = [[(itemgetter(*key), s) for key, s in st if not isinstance(s, int) or s in read]
              for st in steps]
 
-    # static per-index candidate pools, in lexicographic order
-    candidates_all = [c for c in product(vals, repeat=m) if any(c)]
-    pool_candidates = [[c for c in candidates_all
-                        if all(inside(w, c) for w in targets[i])]
-                       for i in range(m)]
+    # per-index candidate pools in lexicographic order, one per set of pairs:
+    # over GF(p) the nonzero points of V, each new basis row added to those so far
+    def pool(V):
+        if p is None:
+            return [c for c in product(vals, repeat=m) if any(c) and inside(V, c)]
+        if V.dim == m:
+            return list(product(vals, repeat=m))[1:]
+        points = [(0,) * m]
+        for row in V.basis:
+            points += [tuple([(c * x + y) % p for x, y in zip(row, pt)])
+                       for c in vals[1:] for pt in points]
+        return sorted(points)[1:]
+    pools = {ks: pool(V) for ks, (_, V) in meets.items()}
 
     zero = [f.zero] * m
     # assigned[order[d]] is the image chosen at depth d, images[k] that of
@@ -289,27 +349,29 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
         out = zero
         for k, lam in comb:
             out = [a + lam * b for a, b in zip(out, images[k])]
-        return out if f.p is None else [x % f.p for x in out]
+        return out if p is None else [x % p for x in out]
 
-    def extend(depth, rows, pivots):
-        """Assign order[depth..]; rows/pivots: echelon form of the columns so far."""
+    def extend(depth, rows, pivots, mods):
+        """Assign order[depth..]; rows/pivots: echelon form of the columns so
+        far, mods[k] that of the columns so far and pair k's mate."""
         nonlocal nodes, deepest, budget_hit
         if depth == m:
             return True
         deepest = max(deepest, depth)
-        i, head = order[depth], heads[depth]
-        cands = pool_candidates[i]
+        i, head, chk, nxt = order[depth], heads[depth], checks[depth], carry[depth + 1]
+        cands = pools[holds[i]]
         if not isinstance(head, int):
             forced = tuple(combine(head))
-            ok = any(forced) and all(inside(w, forced) for w in targets[i])
-            cands = [forced] if ok else []
+            cands = [forced] if any(forced) and inside(meets[holds[i]][1], forced) else []
         for cand in cands:
             if nodes >= budget:
                 budget_hit = True
                 return False
             nodes += 1
-            residual = reduce_vector(rows, pivots, cand, f.p)
+            residual = reduce_vector(rows, pivots, cand, p)
             if not any(residual):
+                continue
+            if chk and not all(any(reduce_vector(*mods[k], cand, p)) for k in chk):
                 continue
             assigned[i] = cand
             if isinstance(head, int):
@@ -321,16 +383,15 @@ def _search_isomorphism(L1, L2, subspaces1, subspaces2, budget) -> IsoResult:
                 elif img != combine(s):
                     break
             else:
-                piv = next(j for j, x in enumerate(residual) if x)
-                inv = f.inv(residual[piv])
-                row = tuple(f.mul(inv, x) for x in residual)
-                if extend(depth + 1, rows + [row], pivots + [piv]):
+                child = {k: grow(*mods[k], cand) for k in nxt} if nxt else mods
+                if extend(depth + 1, *adjoin(rows, pivots, residual), child):
                     return True
                 if budget_hit:
                     return False
         return False
 
-    if extend(0, [], []):
+    if extend(0, [], [], {k: (list(pairs[k][1].basis), list(pairs[k][1].pivots))
+                          for k in carry[0]}):
         P = Matrix.from_rows(f, [list(row) for row in zip(*assigned)])
         if _verify_witness(L1, L2, P):
             return IsoResult("yes", P, None, nodes)

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -30,10 +30,10 @@ from oracles import is_isomorphism_gf2, isomorphism_gf2
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _b_cores():
-    return [("T35-b4", catalog_build("T35-b4", GF(2), m=4)),
-            ("T35-b5", catalog_build("T35-b5", GF(2), m=4)),
-            ("T35-b6", catalog_build("T35-b6", GF(2), m=4, alpha=1))]
+def _b_cores(m=4):
+    return [("T35-b4", catalog_build("T35-b4", GF(2), m=m)),
+            ("T35-b5", catalog_build("T35-b5", GF(2), m=m)),
+            ("T35-b6", catalog_build("T35-b6", GF(2), m=m, alpha=1))]
 
 
 def test_fingerprint_separates_t34_cases():
@@ -275,8 +275,8 @@ def _perturbed_columns(P):
         yield Matrix.from_rows(f, rows)
 
 
-@pytest.mark.parametrize("field, dims, yes, stopped", [(GF(2), (4, 5), 74, 6),
-                                                      (GF(3), (4,), 35, 3)], ids=str)
+@pytest.mark.parametrize("field, dims, yes, stopped", [(GF(2), (4, 5), 75, 5),
+                                                      (GF(3), (4,), 36, 2)], ids=str)
 def test_verify_witness_accepts_every_search_witness_and_agrees_on_perturbed_ones(
         field, dims, yes, stopped):
     """The families and levels of the benchmark's identify-fp iso pairs, each
@@ -339,34 +339,34 @@ def test_iso_no_for_b_cores_over_gf2():
 
 def test_search_alone_proves_b_cores_distinct():
     """The backtracking search on its own, without the ideal counts in front
-    of it, proves the tied cores distinct in a fixed number of nodes."""
-    expected = {("T35-b4", "T35-b5"): 1158, ("T35-b4", "T35-b6"): 870,
-                ("T35-b5", "T35-b6"): 1158}
-    for (la, A), (lb, B) in combinations(_b_cores(), 2):
-        res = _search_isomorphism(A, B, invariant_report(A).subspaces,
-                                  invariant_report(B).subspaces, 2_000_000)
-        assert res.verdict == "no", (la, lb)
-        assert res.reason == "search exhausted over the prime field"
-        assert res.nodes == expected[la, lb], (la, lb)
+    of it, proves the tied cores distinct at m = 4 and 5 in a fixed number of
+    nodes (the pairs b4-b5, b4-b6, b5-b6)."""
+    for m, expected in ((4, (771, 483, 771)), (5, (3820, 2668, 3820))):
+        for ((la, A), (lb, B)), nodes in zip(combinations(_b_cores(m), 2), expected):
+            res = _search_isomorphism(A, B, invariant_report(A).subspaces,
+                                      invariant_report(B).subspaces, 2_000_000)
+            assert res.verdict == "no", (m, la, lb)
+            assert res.reason == "search exhausted over the prime field"
+            assert res.nodes == nodes, (m, la, lb)
 
 
 def test_search_on_conjugate_keeps_witness_and_node_count():
     L = catalog_build("T35-b4", GF(3), m=4)
     res = are_isomorphic(L, random_basis_change(L, seed=0))
     assert res.verdict == "yes"
-    assert res.nodes == 1553
+    assert res.nodes == 97
     assert res.witness.rows == ((0, 1, 0, 0), (0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 0, 0))
 
 
 def test_forced_images_cut_the_search_on_a_dense_conjugate():
     """Each e_i in the span of the brackets already assigned has a forced
-    image, its only candidate; without that rule this search takes 9,541
+    image, its only candidate; without that rule this search takes 2,473
     nodes."""
     L = catalog_build("T35-b5", GF(2), m=5)
     D = random_basis_change(L, 1)
     res = are_isomorphic(D, L)
     assert res.verdict == "yes"
-    assert res.nodes == 617
+    assert res.nodes == 275
     assert change_basis(L, res.witness) == D
 
 
@@ -395,18 +395,21 @@ _M4_GF2 = [("L21-b1", {"n": 3}), ("L21-b2", {"n": 3}), ("L21-c1", {"n": 3}),
 
 def test_search_matches_brute_force_over_gf2():
     """The search alone agrees with trying every invertible matrix on each
-    pair of tied m = 4 tables over GF(2) and on each table against one basis
-    change, both ways; every witness is re-checked bracket by bracket."""
+    pair of tied m = 4 tables over GF(2), on each table against one basis
+    change, both ways, and on each pair of two dense basis changes of one
+    table (seeds 1 and 2), where neither side's invariant subspaces are
+    coordinate subspaces; every witness is re-checked bracket by bracket."""
+    n = len(_M4_GF2)
     tables = [(f"{fid} {params}", catalog_build(fid, GF(2), **params))
               for fid, params in _M4_GF2]
-    tables += [(label + " conjugate", random_basis_change(L, 0)) for label, L in tables]
+    tables += [(f"{label} conjugate {seed}", random_basis_change(L, seed))
+               for seed in (0, 1, 2) for label, L in tables[:n]]
     report = {label: invariant_report(L) for label, L in tables}
-    half = len(_M4_GF2)
-    pairs = [(a, b) for a, b in combinations(tables[:half], 2)
+    pairs = [(a, b) for a, b in combinations(tables[:n], 2)
              if report[a[0]] == report[b[0]]]
     assert len(pairs) > 20
-    for L, D in zip(tables[:half], tables[half:]):
-        pairs += [(L, D), (D, L)]
+    for L, D, D1, D2 in zip(*(tables[k * n:(k + 1) * n] for k in range(4))):
+        pairs += [(L, D), (D, L), (D1, D2)]
     verdicts = Counter()
     for (la, A), (lb, B) in pairs:
         res = _search_isomorphism(A, B, report[la].subspaces, report[lb].subspaces,
@@ -417,6 +420,52 @@ def test_search_matches_brute_force_over_gf2():
             assert is_isomorphism_gf2(A, B, res.witness.rows), (la, lb)
         verdicts[expected] += 1
     assert verdicts["no"] > 10
+
+
+def _lie_algebras_gf2(m):
+    """Every Lie algebra on GF(2)^m: each alternating table, as one bit mask
+    per bracket [e_i, e_j] with i < j, kept when the Jacobi identity holds on
+    every triple of basis vectors."""
+    keys = list(combinations(range(m), 2))
+
+    def br(table, x, y):  # bit masks
+        out = 0
+        for (i, j), w in zip(keys, table):
+            if (x >> i & y >> j ^ x >> j & y >> i) & 1:
+                out ^= w
+        return out
+
+    for table in product(range(1 << m), repeat=len(keys)):
+        if all(br(table, br(table, 1 << i, 1 << j), 1 << k)
+               ^ br(table, br(table, 1 << j, 1 << k), 1 << i)
+               ^ br(table, br(table, 1 << k, 1 << i), 1 << j) == 0
+               for i, j, k in combinations(range(m), 3)):
+            yield make_algebra(GF(2), 2, m, {
+                (i + 1, j + 1): {t + 1: 1 for t in range(m) if w >> t & 1}
+                for (i, j), w in zip(keys, table) if w})
+
+
+def test_census_of_3_dimensional_lie_algebras_over_gf2():
+    """The 512 alternating tables on GF(2)^3 hold 120 Lie algebras in 7
+    isomorphism classes (de Graaf's count).  Each algebra is classified by
+    the search alone against the representatives so far whose invariant
+    reports tie with it; every verdict agrees with trying every invertible
+    matrix, and every witness is re-checked bracket by bracket."""
+    algebras = list(_lie_algebras_gf2(3))
+    reps = []
+    for L in algebras:
+        rep = invariant_report(L)
+        for R, rep_r in reps:
+            if rep_r != rep:
+                continue
+            res = _search_isomorphism(L, R, rep.subspaces, rep_r.subspaces, 2_000_000)
+            assert res.verdict == ("no" if isomorphism_gf2(L, R) is None else "yes")
+            if res.verdict == "yes":
+                assert is_isomorphism_gf2(L, R, res.witness.rows)
+                break
+        else:
+            reps.append((L, rep))
+    assert (len(algebras), len(reps)) == (120, 7)
 
 
 def test_iso_symmetric_verdicts():
@@ -434,10 +483,10 @@ def test_iso_no_via_fingerprint_over_q():
 
 
 def test_iso_budget_exhaustion_is_unknown():
-    # a table against its own basis change reaches the search (1553 nodes);
+    # a table against its own basis change reaches the search (97 nodes);
     # the 80 candidate columns fit the budget, the nodes do not
     L = catalog_build("T35-b4", GF(3), m=4)
-    res = are_isomorphic(L, random_basis_change(L, seed=0), budget=100)
+    res = are_isomorphic(L, random_basis_change(L, seed=0), budget=90)
     assert res.verdict == "unknown"
     assert "budget" in res.reason
 
